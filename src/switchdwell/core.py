@@ -67,8 +67,8 @@ class Subsystem:
 
     ``lyapunov`` is V_u, sandwiched between ``alpha(||x - x_u||)`` and
     ``beta(||x - x_u||)`` and decaying at rate ``decay_rate`` along ``field``.
-    ``affine`` carries (A, b) when the mode is x' = Ax + b (enables the fast
-    RK4 kernels); ``quadratic`` marks V_u(x) = ||x - x_u||^2.
+    ``affine`` carries (A, b) when the mode is x' = Ax + b (integrated by the
+    exact RK4 map in ``kernels``); ``quadratic`` marks V_u(x) = ||x - x_u||^2.
     """
 
     label: Label

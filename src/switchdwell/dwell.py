@@ -106,6 +106,15 @@ def local_dwell(
     return DwellTable(eps=eps, entries=entries, raw_entries=raw, t_loc=max(entries.values()))
 
 
+def pair_mu(eps: float, dist: float) -> float:
+    """Closed-form bound (1 + dist/sqrt(eps))^2 on V_a/V_b outside N^eps_b.
+
+    Exact for identity-quadratic certificates whose equilibria lie ``dist``
+    apart; increasing in ``dist``.
+    """
+    return (1.0 + dist / math.sqrt(eps)) ** 2
+
+
 def mu_bound(
     eps: float,
     system: SwitchedSystem,
@@ -133,7 +142,7 @@ def mu_bound(
         for a in subs:
             for b in subs:
                 d_max = max(d_max, float(np.linalg.norm(a.equilibrium - b.equilibrium)))
-        return (1.0 + d_max / math.sqrt(eps)) ** 2
+        return pair_mu(eps, d_max)
     if mode != "sampled":
         raise ValueError(f"mode must be 'closed_form' or 'sampled', got {mode!r}")
     rng = np.random.default_rng(seed)

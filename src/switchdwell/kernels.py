@@ -1,84 +1,54 @@
-"""Hot RK4 kernels for affine subsystems.
+"""RK4 kernels for affine subsystems.
 
-The classical fixed-step RK4 loop over ``x' = A x + b`` dominates runtime
-(switched simulations, tube propagation, acceptance sweeps).  The kernels
-below exist in two variants: a numba ``@njit`` build and a pure-numpy
-fallback.  Set the environment variable ``SWITCHDWELL_DISABLE_NUMBA=1``
-before import to force the numpy path (also used automatically when numba
-is unavailable).  ``benchmarks/bench_rk4.py`` compares the two.
+One classical RK4 step of size h on ``x' = A x + b`` is exactly the affine map
+``x -> M x + c`` with ``M = I + hA P``, ``c = h P b`` and
+``P = I + hA/2 + (hA)^2/6 + (hA)^3/24`` (the stability-polynomial identity,
+Hairer, Norsett & Wanner, *Solving ODEs I*).  ``_rk4_map`` builds it as one
+homogeneous ``(n+1) x (n+1)`` matrix, so n steps are a matrix power and a
+whole path is filled by repeated doubling instead of a per-step loop.
 """
-
-import os
 
 import numpy as np
 
-__all__ = ["backend", "affine_rk4_path", "affine_rk4_batch_final"]
-
-_DISABLE = os.environ.get("SWITCHDWELL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
+__all__ = ["affine_rk4_path", "affine_rk4_batch_final"]
 
 
-def _affine_rk4_path(A, b, x0, h, n_full, h_last):
+def _rk4_map(A, b, h):
+    """Homogeneous matrix [[I + hA P, h P b], [0, 1]] of one RK4 step of size h."""
+    n = A.shape[0]
+    hA = h * A
+    eye = np.eye(n)
+    P = eye + hA @ (eye / 2.0 + hA @ (eye / 6.0 + hA / 24.0))
+    G = np.eye(n + 1)
+    G[:n, :n] += hA @ P
+    G[:n, n] = h * (P @ b)
+    return G
+
+
+def affine_rk4_path(A, b, x0, h, n_full, h_last):
     """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
     n = x0.shape[0]
-    m = n_full + 1
+    X = np.empty((n_full + 1 + (h_last > 0.0), n + 1))
+    X[0, :n] = x0
+    X[0, n] = 1.0
+    # rows [0, k) hold steps 0..k-1; mapping them by G^k gives steps k..2k-1
+    Gk = _rk4_map(A, b, h)
+    k = 1
+    while k <= n_full:
+        m = min(k, n_full + 1 - k)
+        X[k : k + m] = X[:m] @ Gk.T
+        k += m
+        if k <= n_full:
+            Gk = Gk @ Gk
     if h_last > 0.0:
-        m += 1
-    out = np.empty((m, n))
-    out[0] = x0
-    x = x0.copy()
-    for i in range(n_full):
-        k1 = np.dot(A, x) + b
-        k2 = np.dot(A, x + (0.5 * h) * k1) + b
-        k3 = np.dot(A, x + (0.5 * h) * k2) + b
-        k4 = np.dot(A, x + h * k3) + b
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
+        X[-1] = X[n_full] @ _rk4_map(A, b, h_last).T
+    return X[:, :n]
+
+
+def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):
+    """Final states for a batch of initial conditions X0 (rows)."""
+    n = X0.shape[1]
+    G = np.linalg.matrix_power(_rk4_map(A, b, h), n_full)
     if h_last > 0.0:
-        k1 = np.dot(A, x) + b
-        k2 = np.dot(A, x + (0.5 * h_last) * k1) + b
-        k3 = np.dot(A, x + (0.5 * h_last) * k2) + b
-        k4 = np.dot(A, x + h_last * k3) + b
-        out[m - 1] = x + (h_last / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out
-
-
-def _affine_rk4_batch_final(At, b, X0, h, n_full, h_last):
-    """Final states for a batch of initial conditions X0 (rows); At = A transposed."""
-    X = X0.copy()
-    for _ in range(n_full):
-        k1 = np.dot(X, At) + b
-        k2 = np.dot(X + (0.5 * h) * k1, At) + b
-        k3 = np.dot(X + (0.5 * h) * k2, At) + b
-        k4 = np.dot(X + h * k3, At) + b
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if h_last > 0.0:
-        k1 = np.dot(X, At) + b
-        k2 = np.dot(X + (0.5 * h_last) * k1, At) + b
-        k3 = np.dot(X + (0.5 * h_last) * k2, At) + b
-        k4 = np.dot(X + h_last * k3, At) + b
-        X = X + (h_last / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return X
-
-
-# numpy reference implementations stay importable for the benchmark
-numpy_affine_rk4_path = _affine_rk4_path
-numpy_affine_rk4_batch_final = _affine_rk4_batch_final
-
-_BACKEND = "numpy"
-affine_rk4_path = _affine_rk4_path
-affine_rk4_batch_final = _affine_rk4_batch_final
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        affine_rk4_path = njit(cache=True)(_affine_rk4_path)
-        affine_rk4_batch_final = njit(cache=True)(_affine_rk4_batch_final)
-        _BACKEND = "numba"
-    except ImportError:
-        pass
-
-
-def backend() -> str:
-    """Active kernel backend, 'numba' or 'numpy'."""
-    return _BACKEND
+        G = _rk4_map(A, b, h_last) @ G
+    return X0 @ G[:n, :n].T + G[:n, n]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
+import scipy  # noqa: F401  cheap, unlike scipy.stats; perfbench/run.py reads its version after import
 
 from .core import Label, Subsystem
 from .errors import UnsupportedDimension
@@ -92,6 +92,8 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
     quadratic V and central-difference otherwise.  Violation lists are ordered
     by sample index.
     """
+    from scipy.stats import qmc  # scipy.stats dominates import time; load on use
+
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

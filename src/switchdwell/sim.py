@@ -17,6 +17,7 @@ import numpy as np
 
 from . import kernels
 from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal
+from .dwell import pair_mu
 from .errors import (
     InsufficientSwitches,
     NonfiniteState,
@@ -357,8 +358,8 @@ def convergence_product(
 ) -> ConvergenceReport:
     """Partial products mu_0..mu_i * exp(-integral of k) over the first i_max switches.
 
-    mu_i is the closed-form pair bound (1 + ||x_b - x_a||/sqrt(eps))^2 for the
-    modes on either side of switch i; products are accumulated in log space.
+    mu_i is the closed-form pair bound ``dwell.pair_mu`` for the modes on
+    either side of switch i; products are accumulated in log space.
     ``certified`` means some P_i dropped below 1e-6 * P_0; a false value is not
     a counterexample (the criterion is sufficient only).  ``entry_index`` is the
     first switch at which the state is inside the exited mode's region.
@@ -374,7 +375,6 @@ def convergence_product(
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
 
-    sqrt_eps = math.sqrt(eps)
     times = [signal.t0] + [ev.t for ev in events[:i_max]]
     interval_modes = [signal.initial_mode] + [ev.next_mode for ev in events[: i_max]]
     log_terms = []
@@ -384,7 +384,7 @@ def convergence_product(
         a = system[interval_modes[j]]
         b = system[interval_modes[j + 1]]
         dist = float(np.linalg.norm(b.equilibrium - a.equilibrium))
-        mu = (1.0 + dist / sqrt_eps) ** 2
+        mu = pair_mu(eps, dist)
         mus.append(mu)
         mu_tildes.append(math.exp((b.decay_rate - a.decay_rate) * times[j + 1]) * mu)
         log_terms.append(math.log(mu) - a.decay_rate * (times[j + 1] - times[j]))
@@ -435,9 +435,7 @@ def tube_sample(
         n_full, rem = _grid(0.0, t, step)
         if to_sub.affine is not None:
             A, b = to_sub.affine
-            img = kernels.affine_rk4_batch_final(
-                np.ascontiguousarray(A.T), b, pts, step, n_full, rem
-            )
+            img = kernels.affine_rk4_batch_final(A, b, pts, step, n_full, rem)
         else:
             img = np.vstack(
                 [integrate(to_sub, p, 0.0, t, step).final_state for p in pts]
