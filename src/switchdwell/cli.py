@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .lyapunov import check_certificate, region_boundary_points, v_eval
+from .lyapunov import check_certificate, region_boundary_points
 from .scenario import Scenario, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
 
@@ -31,10 +31,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write_text(path: Path, text: str, written: list[Path]) -> None:
@@ -48,15 +44,37 @@ def _write_json(path: Path, obj, written: list[Path]) -> None:
 
 
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> str:
+    """One row per sample, V_active evaluated per constant-mode segment."""
     n = system.dimension
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active"
-    lines = [header]
-    for t, x, m in zip(traj.times, traj.states, traj.modes):
-        v = v_eval(system[m], x)
-        lines.append(
-            _fmt(t) + "," + ",".join(_fmt(c) for c in x) + f",{m}," + _fmt(v)
-        )
-    return "\n".join(lines) + "\n"
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
+    modes = traj.modes
+    cuts = [0] + [k for k in range(1, len(modes)) if modes[k] != modes[k - 1]] + [len(modes)]
+    parts = [header]
+    for lo, hi in zip(cuts, cuts[1:]):
+        m = modes[lo]
+        row = "%.17g," * (n + 1) + str(m).replace("%", "%%") + ",%.17g\n"
+        v = system[m].v_batch(traj.states[lo:hi])
+        rows = np.column_stack([traj.times[lo:hi], traj.states[lo:hi], v]).tolist()
+        parts.extend(map(row.__mod__, map(tuple, rows)))
+    return "".join(parts)
+
+
+def _emit_regions_and_switches(
+    traj: Trajectory, system: SwitchedSystem, eps: float, out_dir: Path, written: list[Path]
+) -> None:
+    """region_<label>.csv boundary polylines and switch_points.csv; 2-D systems only."""
+    if system.dimension != 2:
+        raise UnsupportedDimension("plot data emission needs a 2-D system")
+    for sub in system.subsystems:
+        pts = region_boundary_points(sub, eps, 256)
+        rows = np.vstack([pts, pts[:1]]).tolist()
+        body = "x1,x2\n" + "".join("%.17g,%.17g\n" % (x1, x2) for x1, x2 in rows)
+        _write_text(out_dir / f"region_{sub.label}.csv", body, written)
+    body = "t,x1,x2,prev_mode,next_mode\n" + "".join(
+        "%.17g,%.17g,%.17g,%s,%s\n" % (ev.t, *ev.state, ev.prev_mode, ev.next_mode)
+        for ev in traj.switch_events
+    )
+    _write_text(out_dir / "switch_points.csv", body, written)
 
 
 def emit_plot_data(
@@ -71,25 +89,10 @@ def emit_plot_data(
     The files are sufficient to recreate the phase-plane figures in any
     plotting tool; 2-D systems only.
     """
-    if system.dimension != 2:
-        raise UnsupportedDimension("plot data emission needs a 2-D system")
     out_dir = Path(out_dir)
     written = written if written is not None else []
+    _emit_regions_and_switches(traj, system, eps, out_dir, written)
     _write_text(out_dir / "trajectory.csv", _trajectory_csv(traj, system), written)
-    for sub in system.subsystems:
-        pts = region_boundary_points(sub, eps, 256)
-        pts = np.vstack([pts, pts[:1]])
-        body = "x1,x2\n" + "\n".join(_fmt(p[0]) + "," + _fmt(p[1]) for p in pts) + "\n"
-        _write_text(out_dir / f"region_{sub.label}.csv", body, written)
-    lines = ["t,x1,x2,prev_mode,next_mode"]
-    for ev in traj.switch_events:
-        lines.append(
-            _fmt(ev.t)
-            + ","
-            + ",".join(_fmt(c) for c in ev.state)
-            + f",{ev.prev_mode},{ev.next_mode}"
-        )
-    _write_text(out_dir / "switch_points.csv", "\n".join(lines) + "\n", written)
     return written
 
 
@@ -180,11 +183,11 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             for i, x0 in enumerate(starts):
                 traj = simulate_switched(system, spec.signal, x0, horizon, s.step)
                 trajs[(name, i)] = traj
-                _write_text(
-                    out / f"trajectory_{name}_{i}.csv",
-                    _trajectory_csv(traj, system),
-                    written,
-                )
+                # rendered once: the same text is the plot directory's trajectory.csv
+                text = _trajectory_csv(traj, system)
+                _write_text(out / f"trajectory_{name}_{i}.csv", text, written)
+                if flags.get("plot_data"):
+                    _write_text(out / f"plot_{name}_{i}" / "trajectory.csv", text, written)
 
     if flags.get("trapping"):
         reports = {}
@@ -244,7 +247,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
                 {
                     "t": t,
                     "points": [[float(c) for c in p] for p in pts],
-                    "max_v_target": max(v_eval(to_sub, p) for p in pts),
+                    "max_v_target": float(to_sub.v_batch(pts).max()),
                 }
                 for t, pts in result
             ],
@@ -254,7 +257,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
 
     if flags.get("plot_data"):
         for (name, i), traj in trajs.items():
-            emit_plot_data(traj, system, eps, out / f"plot_{name}_{i}", written)
+            _emit_regions_and_switches(traj, system, eps, out / f"plot_{name}_{i}", written)
         print("plot-data: written")
 
     status = EXIT_VERIFICATION if failed else EXIT_OK

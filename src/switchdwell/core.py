@@ -42,8 +42,9 @@ class ClassKFn:
         if not (self.c > 0 and self.p > 0):
             raise ValueError(f"ClassKFn needs c > 0 and p > 0, got c={self.c}, p={self.p}")
 
-    def eval(self, s: float) -> float:
-        if s < 0:
+    def eval(self, s):
+        """``c * s**p``; elementwise when ``s`` is an array."""
+        if np.any(np.less(s, 0)):
             raise ValueError("class-K functions are defined on s >= 0")
         return self.c * s ** self.p
 
@@ -69,6 +70,11 @@ class Subsystem:
     ``beta(||x - x_u||)`` and decaying at rate ``decay_rate`` along ``field``.
     ``affine`` carries (A, b) when the mode is x' = Ax + b (integrated by the
     exact RK4 map in ``kernels``); ``quadratic`` marks V_u(x) = ||x - x_u||^2.
+
+    ``v_batch`` and ``grad_batch`` are the single evaluation path for V_u and
+    its gradient over rows of states: ``quadratic`` selects the closed forms
+    ``||d||^2`` and ``2d`` with ``d = x - x_u``; any other mode loops over
+    ``lyapunov``, with central differences for the gradient.
     """
 
     label: Label
@@ -101,6 +107,29 @@ class Subsystem:
     @property
     def dimension(self) -> int:
         return self.equilibrium.shape[0]
+
+    def v_batch(self, X: np.ndarray) -> np.ndarray:
+        """V_u at each row of ``X``."""
+        if self.quadratic:
+            D = X - self.equilibrium
+            return np.vecdot(D, D)
+        return np.fromiter(map(self.lyapunov, X), dtype=float, count=len(X))
+
+    def grad_batch(self, X: np.ndarray) -> np.ndarray:
+        """Gradient of V_u at each row of ``X``.
+
+        Central differences for non-quadratic V, with step
+        ``h = 1e-6 * (1 + ||x||)`` per row along each axis.
+        """
+        if self.quadratic:
+            return 2.0 * (X - self.equilibrium)
+        h = 1e-6 * (1.0 + np.sqrt(np.vecdot(X, X)))
+        G = np.empty_like(X)
+        for j in range(X.shape[1]):
+            step = np.zeros_like(X)
+            step[:, j] = h
+            G[:, j] = (self.v_batch(X + step) - self.v_batch(X - step)) / (2.0 * h)
+        return G
 
     def check_dimension(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

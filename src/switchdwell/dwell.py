@@ -160,21 +160,13 @@ def mu_bound(
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = r_in * (1 + 1e-12) + rng.random(n_samples) * (r_out - r_in)
         pts = b.equilibrium + radii[:, None] * dirs
-        vb = np.array([b.lyapunov(x) for x in pts]) if not b.quadratic else np.einsum(
-            "ij,ij->i", pts - b.equilibrium, pts - b.equilibrium
-        )
+        vb = b.v_batch(pts)
         outside = vb > eps
         if not outside.any():
             continue
         for a in subs:
-            if a is b:
-                continue
-            if a.quadratic:
-                da = pts - a.equilibrium
-                va = np.einsum("ij,ij->i", da, da)
-            else:
-                va = np.array([a.lyapunov(x) for x in pts])
-            best = max(best, float((va[outside] / vb[outside]).max()))
+            if a is not b:
+                best = max(best, float((a.v_batch(pts)[outside] / vb[outside]).max()))
     return best
 
 

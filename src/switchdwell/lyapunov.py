@@ -1,6 +1,7 @@
 """Lyapunov certificate evaluation, sampled validation, and trapping regions.
 
 The trapping region of mode u at level eps is N^eps_u = {x : V_u(x) <= eps}.
+V_u and its gradient come from ``Subsystem.v_batch``/``grad_batch``.
 Certificate checks are sample-based: they can falsify the sandwich and decay
 conditions on a box but never prove them; callers should treat a clean report
 as "not falsified on the sampled set".
@@ -22,8 +23,7 @@ DECAY_TOL = 1e-9
 
 def v_eval(sub: Subsystem, x) -> float:
     """V_u(x); zero iff x is the equilibrium for the default quadratic."""
-    x = sub.check_dimension(x)
-    return float(sub.lyapunov(x))
+    return float(sub.v_batch(sub.check_dimension(x)[None, :])[0])
 
 
 def in_region(sub: Subsystem, eps: float, x, strict: bool = False) -> bool:
@@ -70,27 +70,13 @@ class CertificateReport:
         }
 
 
-def _gradient(sub: Subsystem, x: np.ndarray) -> np.ndarray:
-    if sub.quadratic:
-        return 2.0 * (x - sub.equilibrium)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty_like(x)
-    for j in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (sub.lyapunov(xp) - sub.lyapunov(xm)) / (2.0 * h)
-    return g
-
-
 def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> CertificateReport:
     """Sample the box (Halton, seeded) and test the sandwich and decay conditions.
 
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
-    grad V(x) . f(x) <= -k V(x) + 1e-9.  The gradient is analytic for the
-    quadratic V and central-difference otherwise.  Violation lists are ordered
-    by sample index.
+    grad V(x) . f(x) <= -k V(x) + 1e-9, with V and its gradient from
+    ``Subsystem.v_batch``/``grad_batch``.  Violation lists are ordered by
+    sample index.
     """
     from scipy.stats import qmc  # scipy.stats dominates import time; load on use
 
@@ -99,48 +85,29 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
         raise ValueError("n_samples must be >= 1")
     if not np.all(upper > lower):
         raise ValueError("box must have positive volume")
-    n = sub.dimension
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
+    sampler = qmc.Halton(d=sub.dimension, scramble=True, seed=seed)
     pts = qmc.scale(sampler.random(n_samples), lower, upper)
 
-    report = CertificateReport(label=sub.label, samples_tested=n_samples)
-
-    if sub.quadratic and sub.affine is not None:
-        # vectorized fast path for affine modes with quadratic V
+    diff = pts - sub.equilibrium
+    r = np.sqrt(np.vecdot(diff, diff))
+    v = sub.v_batch(pts)
+    lo, hi = sub.alpha.eval(r), sub.beta.eval(r)
+    if sub.affine is not None:
         A, b = sub.affine
-        diff = pts - sub.equilibrium
-        r = np.linalg.norm(diff, axis=1)
-        v = np.einsum("ij,ij->i", diff, diff)
-        lo = sub.alpha.c * r ** sub.alpha.p
-        hi = sub.beta.c * r ** sub.beta.p
         f = pts @ A.T + b
-        deriv = 2.0 * np.einsum("ij,ij->i", diff, f)
-        slack = deriv + sub.decay_rate * v
-        report.max_decay_slack = float(slack.max())
-        bad_sw = np.nonzero((v < lo - MEMBERSHIP_TOL) | (v > hi + MEMBERSHIP_TOL))[0]
-        bad_dk = np.nonzero(slack > DECAY_TOL)[0]
-        for i in bad_sw:
-            report.sandwich_violations.append((pts[i].copy(), float(v[i]), float(lo[i]), float(hi[i])))
-        for i in bad_dk:
-            report.decay_violations.append((pts[i].copy(), float(deriv[i]), float(-sub.decay_rate * v[i])))
-        return report
-
-    max_slack = float("-inf")
-    for i in range(n_samples):
-        x = pts[i]
-        r = float(np.linalg.norm(x - sub.equilibrium))
-        v = float(sub.lyapunov(x))
-        lo, hi = sub.alpha.eval(r), sub.beta.eval(r)
-        if v < lo - MEMBERSHIP_TOL or v > hi + MEMBERSHIP_TOL:
-            report.sandwich_violations.append((x.copy(), v, lo, hi))
-        deriv = float(_gradient(sub, x) @ np.asarray(sub.field(x), dtype=float))
-        slack = deriv + sub.decay_rate * v
-        max_slack = max(max_slack, slack)
-        # the finite-difference gradient carries a relative error, so the
-        # tolerance scales with the derivative magnitude on this path
-        if slack > DECAY_TOL * (1.0 + abs(deriv)):
-            report.decay_violations.append((x.copy(), deriv, -sub.decay_rate * v))
-    report.max_decay_slack = max_slack
+    else:
+        f = np.fromiter(map(sub.field, pts), dtype=(float, sub.dimension), count=n_samples)
+    deriv = np.vecdot(sub.grad_batch(pts), f)
+    slack = deriv + sub.decay_rate * v
+    # a finite-difference gradient carries a relative error, so off the closed
+    # form the tolerance scales with the derivative magnitude
+    tol = DECAY_TOL if sub.quadratic else DECAY_TOL * (1.0 + np.abs(deriv))
+    report = CertificateReport(label=sub.label, samples_tested=n_samples)
+    report.max_decay_slack = float(slack.max())
+    for i in np.nonzero((v < lo - MEMBERSHIP_TOL) | (v > hi + MEMBERSHIP_TOL))[0]:
+        report.sandwich_violations.append((pts[i].copy(), float(v[i]), float(lo[i]), float(hi[i])))
+    for i in np.nonzero(slack > tol)[0]:
+        report.decay_violations.append((pts[i].copy(), float(deriv[i]), -sub.decay_rate * float(v[i])))
     return report
 
 

@@ -123,11 +123,25 @@ def _parse_label(token: str) -> Label:
     return token
 
 
-def _floats(value: str, where: str) -> list[float]:
+def _number(value, where: str, kind: type = float):
+    """``kind(value)``, with a ``ValidationError`` naming ``where`` on failure."""
     try:
-        return [float(tok) for tok in value.split()]
-    except ValueError as exc:
-        raise ValidationError(f"{where}: expected numbers, got {value!r}") from exc
+        return kind(value)
+    except ValueError:
+        raise ValidationError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
+
+
+def _floats(value: str, where: str) -> list[float]:
+    return [_number(tok, where) for tok in value.split()]
+
+
+def _matrix(value: str, where: str) -> np.ndarray:
+    """Square matrix from its row-major entries."""
+    vals = _floats(value, where)
+    n = int(round(len(vals) ** 0.5))
+    if n == 0 or n * n != len(vals):
+        raise ValidationError(f"{where} must be a square matrix (row-major)")
+    return np.array(vals).reshape(n, n)
 
 
 def _bool(value: str, where: str) -> bool:
@@ -149,7 +163,7 @@ def _check_keys(section: str, keys, allowed_kind: str) -> None:
 def _parse_signal_section(name: str, sec, labels) -> SignalSpec:
     _check_keys(name, sec.keys(), "signal")
     kind = sec.get("kind", "explicit").strip()
-    t0 = float(sec.get("t0", "0"))
+    t0 = _number(sec.get("t0", "0"), f"[{name}] t0")
     if "initial_mode" not in sec:
         raise ValidationError(f"[{name}]: initial_mode is required")
     initial = _parse_label(sec["initial_mode"].strip())
@@ -157,31 +171,33 @@ def _parse_signal_section(name: str, sec, labels) -> SignalSpec:
     for m in [initial] + modes:
         if m not in labels:
             raise ValidationError(f"[{name}]: unknown mode label {m!r}")
-    if kind == "explicit":
-        times = _floats(sec.get("times", ""), f"[{name}] times")
-        if len(times) != len(modes):
-            raise ValidationError(f"[{name}]: times and modes must have equal length")
-        period = float(sec["period"]) if "period" in sec else None
-        signal = SwitchingSignal(
-            t0=t0, initial_mode=initial, segments=tuple(zip(times, modes)), period=period
-        )
-    elif kind in ("from_dwell", "periodic"):
-        periodic = kind == "periodic"
-        if "T" in sec:
-            dwell = float(sec["T"])
-        elif "dwell" in sec:
-            dwell = _floats(sec["dwell"], f"[{name}] dwell")
-        elif modes:
-            raise ValidationError(f"[{name}]: T or dwell is required")
+    try:
+        if kind == "explicit":
+            times = _floats(sec.get("times", ""), f"[{name}] times")
+            if len(times) != len(modes):
+                raise ValidationError(f"[{name}]: times and modes must have equal length")
+            period = _number(sec["period"], f"[{name}] period") if "period" in sec else None
+            signal = SwitchingSignal(
+                t0=t0, initial_mode=initial, segments=tuple(zip(times, modes)), period=period
+            )
+        elif kind in ("from_dwell", "periodic"):
+            if "T" in sec:
+                dwell = _number(sec["T"], f"[{name}] T")
+            elif "dwell" in sec:
+                dwell = _floats(sec["dwell"], f"[{name}] dwell")
+            elif modes:
+                raise ValidationError(f"[{name}]: T or dwell is required")
+            else:
+                dwell = None
+            signal = signal_from_dwell(initial, modes, dwell, t0=t0, periodic=kind == "periodic")
         else:
-            dwell = None
-        signal = signal_from_dwell(initial, modes, dwell, t0=t0, periodic=periodic)
-    else:
-        raise ValidationError(f"[{name}]: unknown signal kind {kind!r}")
+            raise ValidationError(f"[{name}]: unknown signal kind {kind!r}")
+    except ValueError as exc:  # the signal constructors' domain checks
+        raise ValidationError(f"[{name}]: {exc}") from None
     x0 = None
     if "x0" in sec:
         x0 = [np.array(_floats(part, f"[{name}] x0")) for part in sec["x0"].split(";")]
-    horizon = float(sec["horizon"]) if "horizon" in sec else None
+    horizon = _number(sec["horizon"], f"[{name}] horizon") if "horizon" in sec else None
     return SignalSpec(signal=signal, x0=x0, horizon=horizon)
 
 
@@ -202,11 +218,7 @@ def parse_scenario(text: str) -> Scenario:
     subsystems = []
     shared_A = None
     if "A" in sys_sec:
-        vals = _floats(sys_sec["A"], "[system] A")
-        n = int(round(len(vals) ** 0.5))
-        if n * n != len(vals):
-            raise ValidationError("[system] A must be a square matrix (row-major)")
-        shared_A = np.array(vals).reshape(n, n)
+        shared_A = _matrix(sys_sec["A"], "[system] A")
     if "family" in sys_sec or "u_values" in sys_sec:
         if shared_A is None or "family" not in sys_sec or "u_values" not in sys_sec:
             raise ValidationError("[system] family needs A, family and u_values together")
@@ -215,7 +227,7 @@ def parse_scenario(text: str) -> Scenario:
         if len(tokens) != shared_A.shape[0]:
             raise ValidationError("[system] family length must match the dimension of A")
         for u in u_values:
-            b = np.array([float(u) if tok == "u" else float(tok) for tok in tokens])
+            b = np.array([_number(u if tok == "u" else tok, "[system] family") for tok in tokens])
             subsystems.append(make_affine_subsystem(shared_A, b, u))
 
     for section in cp.sections():
@@ -224,9 +236,7 @@ def parse_scenario(text: str) -> Scenario:
             _check_keys(section, sec.keys(), "subsystem")
             label = _parse_label(section.split(".", 1)[1])
             if "A" in sec:
-                vals = _floats(sec["A"], f"[{section}] A")
-                n = int(round(len(vals) ** 0.5))
-                A = np.array(vals).reshape(n, n)
+                A = _matrix(sec["A"], f"[{section}] A")
             elif shared_A is not None:
                 A = shared_A
             else:
@@ -264,7 +274,7 @@ def parse_scenario(text: str) -> Scenario:
     _check_keys("analysis", an.keys(), "analysis")
     if "eps" not in an:
         raise ValidationError("[analysis]: eps is required")
-    eps = float(an["eps"])
+    eps = _number(an["eps"], "[analysis] eps")
     if eps <= 0:
         raise ValidationError("[analysis]: eps must be positive")
     analyses = {flag: _bool(an[flag], f"[analysis] {flag}") for flag in _ANALYSIS_FLAGS if flag in an}
@@ -289,16 +299,16 @@ def parse_scenario(text: str) -> Scenario:
             np.array(_floats(part, "[analysis] x0")) for part in an["x0"].split(";")
         ]
     if "boundary_points" in an:
-        scenario.boundary_points = int(an["boundary_points"])
+        scenario.boundary_points = _number(an["boundary_points"], "[analysis] boundary_points", int)
     if "start_region" in an:
         label = _parse_label(an["start_region"].strip())
         if label not in labels:
             raise ValidationError(f"[analysis] start_region: unknown label {label!r}")
         scenario.start_region = label
     if "horizon" in an:
-        scenario.horizon = float(an["horizon"])
+        scenario.horizon = _number(an["horizon"], "[analysis] horizon")
     if "i_max" in an:
-        scenario.i_max = int(an["i_max"])
+        scenario.i_max = _number(an["i_max"], "[analysis] i_max", int)
     if "triangle_modes" in an:
         trio = [_parse_label(tok) for tok in an["triangle_modes"].split()]
         if len(trio) != 3:
@@ -314,17 +324,21 @@ def parse_scenario(text: str) -> Scenario:
     if "tube_times" in an:
         scenario.tube_times = _floats(an["tube_times"], "[analysis] tube_times")
     if "tube_boundary_count" in an:
-        scenario.tube_boundary_count = int(an["tube_boundary_count"])
+        scenario.tube_boundary_count = _number(
+            an["tube_boundary_count"], "[analysis] tube_boundary_count", int
+        )
     if "box" in an:
-        lo, hi = _floats(an["box"], "[analysis] box")
-        scenario.box = (lo, hi)
+        box = _floats(an["box"], "[analysis] box")
+        if len(box) != 2:
+            raise ValidationError("[analysis] box needs exactly two numbers (lo hi)")
+        scenario.box = (box[0], box[1])
 
     if "numeric" in cp:
         num = cp["numeric"]
         _check_keys("numeric", num.keys(), "numeric")
-        scenario.step = float(num.get("step", scenario.step))
-        scenario.seed = int(num.get("seed", scenario.seed))
-        scenario.samples = int(num.get("samples", scenario.samples))
+        scenario.step = _number(num.get("step", scenario.step), "[numeric] step")
+        scenario.seed = _number(num.get("seed", scenario.seed), "[numeric] seed", int)
+        scenario.samples = _number(num.get("samples", scenario.samples), "[numeric] samples", int)
     if scenario.step <= 0:
         raise ValidationError("[numeric]: step must be positive")
     return scenario

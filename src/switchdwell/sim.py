@@ -24,7 +24,7 @@ from .errors import (
     SignalMismatch,
     UnsupportedCertificate,
 )
-from .lyapunov import MEMBERSHIP_TOL, region_boundary_points, v_eval
+from .lyapunov import MEMBERSHIP_TOL, in_region, region_boundary_points, v_eval
 
 W_MONOTONE_TOL = 1e-7
 
@@ -306,7 +306,7 @@ def w_monitor(
         sub = system[mode]
         k = sub.decay_rate
         seg_t = traj.times[lo : hi + 1]
-        w = np.exp(k * seg_t) * np.array([sub.lyapunov(x) for x in traj.states[lo : hi + 1]])
+        w = np.exp(k * seg_t) * sub.v_batch(traj.states[lo : hi + 1])
         dw = np.diff(w)
         scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
         scale[scale == 0.0] = 1.0
@@ -390,11 +390,10 @@ def convergence_product(
         log_terms.append(math.log(mu) - a.decay_rate * (times[j + 1] - times[j]))
     log_products = tuple(np.cumsum(log_terms))
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
-    entry = None
-    for i, ev in enumerate(events):
-        if v_eval(system[ev.prev_mode], ev.state) <= eps + MEMBERSHIP_TOL:
-            entry = i
-            break
+    entry = next(
+        (i for i, ev in enumerate(events) if in_region(system[ev.prev_mode], eps, ev.state)),
+        None,
+    )
     return ConvergenceReport(
         eps=eps,
         mu_values=tuple(mus),

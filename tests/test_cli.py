@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchdwell import make_affine_subsystem, signal_from_dwell, simulate_switched
-from switchdwell.cli import emit_plot_data, main, run_scenario
+from switchdwell.cli import _trajectory_csv, emit_plot_data, main, run_scenario
 from switchdwell.core import SwitchedSystem
 from switchdwell.errors import UnsupportedDimension
 from switchdwell.scenario import parse_scenario
@@ -100,6 +100,28 @@ class TestMain:
         assert doc["eps"] == 0.1
 
 
+EXAMPLE2 = (resources.files("switchdwell") / "scenarios" / "example2.scenario").read_text()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("eps = 0.05", "eps = abc"),
+        ("seed = 42", "seed = x"),
+        ("[analysis]", "[subsystem.7]\nA = -1 0 -1\nb = 0 0\n\n[analysis]"),
+        ("times =\nmodes =", "times = 1.0 0.5\nmodes = 0 1"),
+    ],
+    ids=["eps", "seed", "non_square_A", "non_increasing_times"],
+)
+def test_bad_numbers_are_input_errors(tmp_path, capsys, old, new):
+    assert old in EXAMPLE2
+    p = tmp_path / "bad.scenario"
+    p.write_text(EXAMPLE2.replace(old, new))
+    assert main(["dwell", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestManifest:
     def test_every_file_listed_with_correct_hash(self, example1_run):
         _, out = example1_run
@@ -139,6 +161,24 @@ class TestPlotData:
         switch_lines = (plot / "switch_points.csv").read_text().splitlines()
         assert switch_lines[0] == "t,x1,x2,prev_mode,next_mode"
         assert len(switch_lines) > 1
+
+    def test_plot_trajectory_is_the_trajectory_csv(self, example1_run):
+        _, out = example1_run
+        plots = sorted(out.glob("plot_*/trajectory.csv"))
+        assert len(plots) == 18
+        for plot in plots:
+            twin = out / f"trajectory_{plot.parent.name[len('plot_'):]}.csv"
+            assert plot.read_bytes() == twin.read_bytes()
+
+    def test_csv_matches_per_row_rendering(self, system):
+        sig = signal_from_dwell(1, [0, -1, 1, 0], 0.7)
+        traj = simulate_switched(system, sig, np.array([0.4, -0.3]), 3.3, 1e-3)
+        lines = ["t,x1,x2,mode,V_active"]
+        for t, x, m in zip(traj.times, traj.states, traj.modes):
+            d = x - system[m].equilibrium
+            cells = [t, *x]
+            lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(d @ d):.17g}")
+        assert _trajectory_csv(traj, system) == "\n".join(lines) + "\n"
 
     def test_region_polyline_is_closed(self, example1_run):
         _, out = example1_run

@@ -8,10 +8,12 @@ from switchdwell import (
     Subsystem,
     check_certificate,
     in_region,
+    make_affine_subsystem,
     region_boundary_points,
     v_eval,
 )
 from switchdwell.errors import UnsupportedDimension
+from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -27,6 +29,116 @@ def scaled_quadratic_subsystem(scale=2.0):
         beta=ClassKFn(1.0, 2.0),
         lyapunov=lambda x: scale * float(x @ x),
     )
+
+
+def random_affine_subsystem(rng, n):
+    """Affine mode with a random contracting A and the identity-quadratic V."""
+    g = rng.standard_normal((n, n))
+    A = -2.0 * np.eye(n) + 0.5 * (g - g.T)
+    return make_affine_subsystem(A, rng.standard_normal(n), "r")
+
+
+def per_point_certificate(sub, pts):
+    """Reference: the sandwich and decay tests one sample at a time.
+
+    V from ``lyapunov``, the gradient by central differences with step
+    1e-6 * (1 + ||x||), the decay tolerance scaled by |dV/dt|.
+    """
+    sandwich, decay, max_slack = [], [], float("-inf")
+    for x in pts:
+        # r stays a NumPy scalar: Python's float ** can round s**2 differently
+        # from NumPy's power in the last bit
+        r = np.linalg.norm(x - sub.equilibrium)
+        v = float(sub.lyapunov(x))
+        lo, hi = sub.alpha.eval(r), sub.beta.eval(r)
+        if v < lo - MEMBERSHIP_TOL or v > hi + MEMBERSHIP_TOL:
+            sandwich.append((x, v, lo, hi))
+        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        g = np.empty_like(x)
+        for j in range(x.shape[0]):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            g[j] = (sub.lyapunov(xp) - sub.lyapunov(xm)) / (2.0 * h)
+        deriv = float(g @ np.asarray(sub.field(x), dtype=float))
+        slack = deriv + sub.decay_rate * v
+        max_slack = max(max_slack, slack)
+        if slack > DECAY_TOL * (1.0 + abs(deriv)):
+            decay.append((x, deriv, -sub.decay_rate * v))
+    return sandwich, decay, max_slack
+
+
+def certificate_points(sub, box, n_samples, seed):
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=sub.dimension, scramble=True, seed=seed)
+    return qmc.scale(sampler.random(n_samples), *box)
+
+
+def assert_same_violations(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g[0], e[0])
+        assert g[1:] == e[1:]
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_quadratic_closed_forms_match_per_point(self, n):
+        rng = np.random.default_rng(n)
+        sub = random_affine_subsystem(rng, n)
+        X = rng.standard_normal((500, n)) * 3.0
+        v = sub.v_batch(X)
+        assert v.shape == (500,)
+        assert all(v[i] == sub.lyapunov(x) for i, x in enumerate(X))
+        np.testing.assert_array_equal(sub.grad_batch(X), 2.0 * (X - sub.equilibrium))
+
+    def test_callable_gradient_is_central_difference(self, system):
+        sub = dataclasses.replace(system[0], quadratic=False, affine=None)
+        X = np.random.default_rng(3).standard_normal((50, 2))
+        np.testing.assert_allclose(sub.grad_batch(X), 2.0 * (X - sub.equilibrium), atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: dataclasses.replace(s[0], quadratic=False, affine=None),
+            # V = 2||x - x_u||^2 breaks the sandwich; k = 3 overclaims the decay
+            lambda s: dataclasses.replace(
+                s[0],
+                quadratic=False,
+                affine=None,
+                decay_rate=3.0,
+                lyapunov=lambda x: 2.0 * float((x - s[0].equilibrium) @ (x - s[0].equilibrium)),
+            ),
+        ],
+        ids=["passing", "violating"],
+    )
+    def test_callable_certificate_matches_per_point_loop(self, system, make):
+        sub = make(system)
+        report = check_certificate(sub, BOX2, 400, seed=11)
+        sandwich, decay, max_slack = per_point_certificate(
+            sub, certificate_points(sub, BOX2, 400, seed=11)
+        )
+        assert_same_violations(report.sandwich_violations, sandwich)
+        assert_same_violations(report.decay_violations, decay)
+        assert report.max_decay_slack == max_slack
+
+    def test_quadratic_3d_certificate_uses_closed_form(self):
+        sub = random_affine_subsystem(np.random.default_rng(0), 3)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            d = x - sub.equilibrium
+            return float(d @ d)
+
+        counted_sub = dataclasses.replace(sub, lyapunov=counted)
+        calls.clear()
+        box = (np.full(3, -2.0), np.full(3, 2.0))
+        report = check_certificate(counted_sub, box, 1000, seed=5)
+        assert calls == []  # V and its gradient came from the closed forms
+        assert report.passed
+        assert report.max_decay_slack <= 1e-12
 
 
 class TestEvaluation:
