@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .lyapunov import check_certificate, region_boundary_points
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, _number, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
 
 EXIT_OK = 0
@@ -59,17 +59,26 @@ def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> str:
     return "".join(parts)
 
 
-def _emit_regions_and_switches(
-    traj: Trajectory, system: SwitchedSystem, eps: float, out_dir: Path, written: list[Path]
-) -> None:
-    """region_<label>.csv boundary polylines and switch_points.csv; 2-D systems only."""
+def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, str]:
+    """region_<label>.csv texts: closed 256-point boundary polylines; 2-D systems only."""
     if system.dimension != 2:
         raise UnsupportedDimension("plot data emission needs a 2-D system")
+    texts = {}
     for sub in system.subsystems:
         pts = region_boundary_points(sub, eps, 256)
         rows = np.vstack([pts, pts[:1]]).tolist()
-        body = "x1,x2\n" + "".join("%.17g,%.17g\n" % (x1, x2) for x1, x2 in rows)
-        _write_text(out_dir / f"region_{sub.label}.csv", body, written)
+        texts[f"region_{sub.label}.csv"] = "x1,x2\n" + "".join(
+            "%.17g,%.17g\n" % (x1, x2) for x1, x2 in rows
+        )
+    return texts
+
+
+def _emit_regions_and_switches(
+    traj: Trajectory, regions: dict[str, str], out_dir: Path, written: list[Path]
+) -> None:
+    """The rendered region polylines plus the trajectory's switch_points.csv."""
+    for name, text in regions.items():
+        _write_text(out_dir / name, text, written)
     body = "t,x1,x2,prev_mode,next_mode\n" + "".join(
         "%.17g,%.17g,%.17g,%s,%s\n" % (ev.t, *ev.state, ev.prev_mode, ev.next_mode)
         for ev in traj.switch_events
@@ -91,7 +100,7 @@ def emit_plot_data(
     """
     out_dir = Path(out_dir)
     written = written if written is not None else []
-    _emit_regions_and_switches(traj, system, eps, out_dir, written)
+    _emit_regions_and_switches(traj, _region_csvs(system, eps), out_dir, written)
     _write_text(out_dir / "trajectory.csv", _trajectory_csv(traj, system), written)
     return written
 
@@ -256,8 +265,9 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         print("tube: written")
 
     if flags.get("plot_data"):
+        regions = _region_csvs(system, eps)  # the same polylines go to every plot directory
         for (name, i), traj in trajs.items():
-            _emit_regions_and_switches(traj, system, eps, out / f"plot_{name}_{i}", written)
+            _emit_regions_and_switches(traj, regions, out / f"plot_{name}_{i}", written)
         print("plot-data: written")
 
     status = EXIT_VERIFICATION if failed else EXIT_OK
@@ -310,11 +320,11 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(text)
         if args.step is not None:
-            scenario.step = args.step
+            scenario.step = _number(args.step, "--step", above=0)
         if args.eps is not None:
-            scenario.eps = args.eps
+            scenario.eps = _number(args.eps, "--eps", above=0)
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario.seed = _number(args.seed, "--seed", int, at_least=0)
         forced = _SUBCOMMAND_FLAGS[args.command]
         if forced is not None:
             scenario.analyses = dict(forced)

@@ -4,15 +4,19 @@ The trapping region of mode u at level eps is N^eps_u = {x : V_u(x) <= eps}.
 V_u and its gradient come from ``Subsystem.v_batch``/``grad_batch``.
 Certificate checks are sample-based: they can falsify the sandwich and decay
 conditions on a box but never prove them; callers should treat a clean report
-as "not falsified on the sampled set".
+as "not falsified on the sampled set".  The samples are an Owen-scrambled
+Halton sequence (A. B. Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808, 2017), the same points as ``scipy.stats.qmc.Halton`` with
+``scramble=True``, drawn by ``_halton`` without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # noqa: F401  cheap, unlike scipy.stats; perfbench/run.py reads its version after import
+import scipy  # noqa: F401  cheap; perfbench/run.py reads its version after import
 
 from .core import Label, Subsystem
 from .errors import UnsupportedDimension
@@ -70,23 +74,66 @@ class CertificateReport:
         }
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """First ``n`` points of the scrambled Halton sequence in [0, 1)^d, shape (n, d).
+
+    Owen's random digit permutations: dimension j uses base p_j (the j-th
+    prime) and one shuffled ``arange(p_j)`` per digit, for every digit that
+    a double can resolve.  Seeding, shuffle order and the order of the
+    floating-point sums follow ``scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed).random(n)``, so the points are bit-identical to scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    pts = np.empty((n, d))
+    for j, base in enumerate(_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        top = n - 1  # the largest index; its digits run out last
+        seq = np.zeros(n)
+        b2r = 1.0 / base
+        for perm in perms:
+            if top > 0:
+                q, digit = np.divmod(q, base)
+                seq += perm[digit] * b2r
+                top //= base
+            else:  # every remaining digit is 0
+                seq += perm[0] * b2r
+            b2r /= base
+        pts[:, j] = seq
+    return pts
+
+
 def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> CertificateReport:
-    """Sample the box (Halton, seeded) and test the sandwich and decay conditions.
+    """Sample the box (scrambled Halton, seeded) and test the sandwich and decay conditions.
+
+    The ``n_samples`` points are ``_halton(dimension, n_samples, seed)``
+    scaled to the box: Owen-scrambled Halton (Owen 2017), the same points
+    as ``scipy.stats.qmc.Halton(scramble=True)`` under ``qmc.scale``.
 
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
     grad V(x) . f(x) <= -k V(x) + 1e-9, with V and its gradient from
     ``Subsystem.v_batch``/``grad_batch``.  Violation lists are ordered by
     sample index.
     """
-    from scipy.stats import qmc  # scipy.stats dominates import time; load on use
-
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not np.all(upper > lower):
         raise ValueError("box must have positive volume")
-    sampler = qmc.Halton(d=sub.dimension, scramble=True, seed=seed)
-    pts = qmc.scale(sampler.random(n_samples), lower, upper)
+    pts = _halton(sub.dimension, n_samples, seed) * (upper - lower) + lower
 
     diff = pts - sub.equilibrium
     r = np.sqrt(np.vecdot(diff, diff))

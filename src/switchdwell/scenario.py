@@ -19,12 +19,19 @@ Schema (unknown sections and keys are rejected):
                         ("u0 v u1"), tube_from, tube_to, tube_times,
                         tube_boundary_count, box (lo hi, certify box per axis).
     [numeric]           step (default 1e-3), seed (42), samples (10000).
+
+Every number must be finite, and out-of-range values (a nonpositive step
+or eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,
+boundary_points of 1 or 2, tube_boundary_count < 3, an empty box, decreasing
+or negative tube_times) are rejected here with a ``ValidationError`` rather
+than by a library check at run time.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -123,16 +130,27 @@ def _parse_label(token: str) -> Label:
     return token
 
 
-def _number(value, where: str, kind: type = float):
-    """``kind(value)``, with a ``ValidationError`` naming ``where`` on failure."""
+def _number(value, where: str, kind: type = float, above=None, at_least=None):
+    """``kind(value)``, with a ``ValidationError`` naming ``where`` on failure.
+
+    Floats must be finite; ``above`` and ``at_least`` are optional strict and
+    inclusive lower bounds.
+    """
     try:
-        return kind(value)
+        x = kind(value)
     except ValueError:
         raise ValidationError(f"{where}: not a valid {kind.__name__}: {value!r}") from None
+    if kind is float and not math.isfinite(x):
+        raise ValidationError(f"{where}: must be finite, got {value!r}")
+    if above is not None and not x > above:
+        raise ValidationError(f"{where}: must be > {above}, got {value!r}")
+    if at_least is not None and not x >= at_least:
+        raise ValidationError(f"{where}: must be >= {at_least}, got {value!r}")
+    return x
 
 
-def _floats(value: str, where: str) -> list[float]:
-    return [_number(tok, where) for tok in value.split()]
+def _floats(value: str, where: str, at_least=None) -> list[float]:
+    return [_number(tok, where, at_least=at_least) for tok in value.split()]
 
 
 def _matrix(value: str, where: str) -> np.ndarray:
@@ -197,7 +215,9 @@ def _parse_signal_section(name: str, sec, labels) -> SignalSpec:
     x0 = None
     if "x0" in sec:
         x0 = [np.array(_floats(part, f"[{name}] x0")) for part in sec["x0"].split(";")]
-    horizon = _number(sec["horizon"], f"[{name}] horizon") if "horizon" in sec else None
+    horizon = None
+    if "horizon" in sec:
+        horizon = _number(sec["horizon"], f"[{name}] horizon", above=t0)
     return SignalSpec(signal=signal, x0=x0, horizon=horizon)
 
 
@@ -274,9 +294,7 @@ def parse_scenario(text: str) -> Scenario:
     _check_keys("analysis", an.keys(), "analysis")
     if "eps" not in an:
         raise ValidationError("[analysis]: eps is required")
-    eps = _number(an["eps"], "[analysis] eps")
-    if eps <= 0:
-        raise ValidationError("[analysis]: eps must be positive")
+    eps = _number(an["eps"], "[analysis] eps", above=0)
     analyses = {flag: _bool(an[flag], f"[analysis] {flag}") for flag in _ANALYSIS_FLAGS if flag in an}
     if not any(analyses.values()):
         raise ValidationError("[analysis]: at least one analysis must be requested")
@@ -299,16 +317,22 @@ def parse_scenario(text: str) -> Scenario:
             np.array(_floats(part, "[analysis] x0")) for part in an["x0"].split(";")
         ]
     if "boundary_points" in an:
-        scenario.boundary_points = _number(an["boundary_points"], "[analysis] boundary_points", int)
+        count = _number(an["boundary_points"], "[analysis] boundary_points", int, at_least=0)
+        if 0 < count < 3:
+            raise ValidationError(f"[analysis] boundary_points: must be 0 or >= 3, got {count}")
+        scenario.boundary_points = count
     if "start_region" in an:
         label = _parse_label(an["start_region"].strip())
         if label not in labels:
             raise ValidationError(f"[analysis] start_region: unknown label {label!r}")
         scenario.start_region = label
     if "horizon" in an:
-        scenario.horizon = _number(an["horizon"], "[analysis] horizon")
+        scenario.horizon = _number(an["horizon"], "[analysis] horizon", above=0)
+        for name, spec in signals.items():
+            if spec.horizon is None and not scenario.horizon > spec.signal.t0:
+                raise ValidationError(f"[analysis] horizon: must exceed the t0 of signal {name!r}")
     if "i_max" in an:
-        scenario.i_max = _number(an["i_max"], "[analysis] i_max", int)
+        scenario.i_max = _number(an["i_max"], "[analysis] i_max", int, at_least=1)
     if "triangle_modes" in an:
         trio = [_parse_label(tok) for tok in an["triangle_modes"].split()]
         if len(trio) != 3:
@@ -317,30 +341,37 @@ def parse_scenario(text: str) -> Scenario:
             if m not in labels:
                 raise ValidationError(f"[analysis] triangle_modes: unknown label {m!r}")
         scenario.triangle_modes = tuple(trio)
-    if "tube_from" in an:
-        scenario.tube_from = _parse_label(an["tube_from"].strip())
-    if "tube_to" in an:
-        scenario.tube_to = _parse_label(an["tube_to"].strip())
+    for key in ("tube_from", "tube_to"):
+        if key in an:
+            label = _parse_label(an[key].strip())
+            if label not in labels:
+                raise ValidationError(f"[analysis] {key}: unknown label {label!r}")
+            setattr(scenario, key, label)
     if "tube_times" in an:
-        scenario.tube_times = _floats(an["tube_times"], "[analysis] tube_times")
+        times = _floats(an["tube_times"], "[analysis] tube_times", at_least=0)
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValidationError("[analysis] tube_times: must be increasing")
+        scenario.tube_times = times
     if "tube_boundary_count" in an:
         scenario.tube_boundary_count = _number(
-            an["tube_boundary_count"], "[analysis] tube_boundary_count", int
+            an["tube_boundary_count"], "[analysis] tube_boundary_count", int, at_least=3
         )
     if "box" in an:
         box = _floats(an["box"], "[analysis] box")
         if len(box) != 2:
             raise ValidationError("[analysis] box needs exactly two numbers (lo hi)")
+        if not box[0] < box[1]:
+            raise ValidationError(f"[analysis] box: lo must be < hi, got {an['box']!r}")
         scenario.box = (box[0], box[1])
 
     if "numeric" in cp:
         num = cp["numeric"]
         _check_keys("numeric", num.keys(), "numeric")
-        scenario.step = _number(num.get("step", scenario.step), "[numeric] step")
-        scenario.seed = _number(num.get("seed", scenario.seed), "[numeric] seed", int)
-        scenario.samples = _number(num.get("samples", scenario.samples), "[numeric] samples", int)
-    if scenario.step <= 0:
-        raise ValidationError("[numeric]: step must be positive")
+        scenario.step = _number(num.get("step", scenario.step), "[numeric] step", above=0)
+        scenario.seed = _number(num.get("seed", scenario.seed), "[numeric] seed", int, at_least=0)
+        scenario.samples = _number(
+            num.get("samples", scenario.samples), "[numeric] samples", int, at_least=1
+        )
     return scenario
 
 

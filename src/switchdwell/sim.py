@@ -24,7 +24,7 @@ from .errors import (
     SignalMismatch,
     UnsupportedCertificate,
 )
-from .lyapunov import MEMBERSHIP_TOL, in_region, region_boundary_points, v_eval
+from .lyapunov import MEMBERSHIP_TOL, in_region, region_boundary_points
 
 W_MONOTONE_TOL = 1e-7
 
@@ -247,28 +247,30 @@ def verify_trapping(
     equilibrium over the whole interval ending at t_i; the dwell-time guarantee
     promises x(t_i) in that mode's N^eps when the dwell condition held.
     Membership uses the 1e-9 tolerance on V; strict membership is reported
-    alongside.
+    alongside.  V comes from one ``Subsystem.v_batch`` call per exited mode.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _match_signal(traj, signal)
-    records = []
-    for i, ev in enumerate(traj.switch_events):
-        sub = system[ev.prev_mode]
-        v = v_eval(sub, ev.state)
-        records.append(
-            TrappingRecord(
-                index=i,
-                t=ev.t,
-                mode=ev.prev_mode,
-                v=v,
-                member=v <= eps + MEMBERSHIP_TOL,
-                strict_member=v <= eps,
-            )
+    events = traj.switch_events
+    vs = np.empty(len(events))
+    for mode in dict.fromkeys(ev.prev_mode for ev in events):
+        idx = [i for i, ev in enumerate(events) if ev.prev_mode == mode]
+        vs[idx] = system[mode].v_batch(np.array([events[i].state for i in idx]))
+    records = tuple(
+        TrappingRecord(
+            index=i,
+            t=ev.t,
+            mode=ev.prev_mode,
+            v=v,
+            member=v <= eps + MEMBERSHIP_TOL,
+            strict_member=v <= eps,
         )
+        for i, (ev, v) in enumerate(zip(events, vs.tolist()))
+    )
     return TrappingReport(
         eps=eps,
-        records=tuple(records),
+        records=records,
         overall_pass=all(r.member for r in records),
     )
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -120,6 +123,71 @@ def test_bad_numbers_are_input_errors(tmp_path, capsys, old, new):
     assert main(["dwell", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EXAMPLE1 = (resources.files("switchdwell") / "scenarios" / "example1.scenario").read_text()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("samples = 10000", "samples = 0"),
+        ("boundary_points = 16", "boundary_points = 2"),
+        ("plot_data = true", "plot_data = true\nbox = 3 -3"),
+        ("horizon = 2.86", "horizon = -1"),
+        ("plot_data = true", "plot_data = true\nhorizon = -1"),
+        ("plot_data = true", "tube = true\ntube_from = 1\ntube_to = 0\ntube_times = -1 2"),
+        ("seed = 42", "seed = -5"),
+        ("horizon = 2.86", "horizon = inf"),
+        ("plot_data = true", "tube = true\ntube_from = 7\ntube_to = 0\ntube_times = 0 1"),
+    ],
+    ids=[
+        "samples",
+        "boundary_points",
+        "box",
+        "signal_horizon",
+        "analysis_horizon",
+        "tube_times",
+        "seed",
+        "infinite_horizon",
+        "tube_label",
+    ],
+)
+def test_out_of_range_values_are_input_errors(tmp_path, capsys, old, new):
+    assert old in EXAMPLE1
+    p = tmp_path / "bad.scenario"
+    p.write_text(EXAMPLE1.replace(old, new, 1))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()  # rejected while parsing, before any output
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--seed", "-5"), ("--eps", "0"), ("--step", "-1e-3")]
+)
+def test_out_of_range_overrides_are_input_errors(tmp_path, capsys, flag, value):
+    args = ["run", "--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path)]
+    assert main(args + [f"{flag}={value}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_certify_does_not_import_scipy_stats(tmp_path):
+    code = (
+        "import sys\n"
+        "from switchdwell.cli import main\n"
+        f"status = main(['certify', '--scenario', {scenario_path('example1.scenario')!r},"
+        f" '--out', {str(tmp_path)!r}])\n"
+        "print(status, 'scipy.stats' in sys.modules)\n"
+    )
+    src = str(resources.files("switchdwell").parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestManifest:

@@ -13,7 +13,7 @@ from switchdwell import (
     v_eval,
 )
 from switchdwell.errors import UnsupportedDimension
-from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL
+from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -139,6 +139,17 @@ class TestBatchEvaluation:
         assert calls == []  # V and its gradient came from the closed forms
         assert report.passed
         assert report.max_decay_slack <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 10000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 12345, 2**31 - 1, 987654321])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_halton_is_scipy_scrambled_halton(d, seed, n):
+    from scipy.stats import qmc
+
+    lo, hi = np.full(d, -3.0), np.full(d, 3.0)
+    expected = qmc.scale(qmc.Halton(d=d, scramble=True, seed=seed).random(n), lo, hi)
+    assert (_halton(d, n, seed) * (hi - lo) + lo).tobytes() == expected.tobytes()
 
 
 class TestEvaluation:

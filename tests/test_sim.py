@@ -136,6 +136,18 @@ class TestVerifyTrapping:
         with pytest.raises(SignalMismatch):
             verify_trapping(traj, system, other, eps)
 
+    def test_batched_v_equals_per_switch_v_eval(self, system, eps):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([-0.5, 0.5]), 22.88, STEP)
+        report = verify_trapping(traj, system, sig, eps)
+        assert len(report.records) == len(traj.switch_events) > 10
+        for rec, ev in zip(report.records, traj.switch_events):
+            v = v_eval(system[ev.prev_mode], ev.state)
+            assert (rec.mode, rec.v, rec.member, rec.strict_member) == (
+                ev.prev_mode, v, v <= eps + 1e-9, v <= eps
+            )
+            assert type(rec.v) is float and type(rec.member) is bool
+
     def test_serialization(self, system, eps):
         sig = signal_from_dwell(0, [-1], 1.43)
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
