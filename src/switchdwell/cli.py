@@ -14,17 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SwitchedSystem, SwitchingSignal
-from .dwell import epsilon0_search, global_dwell, local_dwell, mu_bound, triangle_gap
-from .errors import (
-    NonfiniteState,
-    SwitchDwellError,
-    UnsupportedCertificate,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .core import SwitchedSystem
+from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
+from .errors import IoError, NonfiniteState, SwitchDwellError, UnsupportedCertificate
 from .lyapunov import check_certificate, region_boundary_points
-from .scenario import Scenario, _number, parse_scenario
+from .scenario import Scenario, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
 
 EXIT_OK = 0
@@ -60,9 +54,7 @@ def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> str:
 
 
 def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, str]:
-    """region_<label>.csv texts: closed 256-point boundary polylines; 2-D systems only."""
-    if system.dimension != 2:
-        raise UnsupportedDimension("plot data emission needs a 2-D system")
+    """region_<label>.csv texts: closed 256-point boundary polylines of a 2-D system."""
     texts = {}
     for sub in system.subsystems:
         pts = region_boundary_points(sub, eps, 256)
@@ -73,61 +65,20 @@ def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, str]:
     return texts
 
 
-def _emit_regions_and_switches(
-    traj: Trajectory, regions: dict[str, str], out_dir: Path, written: list[Path]
-) -> None:
-    """The rendered region polylines plus the trajectory's switch_points.csv."""
-    for name, text in regions.items():
-        _write_text(out_dir / name, text, written)
-    body = "t,x1,x2,prev_mode,next_mode\n" + "".join(
-        "%.17g,%.17g,%.17g,%s,%s\n" % (ev.t, *ev.state, ev.prev_mode, ev.next_mode)
-        for ev in traj.switch_events
-    )
-    _write_text(out_dir / "switch_points.csv", body, written)
-
-
-def emit_plot_data(
-    traj: Trajectory,
-    system: SwitchedSystem,
-    eps: float,
-    out_dir,
-    written: list[Path] | None = None,
-) -> list[Path]:
-    """Write trajectory.csv, region_<label>.csv polylines and switch_points.csv.
-
-    The files are sufficient to recreate the phase-plane figures in any
-    plotting tool; 2-D systems only.
-    """
-    out_dir = Path(out_dir)
-    written = written if written is not None else []
-    _emit_regions_and_switches(traj, _region_csvs(system, eps), out_dir, written)
-    _write_text(out_dir / "trajectory.csv", _trajectory_csv(traj, system), written)
-    return written
-
-
-def _default_transitions(signal: SwitchingSignal):
-    pairs = []
-    prev = signal.initial_mode
-    for _, mode in signal.segments:
-        pairs.append((prev, mode))
-        prev = mode
-    if signal.period is not None and prev != signal.initial_mode:
-        pairs.append((prev, signal.initial_mode))
-    return pairs
-
-
 def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
     """Execute the requested analyses in order and write the output tree.
 
     Order: certify, dwell, simulate, trapping, convergence, triangle, tube,
     plot data; finally a manifest listing every file with its sha256.
-    Returns (exit_status, manifest).
+    ``s`` comes from ``parse_scenario``, which has resolved and checked every
+    input, so what can still fail here is numeric (``NonfiniteState``) or the
+    file system (``IoError``).  Returns (exit_status, manifest).
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise SwitchDwellError(f"cannot create output directory {out}: {exc}") from exc
+        raise IoError(f"cannot create output directory {out}: {exc}") from exc
     written: list[Path] = []
     warnings: list[str] = []
     failed = False
@@ -151,12 +102,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         print(f"certify: {'pass' if ok else 'FAIL'}")
 
     if flags.get("dwell_table"):
-        transitions = s.transitions
-        if transitions is None and "signal" in s.signals:
-            transitions = _default_transitions(s.signals["signal"].signal)
-        if not transitions:
-            raise ValidationError("dwell_table needs transitions (explicit or via a signal)")
-        table = local_dwell(eps, system, transitions)
+        table = local_dwell(eps, system, s.transitions)
         doc = table.to_dict()
         try:
             mu = mu_bound(eps, system, mode="closed_form")
@@ -171,26 +117,11 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         _write_json(out / "dwell_table.json", doc, written)
         print(f"dwell: t_loc={table.t_loc:.6g} t_glob={doc['t_glob']:.6g}")
 
-    need_sim = any(
-        flags.get(k) for k in ("simulate", "trapping", "convergence", "plot_data")
-    )
     trajs: dict[tuple[str, int], Trajectory] = {}
-    if need_sim:
-        if not s.signals:
-            raise ValidationError("simulation requested but no signal defined")
+    if s.simulates:
         for name, spec in s.signals.items():
-            starts = list(spec.x0 if spec.x0 is not None else s.x0_list)
-            if name == "signal" and s.boundary_points and s.start_region is not None:
-                starts += list(
-                    region_boundary_points(system[s.start_region], eps, s.boundary_points)
-                )
-            if not starts:
-                raise ValidationError(f"signal {name!r}: no initial conditions")
-            horizon = spec.horizon if spec.horizon is not None else s.horizon
-            if horizon is None:
-                raise ValidationError(f"signal {name!r}: no horizon")
-            for i, x0 in enumerate(starts):
-                traj = simulate_switched(system, spec.signal, x0, horizon, s.step)
+            for i, x0 in enumerate(spec.x0):
+                traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
                 trajs[(name, i)] = traj
                 # rendered once: the same text is the plot directory's trajectory.csv
                 text = _trajectory_csv(traj, system)
@@ -209,8 +140,6 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         print(f"trapping: {'pass' if ok else 'FAIL'}")
 
     if flags.get("convergence"):
-        if ("signal", 0) not in trajs:
-            raise ValidationError("convergence needs the primary signal simulated")
         rep = convergence_product(
             system, s.signals["signal"].signal, trajs[("signal", 0)], eps, s.i_max
         )
@@ -222,28 +151,13 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         )
 
     if flags.get("triangle"):
-        if s.triangle_modes is None:
-            raise ValidationError("triangle analysis needs triangle_modes")
-        u0, v, u1 = (system[m] for m in s.triangle_modes)
-        ta = triangle_gap(eps, u0, v, u1)
-        doc = ta.to_dict()
-        d = max(
-            float(np.linalg.norm(u0.equilibrium)), float(np.linalg.norm(u1.equilibrium))
-        )
-        r = min(
-            float(np.linalg.norm(v.equilibrium - u0.equilibrium)),
-            float(np.linalg.norm(u1.equilibrium - v.equilibrium)),
-        )
-        if d > 0 and 0 < r <= 2 * d:
-            doc["eps0"] = epsilon0_search(d, r, u0.alpha, u0.beta, u0.decay_rate)
-        else:
+        ta = triangle_gap(eps, *(system[m] for m in s.triangle_modes))
+        if ta.eps0 is None:
             warnings.append("triangle: geometry outside the eps0 search domain")
-        _write_json(out / "triangle_report.json", doc, written)
+        _write_json(out / "triangle_report.json", ta.to_dict(), written)
         print(f"triangle: gap={ta.gap:.6g} ({'detour longer' if ta.gap < 0 else 'detour not longer'})")
 
     if flags.get("tube"):
-        if s.tube_from is None or s.tube_to is None or not s.tube_times:
-            raise ValidationError("tube analysis needs tube_from, tube_to and tube_times")
         result = tube_sample(
             system, s.tube_from, s.tube_to, eps, s.tube_times, s.tube_boundary_count, s.step
         )
@@ -267,7 +181,14 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
     if flags.get("plot_data"):
         regions = _region_csvs(system, eps)  # the same polylines go to every plot directory
         for (name, i), traj in trajs.items():
-            _emit_regions_and_switches(traj, regions, out / f"plot_{name}_{i}", written)
+            plot = out / f"plot_{name}_{i}"
+            for region, text in regions.items():
+                _write_text(plot / region, text, written)
+            body = "t,x1,x2,prev_mode,next_mode\n" + "".join(
+                "%.17g,%.17g,%.17g,%s,%s\n" % (ev.t, *ev.state, ev.prev_mode, ev.next_mode)
+                for ev in traj.switch_events
+            )
+            _write_text(plot / "switch_points.csv", body, written)
         print("plot-data: written")
 
     status = EXIT_VERIFICATION if failed else EXIT_OK
@@ -318,16 +239,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        scenario = parse_scenario(text)
-        if args.step is not None:
-            scenario.step = _number(args.step, "--step", above=0)
-        if args.eps is not None:
-            scenario.eps = _number(args.eps, "--eps", above=0)
-        if args.seed is not None:
-            scenario.seed = _number(args.seed, "--seed", int, at_least=0)
-        forced = _SUBCOMMAND_FLAGS[args.command]
-        if forced is not None:
-            scenario.analyses = dict(forced)
+        scenario = parse_scenario(
+            text,
+            step=args.step,
+            eps=args.eps,
+            seed=args.seed,
+            analyses=_SUBCOMMAND_FLAGS[args.command],
+        )
         status, _ = run_scenario(scenario, args.out)
         return status
     except NonfiniteState as exc:

@@ -363,23 +363,24 @@ def validate_dwell(
 ) -> list[DwellViolation]:
     """Consecutive switch pairs violating ``gap >= required(from_mode, to_mode)``.
 
-    The gap from t0 to the first switch counts, with the initial mode as
-    ``from_mode``.  Periodic signals are checked over one period plus the wrap
-    pair; an empty list means the signal is dwell-compliant.
+    The switches are those of ``signal.switches_until``; the gap from t0 to
+    the first switch counts, with the initial mode as ``from_mode``.
+    Periodic signals are walked up to the first switch of their second
+    cycle, so each recurring switch is checked once with its steady gap (a
+    hold across the wrap is one gap); an empty list means the signal is
+    dwell-compliant.
     """
+    if signal.period is None:
+        t_end = math.inf
+    elif signal.segments:  # summed as switches_until sums it, so that switch is included
+        t_end = signal.t0 + signal.period + (signal.segments[0][0] - signal.t0)
+    else:
+        t_end = signal.t0  # a constant mode never switches
     violations = []
-    prev_t, prev_mode = signal.t0, signal.initial_mode
-    for i, (t, mode) in enumerate(signal.segments):
-        gap = t - prev_t
+    prev_t = signal.t0
+    for i, (t, prev_mode, mode) in enumerate(signal.switches_until(t_end)):
         req = float(required(prev_mode, mode))
-        if gap < req:
-            violations.append(DwellViolation(i, prev_mode, mode, gap, req))
-        prev_t, prev_mode = t, mode
-    if signal.period is not None and signal.segments:
-        gap = signal.t0 + signal.period - prev_t
-        req = float(required(prev_mode, signal.initial_mode))
-        if gap < req:
-            violations.append(
-                DwellViolation(len(signal.segments), prev_mode, signal.initial_mode, gap, req)
-            )
+        if t - prev_t < req:
+            violations.append(DwellViolation(i, prev_mode, mode, t - prev_t, req))
+        prev_t = t
     return violations

@@ -50,7 +50,11 @@ class DwellTable:
 
 @dataclass(frozen=True)
 class TriangleAnalysis:
-    """Travel-time gap T_{u0,u1} - T_{u0,v} - T_{v,u1} and its closed-form twin."""
+    """Travel-time gap T_{u0,u1} - T_{u0,v} - T_{v,u1} and its closed-form twin.
+
+    ``eps0`` is ``epsilon0_search``'s threshold for the worst case of this
+    geometry, or None when the geometry is outside its search domain.
+    """
 
     eps: float
     gap: float
@@ -197,7 +201,9 @@ def triangle_gap(eps: float, u0: Subsystem, v: Subsystem, u1: Subsystem) -> Tria
 
     Negative gap means the detour through v takes longer than the direct
     travel.  Both computations agree to 1e-10 relative (algebraic identity);
-    requires shared alpha, beta, k.
+    requires shared alpha, beta, k.  ``eps0`` is searched with
+    d = max(||x_u0||, ||x_u1||) and r the shorter detour leg, when
+    d > 0 and 0 < r <= 2d.
     """
     _check_eps(eps)
     alpha, beta, k = _shared_certificate([u0, v, u1])
@@ -214,7 +220,10 @@ def triangle_gap(eps: float, u0: Subsystem, v: Subsystem, u1: Subsystem) -> Tria
         1.0 / k
     )
     gap_formula = -math.log(K / eps ** (1.0 / k))
-    return TriangleAnalysis(eps=eps, gap=gap, gap_via_constant=gap_formula, K=K)
+    d = max(float(np.linalg.norm(u0.equilibrium)), float(np.linalg.norm(u1.equilibrium)))
+    r = min(d0v, dv1)
+    eps0 = epsilon0_search(d, r, alpha, beta, k) if d > 0 and 0 < r <= 2 * d else None
+    return TriangleAnalysis(eps=eps, gap=gap, gap_via_constant=gap_formula, K=K, eps0=eps0)
 
 
 def epsilon0_search(

@@ -8,10 +8,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from switchdwell import make_affine_subsystem, signal_from_dwell, simulate_switched
-from switchdwell.cli import _trajectory_csv, emit_plot_data, main, run_scenario
-from switchdwell.core import SwitchedSystem
-from switchdwell.errors import UnsupportedDimension
+from switchdwell import signal_from_dwell, simulate_switched
+from switchdwell.cli import _trajectory_csv, main, run_scenario
+from switchdwell.errors import IoError, ValidationError
 from switchdwell.scenario import parse_scenario
 
 BAD_DWELL = """
@@ -164,6 +163,109 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys, old, new):
     assert not (tmp_path / "o").exists()  # rejected while parsing, before any output
 
 
+NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
+
+
+@pytest.mark.parametrize(
+    "base,old,new,message",
+    [
+        (EXAMPLE1, "plot_data = true", "tube = true\ntube_from = 1\ntube_to = 0", "tube_times"),
+        (EXAMPLE1, "u_values = 1 0 -1", "u_values = 1 0 -1 1", "duplicate mode label 1"),
+        (EXAMPLE1, "u_values = 1 0 -1", "u_values = 1 0 1e300", "not a zero of the field"),
+        (EXAMPLE1, "x0 = 0 1\n", "x0 = 0 1 2\n", "dimension 3"),
+        (EXAMPLE1, "x0 = -0.5 0.5\n", "", "no initial conditions"),
+        (EXAMPLE1, "horizon = 2.86\n", "", "no horizon"),
+        (BAD_DWELL, BAD_DWELL[BAD_DWELL.index("[signal]") : BAD_DWELL.index("[analysis]")], "",
+         "no signal"),
+        (NO_PRIMARY, "trapping = true", "convergence = true", "primary [signal]"),
+        (EXAMPLE1, "plot_data = true", "convergence = true\ni_max = 2", "i_max = 2 switches"),
+        (
+            EXAMPLE2,
+            "u_values = 1 0 -1",
+            "u_values = 1 0\n[subsystem.-1]\nA = -2 0 0 -2\nb = -2 0",
+            "identical alpha, beta and decay rate",
+        ),
+        (EXAMPLE1, "plot_data = true", "triangle = true", "triangle_modes"),
+        (EXAMPLE2, "transitions = 1:-1 1:0 0:-1\n", "", "needs transitions"),
+        (EXAMPLE1, "start_region = 1\n", "", "go together"),
+        (EXAMPLE1, "u_values = 1 0 -1", "u_values = 1 0 -1\ndimension = 2", "'dimension'"),
+        (EXAMPLE1, "T = 1.43\nx0 = -0.5", "T = 1e-9\nx0 = -0.5", "switches"),
+        (EXAMPLE1, "step = 0.001", "step = 1e-300", "RK4 samples"),
+        (EXAMPLE1, "samples = 10000", "samples = 10000000", "samples: must be <="),
+        (EXAMPLE1, "boundary_points = 16", "boundary_points = 10000000", "must be <="),
+        (
+            EXAMPLE1,
+            "plot_data = true",
+            "tube = true\ntube_from = 1\ntube_to = 0\ntube_times = 0 1\n"
+            "tube_boundary_count = 600000",
+            "tube points",
+        ),
+    ],
+    ids=[
+        "tube_without_times",
+        "duplicate_labels",
+        "ill_posed_mode",
+        "x0_dimension",
+        "no_starts",
+        "no_horizon",
+        "no_signal",
+        "convergence_without_primary",
+        "convergence_short_signal",
+        "triangle_certificates",
+        "triangle_without_modes",
+        "dwell_without_transitions",
+        "boundary_without_region",
+        "system_dimension_key",
+        "switch_budget",
+        "sample_budget",
+        "certificate_samples",
+        "boundary_budget",
+        "tube_budget",
+    ],
+)
+def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):
+    # the budget cases are rejected by arithmetic: nothing of that size is allocated
+    assert old in base
+    p = tmp_path / "bad.scenario"
+    p.write_text(base.replace(old, new, 1))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no analysis ran
+    assert not (tmp_path / "o").exists()
+
+
+def test_subcommand_analyses_are_checked_before_output(tmp_path, capsys):
+    args = ["--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path / "o")]
+    assert main(["triangle"] + args) == 3
+    assert capsys.readouterr().err == "error: triangle analysis needs triangle_modes\n"
+    assert main(["run"] + args + ["--step=1e-300"]) == 3
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_directory_failure_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(IoError):
+        run_scenario(parse_scenario(BAD_DWELL), blocker / "o")
+    args = ["run", "--scenario", scenario_path("example2.scenario"), "--out", str(blocker)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
+def test_eps0_outside_the_search_domain_is_a_warning(tmp_path):
+    p = tmp_path / "tri.scenario"
+    p.write_text(EXAMPLE2.replace("triangle_modes = 1 0 -1", "triangle_modes = 1 1 -1"))
+    assert main(["triangle", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["warnings"] == ["triangle: geometry outside the eps0 search domain"]
+    doc = json.loads((tmp_path / "o" / "triangle_report.json").read_text())
+    assert doc["eps0"] is None
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--seed", "-5"), ("--eps", "0"), ("--step", "-1e-3")]
 )
@@ -254,13 +356,19 @@ class TestPlotData:
         assert lines[1] == lines[-1]
         assert len(lines) == 258  # header + 256 points + closing point
 
-    def test_requires_two_dimensions(self, tmp_path):
-        sub = make_affine_subsystem(-np.eye(3), np.zeros(3), "m")
-        system = SwitchedSystem(subsystems=(sub,))
-        sig = signal_from_dwell("m", [])
-        traj = simulate_switched(system, sig, np.ones(3), 1.0, 1e-2)
-        with pytest.raises(UnsupportedDimension):
-            emit_plot_data(traj, system, 0.05, tmp_path)
+    def test_requires_two_dimensions(self, tmp_path, capsys):
+        text = (
+            "[system]\nA = -1 0 0 0 -1 0 0 0 -1\nfamily = u 0 0\nu_values = 1 -1\n"
+            "[signal]\ninitial_mode = 1\nx0 = 1 1 1\nhorizon = 1\n"
+            "[analysis]\neps = 0.05\nplot_data = true\n"
+        )
+        with pytest.raises(ValidationError, match="2-D"):
+            parse_scenario(text)
+        p = tmp_path / "3d.scenario"
+        p.write_text(text)
+        assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: plot data emission needs a 2-D system\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunScenario:

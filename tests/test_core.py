@@ -201,3 +201,12 @@ class TestValidateDwell:
         (v,) = validate_dwell(sig, lambda p, q: 1.0)
         assert (v.from_mode, v.to_mode) == ("b", "a")
         assert v.gap == pytest.approx(0.5)
+
+    def test_periodic_hold_across_the_wrap_is_one_gap(self):
+        # a holds [2, 4) across the wrap at 3, which is no switch: one 2.0 gap
+        sig = signal_from_dwell("a", ["b", "a"], [1.0, 1.0, 1.0], periodic=True)
+        table = {("a", "b"): 1.5, ("b", "a"): 1.0}
+        (v,) = validate_dwell(sig, lambda p, q: table[(p, q)])
+        assert (v.index, v.from_mode, v.to_mode) == (0, "a", "b")  # the first, from t0
+        assert v.gap == pytest.approx(1.0)
+        assert validate_dwell(sig, lambda p, q: 1.0) == []

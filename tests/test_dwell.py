@@ -135,6 +135,14 @@ class TestTriangleGap:
         )
         assert ta.gap == pytest.approx(direct - detour, rel=1e-12)
 
+    def test_eps0_from_the_geometry(self, system, eps):
+        assert triangle_gap(eps, system[1], system[0], system[-1]).eps0 == pytest.approx(
+            EPS0, rel=5e-6
+        )
+        # the detour mode sits too far out: r > 2d leaves the search domain
+        far = triangle_gap(eps, demo_subsystem(0), demo_subsystem(9), demo_subsystem(0))
+        assert far.eps0 is None and far.to_dict()["eps0"] is None
+
     def test_heterogeneous_certificates_rejected(self, system, eps):
         import dataclasses
 

@@ -2,9 +2,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchdwell.errors import ParseError, ValidationError
-from switchdwell.scenario import parse_scenario, signal_to_text
+from switchdwell import region_boundary_points
+from switchdwell.cli import _SUBCOMMAND_FLAGS
+from switchdwell.errors import ParseError, SwitchDwellError, ValidationError
+from switchdwell.scenario import Scenario, parse_scenario, signal_to_text
 
 MINIMAL = """
 [system]
@@ -69,7 +73,13 @@ certify = true
         s1 = parse_scenario(bundled("example1.scenario"))
         assert set(s1.signals) == {"signal", "cycle"}
         assert s1.signals["cycle"].signal.period == pytest.approx(5.72)
-        assert s1.boundary_points == 16 and s1.start_region == 1
+        primary, cycle = s1.signals["signal"], s1.signals["cycle"]
+        # the signal's own x0, then the 16 boundary starts of region 1
+        boundary = region_boundary_points(s1.system[1], 0.05, 16)
+        np.testing.assert_array_equal(primary.x0, [[0.0, 1.0], *boundary])
+        np.testing.assert_array_equal(cycle.x0, [[-0.5, 0.5]])
+        assert (primary.horizon, cycle.horizon) == (2.86, 22.88)
+        assert s1.transitions == [(1, 0), (0, -1)]
         s2 = parse_scenario(bundled("example2.scenario"))
         assert s2.triangle_modes == (1, 0, -1)
         assert s2.signals["signal"].signal.segments == ()
@@ -77,6 +87,27 @@ certify = true
     def test_numeric_defaults(self):
         s = parse_scenario(MINIMAL)
         assert (s.step, s.seed, s.samples) == (1e-3, 42, 10_000)
+
+    def test_overrides_apply_before_checks(self):
+        text = MINIMAL.replace("eps = 0.05", "boundary_points = 4\nstart_region = 1")
+        with pytest.raises(ValidationError, match="eps is required"):
+            parse_scenario(text)
+        s = parse_scenario(text, step=0.01, eps=0.25, seed=7, analyses={"simulate": True})
+        assert (s.step, s.eps, s.seed, s.analyses) == (0.01, 0.25, 7, {"simulate": True})
+        # the boundary starts sit on the overridden level set
+        np.testing.assert_allclose(s.system[1].v_batch(np.array(s.signals["signal"].x0[1:])), 0.25)
+
+    def test_starts_and_horizon_fall_back_to_analysis(self):
+        text = MINIMAL.replace("x0 = 0 1\nhorizon = 2.86\n", "") + "x0 = 1 0; 0 0\nhorizon = 3\n"
+        spec = parse_scenario(text).signals["signal"]
+        np.testing.assert_array_equal(spec.x0, [[1.0, 0.0], [0.0, 0.0]])
+        assert spec.horizon == 3.0
+
+    def test_default_transitions_follow_the_primary_signal(self):
+        s = parse_scenario(MINIMAL.replace("trapping", "dwell_table"))
+        assert s.transitions == [(0, -1)]
+        periodic = MINIMAL.replace("from_dwell", "periodic").replace("modes = -1", "modes = -1 1")
+        assert parse_scenario(periodic).transitions == [(0, -1), (-1, 1), (1, 0)]
 
 
 class TestRejection:
@@ -154,3 +185,47 @@ class TestSignalRoundTrip:
         parsed = parse_scenario(self.wrap(signal_to_text(sig))).signals["signal"].signal
         assert parsed.segments == sig.segments
         assert parsed.period == sig.period
+
+
+# tokens that hit the number, label, list and boolean parsers at their edges
+_TOKENS = st.sampled_from(
+    ["1e300", "1 1 -1", "", "0", "-1", "nan", "1e-300", "0 1 2", "periodic", "1:9", "1",
+     "2", "0.05", "1.43", "-1e308", "inf", "abc", "u", "7", "0 1", "0 1; 1 0", "1:0 0:-1",
+     "1 0 -1", "true", "false", "explicit", "from_dwell", "99999999999999999999"]
+)
+# [analysis] keys that neither bundled scenario sets
+_EXTRA_KEYS = st.sampled_from(
+    ["x0", "horizon", "i_max", "tube", "tube_from", "tube_to", "tube_times",
+     "tube_boundary_count", "convergence", "simulate", "box"]
+)
+
+
+@st.composite
+def _scenario_text(draw):
+    """A bundled scenario with a few values replaced or emptied and keys added."""
+    lines = bundled(draw(st.sampled_from(["example1.scenario", "example2.scenario"])))
+    lines = lines.splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line]
+    for i in draw(st.lists(st.sampled_from(keyed), max_size=3)):
+        lines[i] = lines[i].split("=", 1)[0] + "= " + draw(_TOKENS)
+    for i in draw(st.lists(st.sampled_from(keyed), max_size=2)):
+        lines[i] = ""
+    at = lines.index("[analysis]") + 1
+    lines[at:at] = [f"{k} = {draw(_TOKENS)}" for k in draw(st.sets(_EXTRA_KEYS, max_size=2))]
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    text=_scenario_text(),
+    step=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+    eps=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+    seed=st.none() | st.integers(-(2**70), 2**70),
+    analyses=st.sampled_from(list(_SUBCOMMAND_FLAGS.values())),
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_any_text_is_a_scenario_or_an_input_error(text, step, eps, seed, analyses):
+    try:
+        s = parse_scenario(text, step=step, eps=eps, seed=seed, analyses=analyses)
+    except SwitchDwellError:
+        return
+    assert isinstance(s, Scenario)
