@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import SwitchedSystem
 from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
-from .errors import IoError, NonfiniteState, SwitchDwellError, UnsupportedCertificate
+from .errors import IoError, NonfiniteState, SwitchDwellError
 from .lyapunov import check_certificate, region_boundary_points
 from .scenario import Scenario, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
@@ -41,11 +41,8 @@ def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> str:
     """One row per sample, V_active evaluated per constant-mode segment."""
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
-    modes = traj.modes
-    cuts = [0] + [k for k in range(1, len(modes)) if modes[k] != modes[k - 1]] + [len(modes)]
     parts = [header]
-    for lo, hi in zip(cuts, cuts[1:]):
-        m = modes[lo]
+    for lo, hi, m in traj.segments():
         row = "%.17g," * (n + 1) + str(m).replace("%", "%%") + ",%.17g\n"
         v = system[m].v_batch(traj.states[lo:hi])
         rows = np.column_stack([traj.times[lo:hi], traj.states[lo:hi], v]).tolist()
@@ -104,13 +101,10 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
     if flags.get("dwell_table"):
         table = local_dwell(eps, system, s.transitions)
         doc = table.to_dict()
-        try:
-            mu = mu_bound(eps, system, mode="closed_form")
-            doc["mu_closed_form_fallback"] = False
-        except UnsupportedCertificate:
-            mu = mu_bound(eps, system, mode="sampled", seed=s.seed)
-            doc["mu_closed_form_fallback"] = True
-            warnings.append("mu: closed form unsupported, sampled estimate used")
+        # every scenario mode is identity-quadratic, so mu has its closed form;
+        # the fallback key stays for stable output bytes
+        mu = mu_bound(eps, system, mode="closed_form")
+        doc["mu_closed_form_fallback"] = False
         doc["mu"] = mu
         doc["t_glob"] = global_dwell(eps, mu, min(x.decay_rate for x in system.subsystems))
         doc["t_required"] = max(doc["t_glob"], table.t_loc)

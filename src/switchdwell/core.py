@@ -58,6 +58,8 @@ def _frozen_vector(x, name: str) -> np.ndarray:
     v = np.array(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite, got {v}")
     v.setflags(write=False)
     return v
 
@@ -88,20 +90,22 @@ class Subsystem:
     quadratic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "equilibrium", _frozen_vector(self.equilibrium, "equilibrium"))
-        if self.decay_rate <= 0:
+        # each check is written to fail on NaN too
+        eq = _frozen_vector(self.equilibrium, f"equilibrium of mode {self.label!r}")
+        object.__setattr__(self, "equilibrium", eq)
+        if not self.decay_rate > 0:
             raise ValueError("decay_rate must be positive")
         residual = np.linalg.norm(np.asarray(self.field(self.equilibrium), dtype=float))
-        if residual > _EQUILIBRIUM_TOL:
+        if not residual <= _EQUILIBRIUM_TOL:
             raise ValueError(
                 f"equilibrium of mode {self.label!r} is not a zero of the field "
                 f"(|f(x_u)| = {residual:.3e})"
             )
         v0 = float(self.lyapunov(self.equilibrium))
-        if abs(v0) > 1e-12:
+        if not abs(v0) <= 1e-12:
             raise ValueError(f"V({self.label!r}) must vanish at the equilibrium, got {v0!r}")
         for s in np.logspace(-6, 3, 19):
-            if self.alpha.eval(s) > self.beta.eval(s) * (1 + 1e-12):
+            if not self.alpha.eval(s) <= self.beta.eval(s) * (1 + 1e-12):
                 raise ValueError(f"alpha > beta at s={s} for mode {self.label!r}")
 
     @property
@@ -293,7 +297,7 @@ def make_affine_subsystem(A, b, label: Label) -> Subsystem:
     try:
         equilibrium = np.linalg.solve(A, -b)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("A is not invertible") from exc
+        raise SingularMatrix(f"A of mode {label!r} is not invertible") from exc
     A.setflags(write=False)
     b.setflags(write=False)
     x_u = equilibrium.copy()

@@ -203,7 +203,7 @@ def triangle_gap(eps: float, u0: Subsystem, v: Subsystem, u1: Subsystem) -> Tria
     travel.  Both computations agree to 1e-10 relative (algebraic identity);
     requires shared alpha, beta, k.  ``eps0`` is searched with
     d = max(||x_u0||, ||x_u1||) and r the shorter detour leg, when
-    d > 0 and 0 < r <= 2d.
+    d > 0 and 0 < r <= 2d; it stays None when the search finds no threshold.
     """
     _check_eps(eps)
     alpha, beta, k = _shared_certificate([u0, v, u1])
@@ -222,7 +222,12 @@ def triangle_gap(eps: float, u0: Subsystem, v: Subsystem, u1: Subsystem) -> Tria
     gap_formula = -math.log(K / eps ** (1.0 / k))
     d = max(float(np.linalg.norm(u0.equilibrium)), float(np.linalg.norm(u1.equilibrium)))
     r = min(d0v, dv1)
-    eps0 = epsilon0_search(d, r, alpha, beta, k) if d > 0 and 0 < r <= 2 * d else None
+    eps0 = None
+    if d > 0 and 0 < r <= 2 * d:
+        try:
+            eps0 = epsilon0_search(d, r, alpha, beta, k)
+        except NoThreshold:  # no eps in the search grid, e.g. a detour leg of 2e-7
+            pass
     return TriangleAnalysis(eps=eps, gap=gap, gap_via_constant=gap_formula, K=K, eps0=eps0)
 
 

@@ -74,13 +74,14 @@ from .dwell import _shared_certificate
 from .errors import ParseError, ValidationError
 from .lyapunov import region_boundary_points
 
-# The work budget.  A simulated 2-D trajectory holds about 32 bytes per RK4
-# sample (time, state, mode label) and rendering it to CSV peaks near 220
-# bytes per sample (tracemalloc, numpy 2), so MAX_SAMPLES caps the held
-# trajectories near 0.3 GB and one CSV rendering near 2.2 GB.  A switch costs
-# a few hundred bytes per trajectory (its tuple, event and state copy).  A
-# certificate check holds about 160 bytes per 2-D sample, and a tube point
-# about 150 bytes as JSON, so MAX_POINTS caps either near 0.2 GB.
+# The work budget.  A simulated 2-D trajectory holds about 24 bytes per RK4
+# sample (time and state; modes live in its switch events) and rendering it
+# to CSV peaks near 220 bytes per sample (tracemalloc, numpy 2), so
+# MAX_SAMPLES caps the held trajectories near 0.24 GB and one CSV rendering
+# near 2.2 GB.  A switch costs a few hundred bytes per trajectory (its tuple,
+# event and state copy).  A certificate check holds about 160 bytes per 2-D
+# sample, and a tube point about 150 bytes as JSON, so MAX_POINTS caps
+# either near 0.2 GB.
 MAX_SWITCHES = 10**6
 MAX_SAMPLES = 10**7
 MAX_POINTS = 10**6
@@ -398,6 +399,8 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
             boundary = list(region_boundary_points(system[region], scenario.eps, count))
     x0 = _starts(an["x0"], "[analysis] x0") if "x0" in an else []
     horizon = _number(an["horizon"], "[analysis] horizon", above=0) if "horizon" in an else None
+    if "signal.signal" in cp:
+        raise ValidationError("[signal.signal]: the name 'signal' belongs to the primary [signal]")
     names = (["signal"] if "signal" in cp else []) + [
         s for s in cp.sections() if s.startswith("signal.")
     ]

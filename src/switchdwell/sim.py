@@ -31,27 +31,42 @@ W_MONOTONE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SwitchEvent:
+    """Switch at time ``t``; ``index`` is the sample at ``t``, the first to carry ``next_mode``."""
+
     t: float
     prev_mode: Label
     next_mode: Label
     state: np.ndarray
+    index: int
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-stamped states with per-sample mode annotations and switch events."""
+    """Time-stamped states and the switch events that split them into constant-mode runs.
+
+    ``initial_mode`` is active from sample 0 and each event's ``next_mode``
+    from that event's ``index`` on; ``segments`` is the one place that turns
+    the events into sample ranges.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    modes: list[Label]
+    initial_mode: Label
     switch_events: list[SwitchEvent]
     step: float
 
     def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.times) != len(self.modes):
-            raise ValueError("times, states and modes must have equal length")
+        if len(self.times) != len(self.states):
+            raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
+
+    def segments(self) -> list[tuple[int, int, Label]]:
+        """(lo, hi, mode) per run: samples lo..hi-1 carry mode and hi starts the next run."""
+        los = [0] + [ev.index for ev in self.switch_events]
+        his = los[1:] + [len(self.times)]
+        modes = [self.initial_mode] + [ev.next_mode for ev in self.switch_events]
+        return list(zip(los, his, modes))
 
     @property
     def final_state(self) -> np.ndarray:
@@ -85,7 +100,10 @@ def _check_finite(states: np.ndarray, label: Label) -> None:
 
 
 def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajectory:
-    """Classical fixed-step RK4 over [t0, t1]; the last step shrinks to land on t1."""
+    """Classical fixed-step RK4 over [t0, t1]; the last step shrinks to land on t1.
+
+    A zero-length span gives the single start sample.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 < t0:
@@ -93,14 +111,6 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
     x0 = sub.check_dimension(x0)
     if not np.all(np.isfinite(x0)):
         raise NonfiniteState("non-finite initial state")
-    if t1 == t0:
-        return Trajectory(
-            times=np.array([t0]),
-            states=x0[None, :].copy(),
-            modes=[sub.label],
-            switch_events=[],
-            step=step,
-        )
     n_full, rem = _grid(t0, t1, step)
     if sub.affine is not None:
         A, b = sub.affine
@@ -113,7 +123,7 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
     return Trajectory(
         times=times,
         states=states,
-        modes=[sub.label] * len(states),
+        initial_mode=sub.label,
         switch_events=[],
         step=step,
     )
@@ -143,45 +153,41 @@ def simulate_switched(
 ) -> Trajectory:
     """Integrate each inter-switch interval with its active subsystem, chaining states.
 
-    The state is continuous at switches; only the mode changes.  The sample at
-    a switch instant carries the incoming mode.  Periodic signals are unrolled
-    to the horizon.
+    The state is continuous at switches; only the mode changes.  Each
+    interval contributes its samples up to, not including, its end; the
+    sample at a switch instant starts the next interval, so it carries the
+    incoming mode and is the event's ``index``.  The tail from the last
+    switch to the horizon keeps its end sample, and is that one sample when
+    the last switch lands on the horizon.  Periodic signals are unrolled to
+    the horizon.
     """
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
     x = system[signal.initial_mode].check_dimension(x0)
-    switches = signal.switches_until(horizon)
-
     all_t: list[np.ndarray] = []
     all_x: list[np.ndarray] = []
-    modes: list[Label] = []
     events: list[SwitchEvent] = []
+    count = 0
     cur_t = signal.t0
     active = signal.initial_mode
-    for ts, prev, nxt in switches:
+    for ts, prev, nxt in signal.switches_until(horizon):
         seg = integrate(system[active], x, cur_t, ts, step)
         all_t.append(seg.times[:-1])
         all_x.append(seg.states[:-1])
-        modes.extend([active] * (len(seg.times) - 1))
+        count += len(seg.times) - 1
         x = seg.states[-1]
         xe = x.copy()
         xe.setflags(write=False)
-        events.append(SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe))
+        events.append(SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=count))
         cur_t = ts
         active = nxt
-    if cur_t < horizon:
-        seg = integrate(system[active], x, cur_t, horizon, step)
-        all_t.append(seg.times)
-        all_x.append(seg.states)
-        modes.extend([active] * len(seg.times))
-    else:
-        all_t.append(np.array([cur_t]))
-        all_x.append(x[None, :])
-        modes.append(active)
+    seg = integrate(system[active], x, cur_t, horizon, step)
+    all_t.append(seg.times)
+    all_x.append(seg.states)
     return Trajectory(
         times=np.concatenate(all_t),
         states=np.vstack(all_x),
-        modes=modes,
+        initial_mode=signal.initial_mode,
         switch_events=events,
         step=step,
     )
@@ -293,18 +299,18 @@ def w_monitor(
     """Per-interval monotonicity of W(t) = exp(k_u t) V_u(x(t)) along the trajectory.
 
     W is evaluated with the interval's active mode at every sample of the
-    closed interval (the switch sample supplies the left limit); a verdict is
-    true iff W never increases by more than 1e-7 relative between consecutive
-    samples.
+    closed interval from a segment's ``lo`` to its ``hi`` (the next switch
+    sample supplies the left limit; the last interval ends at the last
+    sample, and a switch at the horizon opens none); a verdict is true iff W
+    never increases by more than 1e-7 relative between consecutive samples.
     """
     _match_signal(traj, signal)
-    bounds = [0] + [traj.index_at(ev.t) for ev in traj.switch_events] + [len(traj.times) - 1]
+    last = len(traj.times) - 1
     verdicts = []
-    for j in range(len(bounds) - 1):
-        lo, hi = bounds[j], bounds[j + 1]
+    for j, (lo, hi, mode) in enumerate(traj.segments()):
+        hi = min(hi, last)
         if hi <= lo:
             continue
-        mode = traj.modes[lo]
         sub = system[mode]
         k = sub.decay_rate
         seg_t = traj.times[lo : hi + 1]
@@ -313,7 +319,7 @@ def w_monitor(
         scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
         scale[scale == 0.0] = 1.0
         rel = dw / scale
-        worst = float(rel.max()) if len(rel) else 0.0
+        worst = float(rel.max())
         verdicts.append(
             WIntervalVerdict(
                 index=j,

@@ -200,6 +200,14 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
             "tube_boundary_count = 600000",
             "tube points",
         ),
+        (EXAMPLE1, "[signal.cycle]", "[signal.signal]", "[signal.signal]"),
+        (
+            EXAMPLE1,
+            "u_values = 1 0 -1",
+            "u_values = 1 0 -1\n[subsystem.s]\nA = -1.3022701777491792 1 1 -0.7678898104910783\n"
+            "b = 1 1",
+            "A of mode 's' is not invertible",
+        ),
     ],
     ids=[
         "tube_without_times",
@@ -221,6 +229,8 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "certificate_samples",
         "boundary_budget",
         "tube_budget",
+        "shadowed_primary_signal",
+        "singular_in_floating_point",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):
@@ -264,6 +274,35 @@ def test_eps0_outside_the_search_domain_is_a_warning(tmp_path):
     assert manifest["warnings"] == ["triangle: geometry outside the eps0 search domain"]
     doc = json.loads((tmp_path / "o" / "triangle_report.json").read_text())
     assert doc["eps0"] is None
+
+
+@pytest.mark.parametrize("command", ["dwell", "certify", "run"])
+def test_nonfinite_equilibrium_is_input_error(tmp_path, capsys, command):
+    # a subnormal A passes the contraction test but puts x_u at [nan, inf]
+    p = tmp_path / "subnormal.scenario"
+    p.write_text(EXAMPLE1.replace("A = -1 -1 1 -1", "A = -1e-320 0 0 -1e-320"))
+    assert main([command, "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eps0_without_threshold_is_a_warning(tmp_path):
+    # a detour leg of 2e-7 leaves no eps in the search grid with a negative gap
+    p = tmp_path / "tri.scenario"
+    p.write_text(
+        "[system]\nA = -1 -1 1 -1\n"
+        "[subsystem.a]\nb = 0 2\n[subsystem.v]\nb = 0 2.0000002\n[subsystem.c]\nb = 1 1\n"
+        "[analysis]\neps = 0.05\ndwell_table = true\ntransitions = a:v v:c a:c\n"
+        "triangle = true\ntriangle_modes = a v c\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(p), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == ["triangle: geometry outside the eps0 search domain"]
+    assert [e["path"] for e in manifest["files"]] == ["dwell_table.json", "triangle_report.json"]
+    assert json.loads((out / "triangle_report.json").read_text())["eps0"] is None
 
 
 @pytest.mark.parametrize(
@@ -343,8 +382,12 @@ class TestPlotData:
     def test_csv_matches_per_row_rendering(self, system):
         sig = signal_from_dwell(1, [0, -1, 1, 0], 0.7)
         traj = simulate_switched(system, sig, np.array([0.4, -0.3]), 3.3, 1e-3)
+        modes = [traj.initial_mode] * len(traj.times)
+        for ev in traj.switch_events:
+            assert traj.times[ev.index] == ev.t
+            modes[ev.index :] = [ev.next_mode] * (len(modes) - ev.index)
         lines = ["t,x1,x2,mode,V_active"]
-        for t, x, m in zip(traj.times, traj.states, traj.modes):
+        for t, x, m in zip(traj.times, traj.states, modes):
             d = x - system[m].equilibrium
             cells = [t, *x]
             lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(d @ d):.17g}")

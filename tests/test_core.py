@@ -15,6 +15,7 @@ from switchdwell.errors import (
     EmptyTransitions,
     NonpositiveDwell,
     NotContracting,
+    SingularMatrix,
     UnknownLabel,
 )
 
@@ -66,6 +67,22 @@ class TestAffineSubsystem:
     def test_rejects_noncontracting_matrix(self):
         with pytest.raises(NotContracting):
             make_affine_subsystem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2), "m")
+
+    def test_singular_in_floating_point(self):
+        # symmetric with det = a * fl(1/a) - 1 > 0 exactly, so contracting and
+        # invertible, but LU elimination cancels the second pivot to 0.0
+        a = 1.3022701777491792
+        A = np.array([[-a, 1.0], [1.0, -1.0 / a]])
+        assert np.linalg.eigvalsh(A)[-1] < 0
+        with pytest.raises(SingularMatrix, match="A of mode 'm' is not invertible"):
+            make_affine_subsystem(A, np.ones(2), "m")
+
+    def test_rejects_nonfinite_equilibrium(self):
+        # a subnormal A passes the contraction test, but -A^{-1} b overflows
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="equilibrium of mode 'm' must be finite"
+        ):
+            make_affine_subsystem(-1e-320 * np.eye(2), np.ones(2), "m")
 
     def test_rejects_mismatched_b(self, demo_A):
         with pytest.raises(DimensionMismatch):

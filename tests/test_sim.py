@@ -88,9 +88,31 @@ class TestSimulateSwitched:
         sig = signal_from_dwell(0, [-1], 1.43)
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
         i = traj.index_at(1.43)
-        np.testing.assert_array_equal(traj.states[i], traj.switch_events[0].state)
-        assert traj.modes[i] == -1
-        assert traj.modes[i - 1] == 0
+        (ev,) = traj.switch_events
+        assert ev.index == i
+        np.testing.assert_array_equal(traj.states[i], ev.state)
+        # sample i opens the mode -1 run, sample i - 1 closes the mode 0 run
+        assert traj.segments() == [(0, i, 0), (i, len(traj.times), -1)]
+
+    def test_segments_when_the_last_switch_lands_on_the_horizon(self, system):
+        sig = signal_from_dwell(1, [0], 1.0, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 5.0, STEP)
+        assert len(traj.times) == 5001
+        assert traj.segments() == [
+            (0, 1000, 1),
+            (1000, 2000, 0),
+            (2000, 3000, 1),
+            (3000, 4000, 0),
+            (4000, 5000, 1),
+            (5000, 5001, 0),  # the switch sample at the horizon alone
+        ]
+        for ev in traj.switch_events:
+            assert traj.times[ev.index] == ev.t
+            np.testing.assert_array_equal(traj.states[ev.index], ev.state)
+        # the one-sample run at the horizon has no interval to monitor
+        verdicts = w_monitor(traj, system, sig)
+        assert [(v.index, v.mode) for v in verdicts] == [(0, 1), (1, 0), (2, 1), (3, 0), (4, 1)]
+        assert verdicts[-1].t_end == 5.0
 
     def test_matches_piecewise_closed_form(self, system, exact_state):
         sig = signal_from_dwell(1, [0], 1.0)
@@ -165,6 +187,18 @@ class TestWMonitor:
         assert len(verdicts) == 3
         assert all(v.nonincreasing for v in verdicts)
         assert max(abs(v.max_relative_increase) for v in verdicts) < 1e-10
+
+    def test_switch_just_after_a_grid_point(self, system):
+        # the switch interval ends with a 5e-10 step, so the grid point before
+        # the switch lies within 1e-9 of it; the mode -1 interval must still
+        # start at the switch sample
+        t_switch = 1.0000000005
+        sig = signal_from_dwell(0, [-1], t_switch)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.5, STEP)
+        first, second = w_monitor(traj, system, sig)
+        assert (first.mode, second.mode) == (0, -1)
+        assert first.nonincreasing and second.nonincreasing
+        assert first.t_end == second.t_start == t_switch
 
     def test_overclaimed_rate_flagged(self, system):
         from switchdwell.core import SwitchedSystem
