@@ -9,10 +9,10 @@ A switching signal is a literal piecewise-constant mode: ``initial_mode`` on
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -189,7 +189,14 @@ class SwitchingSignal:
 
     ``segments`` are (switch_time, mode) pairs with strictly increasing times
     > t0; ``mode_at`` is right-continuous (``mode_at(t_i)`` is the mode entered
-    at t_i).  With ``period`` set, the pattern on [t0, t0 + period) repeats.
+    at t_i).  With ``period`` set, the pattern on [t0, t0 + period) repeats
+    and must switch at least once.
+
+    Unrolling rule (the only place it is written): switch i of cycle k lands
+    at ``(t0 + k*period) + (t_i - t0)``, and for k > 0 the wrap back to
+    ``initial_mode`` at ``t0 + k*period`` is a switch when the pattern's last
+    mode differs from ``initial_mode``.  ``switches_until``, ``mode_at``,
+    ``switches_per_period`` and ``validate_dwell`` all read this enumeration.
     """
 
     t0: float
@@ -198,6 +205,9 @@ class SwitchingSignal:
     period: Optional[float] = None
 
     def __post_init__(self):
+        # each check is written to fail on NaN too
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0!r}")
         segs = tuple((float(t), m) for t, m in self.segments)
         object.__setattr__(self, "segments", segs)
         prev = self.t0
@@ -206,64 +216,62 @@ class SwitchingSignal:
                 raise ValueError("switch times must be strictly increasing and > t0")
             prev = t
         if self.period is not None:
-            if self.period <= 0:
-                raise ValueError("period must be positive")
-            if segs and segs[-1][0] >= self.t0 + self.period:
+            if not (self.period > 0 and math.isfinite(self.period)):
+                raise ValueError(f"period must be positive and finite, got {self.period!r}")
+            if not segs:
+                raise ValueError("a periodic pattern must switch at least once")
+            if segs[-1][0] >= self.t0 + self.period:
                 raise ValueError("switch times must lie inside one period")
 
     @property
     def switch_times(self) -> tuple[float, ...]:
         return tuple(t for t, _ in self.segments)
 
-    def _pattern_mode(self, tau: float) -> Label:
-        # tau in [t0, t0 + period) for periodic signals
-        times = [t for t, _ in self.segments]
-        idx = bisect_right(times, tau) - 1
-        if idx < 0:
-            return self.initial_mode
-        return self.segments[idx][1]
+    @property
+    def _wraps(self) -> bool:
+        return self.period is not None and self.segments[-1][1] != self.initial_mode
 
-    def mode_at(self, t: float) -> Label:
-        if t < self.t0:
-            raise ValueError(f"t={t} is before the signal start t0={self.t0}")
-        if self.period is not None:
-            t = self.t0 + math.fmod(t - self.t0, self.period)
-        return self._pattern_mode(t)
+    @property
+    def switches_per_period(self) -> int:
+        """Switches in one cycle, the wrap included; all switches when aperiodic."""
+        return len(self.segments) + self._wraps
 
-    def switches_until(self, t_end: float) -> list[tuple[float, Label, Label]]:
-        """All (t_i, mode_before, mode_after) with t0 < t_i <= t_end.
-
-        Periodic signals are unrolled; the wrap back to ``initial_mode`` at
-        multiples of the period counts as a switch when the mode changes.
-        """
-        out = []
+    def _unroll(self, k0: int = 0) -> Iterator[tuple[float, Label, Label]]:
+        """(t_i, mode_before, mode_after) in time order from cycle ``k0`` on."""
         if self.period is None:
             prev = self.initial_mode
             for t, mode in self.segments:
-                if t > t_end:
-                    break
-                out.append((t, prev, mode))
+                yield t, prev, mode
                 prev = mode
-            return out
-        last_mode = self.segments[-1][1] if self.segments else self.initial_mode
-        k = 0
-        while True:
+            return
+        for k in itertools.count(k0):
             base = self.t0 + k * self.period
-            if k > 0 and last_mode != self.initial_mode:
-                if base > t_end:
-                    break
-                out.append((base, last_mode, self.initial_mode))
-            elif base > t_end:
-                break
+            if k > 0 and self._wraps:
+                yield base, self.segments[-1][1], self.initial_mode
             prev = self.initial_mode
             for t, mode in self.segments:
-                ti = base + (t - self.t0)
-                if ti > t_end:
-                    return out
-                out.append((ti, prev, mode))
+                yield base + (t - self.t0), prev, mode
                 prev = mode
-            k += 1
-        return out
+
+    def mode_at(self, t: float) -> Label:
+        if not self.t0 <= t < math.inf:
+            raise ValueError(f"t={t} is not a finite time from the signal start t0={self.t0} on")
+        k0 = 0 if self.period is None else max(0, math.floor((t - self.t0) / self.period) - 1)
+        mode = self.initial_mode
+        # t lies in cycle k0 + 1 up to rounding, so three cycles always reach it
+        for ti, before, after in self.first_switches(3 * self.switches_per_period, k0):
+            if ti > t:
+                return before
+            mode = after
+        return mode
+
+    def first_switches(self, count: int, k0: int = 0) -> list[tuple[float, Label, Label]]:
+        """The first ``count`` (t_i, mode_before, mode_after) from cycle ``k0`` on."""
+        return list(itertools.islice(self._unroll(k0), count))
+
+    def switches_until(self, t_end: float) -> list[tuple[float, Label, Label]]:
+        """All (t_i, mode_before, mode_after) with t0 < t_i <= t_end, periodic signals unrolled."""
+        return list(itertools.takewhile(lambda s: s[0] <= t_end, self._unroll()))
 
 
 @dataclass(frozen=True)
@@ -367,22 +375,17 @@ def validate_dwell(
 ) -> list[DwellViolation]:
     """Consecutive switch pairs violating ``gap >= required(from_mode, to_mode)``.
 
-    The switches are those of ``signal.switches_until``; the gap from t0 to
-    the first switch counts, with the initial mode as ``from_mode``.
-    Periodic signals are walked up to the first switch of their second
-    cycle, so each recurring switch is checked once with its steady gap (a
-    hold across the wrap is one gap); an empty list means the signal is
-    dwell-compliant.
+    The switches are the first ``signal.switches_per_period + 1`` of the
+    signal's enumeration (see ``SwitchingSignal``); the gap from t0 to the
+    first switch counts, with the initial mode as ``from_mode``.  For a
+    periodic signal that reaches the first switch of the second cycle, so
+    each recurring switch is checked once with its steady gap (a hold across
+    the wrap is one gap); an empty list means the signal is dwell-compliant.
     """
-    if signal.period is None:
-        t_end = math.inf
-    elif signal.segments:  # summed as switches_until sums it, so that switch is included
-        t_end = signal.t0 + signal.period + (signal.segments[0][0] - signal.t0)
-    else:
-        t_end = signal.t0  # a constant mode never switches
     violations = []
     prev_t = signal.t0
-    for i, (t, prev_mode, mode) in enumerate(signal.switches_until(t_end)):
+    switches = signal.first_switches(signal.switches_per_period + 1)
+    for i, (t, prev_mode, mode) in enumerate(switches):
         req = float(required(prev_mode, mode))
         if t - prev_t < req:
             violations.append(DwellViolation(i, prev_mode, mode, t - prev_t, req))

@@ -8,9 +8,11 @@ Schema (unknown sections and keys are rejected):
                         value in ``u_values`` (one mode per value, labeled by it).
     [subsystem.<L>]     A, b  (explicit affine mode with label L)
     [signal]            kind = explicit | from_dwell | periodic; explicit takes
-                        ``times``/``modes``, the dwell kinds take ``modes`` and
-                        ``T`` (scalar) or ``dwell`` (list); optional t0, x0,
-                        horizon.  Additional signals via [signal.<name>].
+                        ``times``/``modes`` and an optional ``period`` (the
+                        pattern on [t0, t0 + period) repeats), the dwell kinds
+                        take ``modes`` and ``T`` (scalar) or ``dwell`` (list);
+                        optional t0, x0, horizon.  Additional signals via
+                        [signal.<name>].
     [analysis]          eps plus booleans certify, dwell_table, trapping,
                         convergence, triangle, tube, plot_data; transitions
                         ("a:b c:d"), x0 (";"-separated start vectors),
@@ -33,8 +35,10 @@ or negative tube_times) are rejected.  Defaults are resolved per signal: its
 starts are its own ``x0``, else ``[analysis] x0``, followed for the primary
 ``[signal]`` by the ``boundary_points`` starts on the boundary of
 ``start_region``'s region; its horizon is its own, else ``[analysis]
-horizon``.  Without ``transitions``, the dwell table takes the primary
-signal's switches over one period.  Companion rules:
+horizon``.  A periodic pattern must switch; it unrolls by the rule in
+``core.SwitchingSignal``.  Without ``transitions``, the dwell table takes
+the primary signal's switches over one period, the wrap included.
+Companion rules:
 
 * simulate, trapping, convergence and plot_data need a signal, and every
   signal then needs starts of the system's dimension and a horizon;
@@ -46,7 +50,8 @@ signal's switches over one period.  Companion rules:
 * boundary_points and start_region come together; mode labels are unique.
 
 Work budget, by arithmetic before anything is allocated: at most
-``MAX_SWITCHES`` switches per simulated signal up to its horizon, at most
+``MAX_SWITCHES`` switches per simulated signal up to its horizon (its
+periods times ``switches_per_period``), at most
 ``MAX_SAMPLES`` RK4 samples summed over all trajectories, and at most
 ``MAX_POINTS`` certificate samples per mode, boundary starts, or tube points
 (``tube_boundary_count`` times the number of ``tube_times``).
@@ -55,7 +60,6 @@ Work budget, by arithmetic before anything is allocated: at most
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -241,15 +245,6 @@ def _check_keys(sec, kind: str) -> None:
             raise ValidationError(f"unknown key {key!r} in section [{sec.name}]")
 
 
-def _switch_count(signal: SwitchingSignal, horizon: float) -> float:
-    """Bound on the switches up to ``horizon``: periods times switches per period."""
-    if signal.period is None:
-        return len(signal.segments)
-    last = signal.segments[-1][1] if signal.segments else signal.initial_mode
-    per_period = len(signal.segments) + (last != signal.initial_mode)
-    return ((horizon - signal.t0) / signal.period + 1) * per_period
-
-
 def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpec:
     """The signal of ``sec``; ``x0`` and ``horizon`` apply when it sets none."""
     name = sec.name
@@ -420,8 +415,7 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
         scenario.transitions = pairs
     elif primary is not None:
         sig = primary.signal
-        one_period = math.inf if sig.period is None else sig.t0 + sig.period
-        scenario.transitions = [(a, b) for _, a, b in sig.switches_until(one_period)]
+        scenario.transitions = [(a, b) for _, a, b in sig.first_switches(sig.switches_per_period)]
     if "i_max" in an:
         scenario.i_max = _number(an["i_max"], "[analysis] i_max", int, at_least=1)
     if "triangle_modes" in an:
@@ -460,8 +454,10 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
                 raise ValidationError(f"signal {name!r}: no initial conditions")
             if spec.horizon is None:
                 raise ValidationError(f"signal {name!r}: no horizon")
-            switches = _switch_count(spec.signal, spec.horizon)
-            if not switches <= MAX_SWITCHES:  # NaN too: an overflowing span, no switches
+            sig = spec.signal
+            periods = 1 if sig.period is None else (spec.horizon - sig.t0) / sig.period + 1
+            switches = periods * sig.switches_per_period
+            if not switches <= MAX_SWITCHES:  # inf too: an overflowing span
                 raise ValidationError(
                     f"signal {name!r}: {switches:.3g} switches up to its horizon, "
                     f"over the budget of {MAX_SWITCHES}"
@@ -499,17 +495,3 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
     if flags.get("plot_data") and system.dimension != 2:
         raise ValidationError("plot data emission needs a 2-D system")
     return scenario
-
-
-def signal_to_text(signal: SwitchingSignal, name: str = "signal") -> str:
-    """Serialize a signal as an explicit scenario section (17 significant digits)."""
-    out = io.StringIO()
-    out.write(f"[{name}]\n")
-    out.write("kind = explicit\n")
-    out.write(f"t0 = {signal.t0:.17g}\n")
-    out.write(f"initial_mode = {signal.initial_mode}\n")
-    out.write("times = " + " ".join(f"{t:.17g}" for t, _ in signal.segments) + "\n")
-    out.write("modes = " + " ".join(str(m) for _, m in signal.segments) + "\n")
-    if signal.period is not None:
-        out.write(f"period = {signal.period:.17g}\n")
-    return out.getvalue()

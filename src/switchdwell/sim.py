@@ -303,6 +303,9 @@ def w_monitor(
     sample supplies the left limit; the last interval ends at the last
     sample, and a switch at the horizon opens none); a verdict is true iff W
     never increases by more than 1e-7 relative between consecutive samples.
+    Each interval uses ``exp(k_u (t - t_lo)) V_u``, W divided by the constant
+    ``exp(k_u t_lo)``: the relative increase is the same, and long horizons
+    do not overflow.
     """
     _match_signal(traj, signal)
     last = len(traj.times) - 1
@@ -314,7 +317,7 @@ def w_monitor(
         sub = system[mode]
         k = sub.decay_rate
         seg_t = traj.times[lo : hi + 1]
-        w = np.exp(k * seg_t) * sub.v_batch(traj.states[lo : hi + 1])
+        w = np.exp(k * (seg_t - seg_t[0])) * sub.v_batch(traj.states[lo : hi + 1])
         dw = np.diff(w)
         scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
         scale[scale == 0.0] = 1.0

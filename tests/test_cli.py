@@ -208,6 +208,12 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
             "b = 1 1",
             "A of mode 's' is not invertible",
         ),
+        (
+            EXAMPLE2.replace("times =\n", "times =\nperiod = 1e-12\n", 1),
+            "plot_data = true",
+            "trapping = true",
+            "must switch",
+        ),
     ],
     ids=[
         "tube_without_times",
@@ -231,6 +237,7 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "tube_budget",
         "shadowed_primary_signal",
         "singular_in_floating_point",
+        "empty_periodic_pattern",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):

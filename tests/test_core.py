@@ -157,6 +157,32 @@ class TestSwitchingSignal:
             (4.0, "b", "a"),
         ]
 
+    def test_mode_at_agrees_with_switches_until(self):
+        # right-continuity at every unrolled switch: fmod(t_i - t0, period) used
+        # to land just below a pattern switch and return the mode being left
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        switches = sig.switches_until(2000.0)
+        assert len(switches) == 1398
+        for t, prev, nxt in switches:
+            assert sig.mode_at(t) == nxt
+            assert sig.mode_at(np.nextafter(t, -np.inf)) == prev
+
+    def test_switches_per_period(self):
+        assert SwitchingSignal(0.0, "a", ((1.0, "b"), (2.0, "c"))).switches_per_period == 2
+        assert SwitchingSignal(0.0, "a", ((1.0, "b"),), period=2.0).switches_per_period == 2
+        assert SwitchingSignal(0.0, "a", ((1.0, "b"), (2.0, "a")), 3.0).switches_per_period == 2
+
+    def test_periodic_pattern_must_switch(self):
+        with pytest.raises(ValueError, match="must switch"):
+            SwitchingSignal(t0=0, initial_mode="a", period=2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_parameters(self, bad):
+        with pytest.raises(ValueError, match="period"):
+            SwitchingSignal(t0=0.0, initial_mode="a", segments=((1.0, "b"),), period=bad)
+        with pytest.raises(ValueError, match="t0"):
+            SwitchingSignal(t0=bad, initial_mode="a")
+
 
 class TestSignalFromDwell:
     def test_scalar_dwell(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from switchdwell import region_boundary_points
 from switchdwell.cli import _SUBCOMMAND_FLAGS
 from switchdwell.errors import ParseError, SwitchDwellError, ValidationError
-from switchdwell.scenario import Scenario, parse_scenario, signal_to_text
+from switchdwell.scenario import Scenario, parse_scenario
 
 MINIMAL = """
 [system]
@@ -160,7 +160,7 @@ class TestRejection:
             parse_scenario("key_without_section = 1\n")
 
 
-class TestSignalRoundTrip:
+class TestExplicitSignal:
     def wrap(self, section: str) -> str:
         return (
             "[system]\nA = -1 -1 1 -1\nfamily = u 1\nu_values = 1 0 -1\n"
@@ -168,23 +168,25 @@ class TestSignalRoundTrip:
             + "[analysis]\neps = 0.05\nsimulate = true\nhorizon = 1\nx0 = 0 1\n"
         )
 
-    def test_aperiodic_round_trip(self):
-        from switchdwell import signal_from_dwell
-
-        sig = signal_from_dwell(1, [0, -1], [1.25, 0.7500000000000001])
-        text = signal_to_text(sig)
-        parsed = parse_scenario(self.wrap(text)).signals["signal"].signal
-        assert parsed.initial_mode == sig.initial_mode
-        assert parsed.segments == sig.segments
+    def test_aperiodic_section(self):
+        section = (
+            "[signal]\nkind = explicit\nt0 = 0\ninitial_mode = 1\n"
+            "times = 1.25 2.0000000000000004\nmodes = 0 -1\n"
+        )
+        parsed = parse_scenario(self.wrap(section)).signals["signal"].signal
+        assert parsed.initial_mode == 1
+        assert parsed.segments == ((1.25, 0), (2.0000000000000004, -1))
         assert parsed.period is None
 
-    def test_periodic_round_trip(self):
-        from switchdwell import signal_from_dwell
-
-        sig = signal_from_dwell(1, [0], [1.43, 1.43], periodic=True)
-        parsed = parse_scenario(self.wrap(signal_to_text(sig))).signals["signal"].signal
-        assert parsed.segments == sig.segments
-        assert parsed.period == sig.period
+    def test_periodic_section(self):
+        section = (
+            "[signal]\nkind = explicit\nt0 = 0\ninitial_mode = 1\n"
+            "times = 1.4299999999999999\nmodes = 0\nperiod = 2.8599999999999999\n"
+        )
+        parsed = parse_scenario(self.wrap(section)).signals["signal"].signal
+        assert parsed.segments == ((1.43, 0),)
+        assert parsed.period == 2.86
+        assert parsed.switches_per_period == 2  # the wrap back to 1 counts
 
 
 # tokens that hit the number, label, list and boolean parsers at their edges
@@ -198,6 +200,8 @@ _EXTRA_KEYS = st.sampled_from(
     ["x0", "horizon", "i_max", "tube", "tube_from", "tube_to", "tube_times",
      "tube_boundary_count", "convergence", "simulate", "box"]
 )
+# [signal] keys, set in the primary signal in place of any line of the same key
+_SIGNAL_KEYS = st.sampled_from(["period", "times", "modes", "t0"])
 
 
 @st.composite
@@ -211,7 +215,13 @@ def _scenario_text(draw):
     for i in draw(st.lists(st.sampled_from(keyed), max_size=2)):
         lines[i] = ""
     at = lines.index("[analysis]") + 1
-    lines[at:at] = [f"{k} = {draw(_TOKENS)}" for k in draw(st.sets(_EXTRA_KEYS, max_size=2))]
+    keys = sorted(draw(st.sets(_EXTRA_KEYS, max_size=2)))  # sorted: no hash-seed order
+    lines[at:at] = [f"{k} = {draw(_TOKENS)}" for k in keys]
+    keys = sorted(draw(st.sets(_SIGNAL_KEYS, max_size=2)))
+    at = lines.index("[signal]") + 1
+    end = next(i for i in range(at, len(lines)) if lines[i].startswith("["))
+    kept = [line for line in lines[at:end] if line.split("=", 1)[0].strip() not in keys]
+    lines[at:end] = [f"{k} = {draw(_TOKENS)}" for k in keys] + kept
     return "\n".join(lines) + "\n"
 
 

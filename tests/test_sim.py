@@ -200,6 +200,16 @@ class TestWMonitor:
         assert first.nonincreasing and second.nonincreasing
         assert first.t_end == second.t_start == t_switch
 
+    @pytest.mark.filterwarnings("error")
+    def test_long_horizon_does_not_overflow(self, system):
+        # exp(2t) overflows from t ~ 355; each interval's W is scaled to its start
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([-0.5, 0.5]), 400.0, STEP)
+        verdicts = w_monitor(traj, system, sig)
+        assert len(verdicts) == 280
+        assert all(v.nonincreasing for v in verdicts)
+        assert max(v.max_relative_increase for v in verdicts) < 1e-10
+
     def test_overclaimed_rate_flagged(self, system):
         from switchdwell.core import SwitchedSystem
 
