@@ -2,6 +2,8 @@
 
 Exit codes: 0 success / all verifications passed, 2 verification failure,
 3 input error, 4 numeric failure (non-finite state).
+
+Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_bytes``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csv import csv_bytes, labels
 from .core import SwitchedSystem
 from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
 from .errors import IoError, NonfiniteState, SwitchDwellError
@@ -27,39 +30,36 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
-def _write_text(path: Path, text: str, written: list[Path]) -> None:
+def _write_bytes(path: Path, data: bytes | str, written: dict[Path, str]) -> None:
+    """Write ``data`` (text as UTF-8) and record its sha256 in ``written``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    written.append(path)
+    path.write_bytes(data)
+    written[path] = hashlib.sha256(data).hexdigest()
 
 
-def _write_json(path: Path, obj, written: list[Path]) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", written)
+def _write_json(path: Path, obj, written: dict[Path, str]) -> None:
+    _write_bytes(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", written)
 
 
-def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> str:
+def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
     """One row per sample, V_active evaluated per constant-mode segment."""
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
-    parts = [header]
-    for lo, hi, m in traj.segments():
-        row = "%.17g," * (n + 1) + str(m).replace("%", "%%") + ",%.17g\n"
-        v = system[m].v_batch(traj.states[lo:hi])
-        rows = np.column_stack([traj.times[lo:hi], traj.states[lo:hi], v]).tolist()
-        parts.extend(map(row.__mod__, map(tuple, rows)))
-    return "".join(parts)
+    segments = traj.segments()
+    v = np.concatenate([system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in segments])
+    modes = labels(m for *_, m in segments).repeat([hi - lo for lo, hi, _ in segments])
+    return csv_bytes(header, np.column_stack([traj.times, traj.states]), modes, v)
 
 
-def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, str]:
-    """region_<label>.csv texts: closed 256-point boundary polylines of a 2-D system."""
-    texts = {}
+def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, bytes]:
+    """region_<label>.csv bytes: closed 256-point boundary polylines of a 2-D system."""
+    csvs = {}
     for sub in system.subsystems:
         pts = region_boundary_points(sub, eps, 256)
-        rows = np.vstack([pts, pts[:1]]).tolist()
-        texts[f"region_{sub.label}.csv"] = "x1,x2\n" + "".join(
-            "%.17g,%.17g\n" % (x1, x2) for x1, x2 in rows
-        )
-    return texts
+        csvs[f"region_{sub.label}.csv"] = csv_bytes("x1,x2\n", np.vstack([pts, pts[:1]]))
+    return csvs
 
 
 def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
@@ -76,7 +76,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    written: list[Path] = []
+    written: dict[Path, str] = {}
     warnings: list[str] = []
     failed = False
     flags = s.analyses
@@ -117,11 +117,11 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             for i, x0 in enumerate(spec.x0):
                 traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
                 trajs[(name, i)] = traj
-                # rendered once: the same text is the plot directory's trajectory.csv
-                text = _trajectory_csv(traj, system)
-                _write_text(out / f"trajectory_{name}_{i}.csv", text, written)
+                # rendered once: the same bytes are the plot directory's trajectory.csv
+                data = _trajectory_csv(traj, system)
+                _write_bytes(out / f"trajectory_{name}_{i}.csv", data, written)
                 if flags.get("plot_data"):
-                    _write_text(out / f"plot_{name}_{i}" / "trajectory.csv", text, written)
+                    _write_bytes(out / f"plot_{name}_{i}" / "trajectory.csv", data, written)
 
     if flags.get("trapping"):
         reports = {}
@@ -176,13 +176,16 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         regions = _region_csvs(system, eps)  # the same polylines go to every plot directory
         for (name, i), traj in trajs.items():
             plot = out / f"plot_{name}_{i}"
-            for region, text in regions.items():
-                _write_text(plot / region, text, written)
-            body = "t,x1,x2,prev_mode,next_mode\n" + "".join(
-                "%.17g,%.17g,%.17g,%s,%s\n" % (ev.t, *ev.state, ev.prev_mode, ev.next_mode)
-                for ev in traj.switch_events
+            for region, data in regions.items():
+                _write_bytes(plot / region, data, written)
+            events = traj.switch_events
+            body = csv_bytes(
+                "t,x1,x2,prev_mode,next_mode\n",
+                np.array([(ev.t, *ev.state) for ev in events]).reshape(len(events), 3),
+                labels(ev.prev_mode for ev in events),
+                labels(ev.next_mode for ev in events),
             )
-            _write_text(plot / "switch_points.csv", body, written)
+            _write_bytes(plot / "switch_points.csv", body, written)
         print("plot-data: written")
 
     status = EXIT_VERIFICATION if failed else EXIT_OK
@@ -190,14 +193,10 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         "exit_status": status,
         "warnings": warnings,
         "files": [
-            {
-                "path": str(p.relative_to(out)),
-                "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
-            }
-            for p in sorted(written)
+            {"path": str(p.relative_to(out)), "sha256": written[p]} for p in sorted(written)
         ],
     }
-    _write_json(out / "manifest.json", manifest, [])
+    _write_json(out / "manifest.json", manifest, {})
     return status, manifest
 
 
@@ -228,8 +227,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

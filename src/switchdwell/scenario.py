@@ -7,12 +7,13 @@ Schema (unknown sections and keys are rejected):
                         entries of b with the token ``u`` substituted by each
                         value in ``u_values`` (one mode per value, labeled by it).
     [subsystem.<L>]     A, b  (explicit affine mode with label L)
-    [signal]            kind = explicit | from_dwell | periodic; explicit takes
-                        ``times``/``modes`` and an optional ``period`` (the
-                        pattern on [t0, t0 + period) repeats), the dwell kinds
-                        take ``modes`` and ``T`` (scalar) or ``dwell`` (list);
-                        optional t0, x0, horizon.  Additional signals via
-                        [signal.<name>].
+    [signal]            kind, initial_mode, modes and optional t0, x0,
+                        horizon, plus the keys of its kind (no others):
+                          explicit (default)    times, optional period (the
+                                                pattern on [t0, t0 + period)
+                                                repeats)
+                          from_dwell, periodic  T (scalar) or dwell (list)
+                        Additional signals via [signal.<name>].
     [analysis]          eps plus booleans certify, dwell_table, trapping,
                         convergence, triangle, tube, plot_data; transitions
                         ("a:b c:d"), x0 (";"-separated start vectors),
@@ -47,7 +48,9 @@ Companion rules:
 * triangle needs triangle_modes of one certificate (alpha, beta, decay
   rate); tube needs tube_from, tube_to and tube_times;
 * plot_data needs a 2-D system;
-* boundary_points and start_region come together; mode labels are unique.
+* boundary_points and start_region come together; mode labels are unique
+  and hold no comma, double quote, slash, backslash, whitespace or control
+  character, so that each is one CSV cell and part of one file name.
 
 Work budget, by arithmetic before anything is allocated: at most
 ``MAX_SWITCHES`` switches per simulated signal up to its horizon (its
@@ -62,6 +65,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,6 +138,11 @@ _ALLOWED_KEYS = {
     },
     "numeric": {"step", "seed", "samples"},
 }
+_KIND_KEYS = {  # the [signal] keys that only some kinds read
+    "explicit": {"times", "period"},
+    "from_dwell": {"T", "dwell"},
+    "periodic": {"T", "dwell"},
+}
 
 
 @dataclass
@@ -175,6 +184,16 @@ def _parse_label(token: str) -> Label:
     if re.fullmatch(r"[+-]?\d+", token):
         return int(token)
     return token
+
+
+def _mode_label(token: str, where: str) -> Label:
+    """The label of a new mode, which must be safe as a CSV cell and in a file name."""
+    if any(ch in ',"/\\' or ch.isspace() or unicodedata.category(ch) == "Cc" for ch in token):
+        raise ValidationError(
+            f"{where}: mode label {token!r} holds a comma, double quote, slash, backslash, "
+            "whitespace or control character"
+        )
+    return _parse_label(token)
 
 
 def _number(value, where: str, kind: type = float, above=None, at_least=None, at_most=None):
@@ -250,6 +269,11 @@ def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpe
     name = sec.name
     _check_keys(sec, "signal")
     kind = sec.get("kind", "explicit").strip()
+    if kind not in _KIND_KEYS:
+        raise ValidationError(f"[{name}]: unknown signal kind {kind!r}")
+    for key in ("times", "period", "T", "dwell"):
+        if key in sec and key not in _KIND_KEYS[kind]:
+            raise ValidationError(f"[{name}]: {key} does not apply to kind = {kind}")
     t0 = _number(sec.get("t0", "0"), f"[{name}] t0")
     if "initial_mode" not in sec:
         raise ValidationError(f"[{name}]: initial_mode is required")
@@ -267,7 +291,7 @@ def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpe
             signal = SwitchingSignal(
                 t0=t0, initial_mode=initial, segments=tuple(zip(times, modes)), period=period
             )
-        elif kind in ("from_dwell", "periodic"):
+        else:
             if "T" in sec:
                 dwell = _number(sec["T"], f"[{name}] T")
             elif "dwell" in sec:
@@ -277,8 +301,6 @@ def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpe
             else:
                 dwell = None
             signal = signal_from_dwell(initial, modes, dwell, t0=t0, periodic=kind == "periodic")
-        else:
-            raise ValidationError(f"[{name}]: unknown signal kind {kind!r}")
     except ValueError as exc:  # the signal constructors' domain checks
         raise ValidationError(f"[{name}]: {exc}") from None
     x0 = _starts(sec["x0"], f"[{name}] x0") if "x0" in sec else list(x0)
@@ -328,7 +350,8 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
         tokens = sys_sec["family"].split()
         if len(tokens) != shared_A.shape[0]:
             raise ValidationError("[system] family length must match the dimension of A")
-        for u in map(_parse_label, sys_sec["u_values"].split()):
+        for value in sys_sec["u_values"].split():
+            u = _mode_label(value, "[system] u_values")
             b = np.array([_number(u if tok == "u" else tok, "[system] family") for tok in tokens])
             modes.append((shared_A, b, u))
     for section in cp.sections():
@@ -344,7 +367,7 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
             if "b" not in sec:
                 raise ValidationError(f"[{section}]: b is required")
             b = np.array(_floats(sec["b"], f"[{section}] b"))
-            modes.append((A, b, _parse_label(section.split(".", 1)[1])))
+            modes.append((A, b, _mode_label(section.split(".", 1)[1], f"[{section}]")))
         elif not section.startswith("signal.") and section not in (
             "system",
             "signal",

@@ -214,6 +214,10 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
             "trapping = true",
             "must switch",
         ),
+        (EXAMPLE1, "T = 1.43\nx0 = 0 1", "T = 1.43\nperiod = 3\nx0 = 0 1", "period does not"),
+        (EXAMPLE1, "T = 1.43\nx0 = -0.5", "T = 1.43\ntimes = 9 10\nx0 = -0.5", "times does not"),
+        (EXAMPLE2, "times =\n", "times =\nT = 5\n", "T does not apply to kind = explicit"),
+        (EXAMPLE2, "times =\n", "times =\ndwell = 7\n", "dwell does not"),
     ],
     ids=[
         "tube_without_times",
@@ -238,6 +242,10 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "shadowed_primary_signal",
         "singular_in_floating_point",
         "empty_periodic_pattern",
+        "period_of_dwell_signal",
+        "times_of_periodic_signal",
+        "T_of_explicit_signal",
+        "dwell_of_explicit_signal",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):
@@ -322,20 +330,91 @@ def test_out_of_range_overrides_are_input_errors(tmp_path, capsys, flag, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_certify_does_not_import_scipy_stats(tmp_path):
+def cold_run(args: list[str], modules: list[str]) -> str:
+    """``main(args)`` in a fresh interpreter: its status and whether each module got loaded."""
     code = (
         "import sys\n"
         "from switchdwell.cli import main\n"
-        f"status = main(['certify', '--scenario', {scenario_path('example1.scenario')!r},"
-        f" '--out', {str(tmp_path)!r}])\n"
-        "print(status, 'scipy.stats' in sys.modules)\n"
+        f"status = main({args!r})\n"
+        f"print(status, *(m in sys.modules for m in {modules!r}))\n"
     )
     src = str(resources.files("switchdwell").parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_certify_does_not_import_scipy_stats(tmp_path):
+    args = ["certify", "--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path)]
+    assert cold_run(args, ["scipy.stats"]) == "0 False"
+
+
+def test_run_does_not_import_numpy_ma_or_fractions(tmp_path):
+    # numpy.ma loads lazily (np.unique pulls it in) and costs a cold run ~20 ms
+    args = ["run", "--scenario", scenario_path("example2.scenario"), "--out", str(tmp_path)]
+    assert cold_run(args, ["numpy.ma", "fractions"]) == "0 False False"
+
+
+LABELED = """
+[system]
+A = -1 0 0 -1
+
+[subsystem.{label}]
+b = 0 0
+
+[subsystem.z]
+b = 1 0
+
+[signal]
+kind = from_dwell
+initial_mode = {label}
+modes = z
+T = 0.004
+x0 = 0 1
+horizon = 0.01
+
+[analysis]
+eps = 0.05
+plot_data = true
+"""
+
+
+@pytest.mark.parametrize(
+    "label", ["a,b", 'a"b', "a b", "a\x00b", "a\x1bb", "../b", "a\\b"],
+    ids=["comma", "quote", "space", "nul", "escape", "slash", "backslash"],
+)
+def test_csv_unsafe_labels_are_input_errors(tmp_path, capsys, label):
+    p = tmp_path / "bad.scenario"
+    p.write_text(LABELED.format(label=label), encoding="utf-8")
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [subsystem.") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    if label.split() == [label]:  # u_values splits at whitespace
+        family = "[system]\nA = -1 0 0 -1\nfamily = 0 1\nu_values = 7 {}\n[analysis]\neps = 0.05\n"
+        with pytest.raises(ValidationError, match="u_values: mode label"):
+            parse_scenario(family.format(label) + "certify = true\n")
+
+
+def test_non_ascii_labels_are_written_as_utf8(tmp_path):
+    p = tmp_path / "alpha.scenario"
+    p.write_text(LABELED.format(label="α"), encoding="utf-8")
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 0
+    plot = tmp_path / "o" / "plot_signal_0"
+    rows = (plot / "trajectory.csv").read_bytes().splitlines()
+    assert rows[1] == b"0,0,1,\xce\xb1,1"
+    assert (plot / "switch_points.csv").read_bytes().splitlines()[1].endswith(b",\xce\xb1,z")
+    assert (plot / "region_α.csv").is_file()
+
+
+def test_undecodable_scenario_is_input_error(tmp_path, capsys):
+    p = tmp_path / "latin1.scenario"
+    p.write_bytes(LABELED.format(label="\xe9").encode("latin-1"))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestManifest:
@@ -398,7 +477,7 @@ class TestPlotData:
             d = x - system[m].equilibrium
             cells = [t, *x]
             lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(d @ d):.17g}")
-        assert _trajectory_csv(traj, system) == "\n".join(lines) + "\n"
+        assert _trajectory_csv(traj, system) == ("\n".join(lines) + "\n").encode()
 
     def test_region_polyline_is_closed(self, example1_run):
         _, out = example1_run

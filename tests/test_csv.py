@@ -1,0 +1,31 @@
+import numpy as np
+
+from switchdwell._csv import csv_bytes, labels
+
+
+def per_value(values) -> bytes:
+    return b"".join(b"%.17g\n" % x for x in values.tolist())
+
+
+def test_float_cells_match_percent_17g():
+    rng = np.random.default_rng(20240601)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    around = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    edges = np.array(
+        [0.0, -0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0,
+         np.finfo(float).max, 1e-280, 1e280, np.inf, -np.inf, np.nan,
+         9.9999999999999996e-281, 0.5, 2.5, 1e-4 * (1 - 2**-52), 2.0**53]
+    )
+    grid = np.arange(20_000) * 1e-3
+    values = np.concatenate([bits, around, -around, edges, -edges, grid])
+    assert csv_bytes("", values) == per_value(values)
+
+
+def test_rows_join_floats_and_labels():
+    floats = np.array([[0.0, 1.5], [-2e-7, 3e20]])
+    modes = labels(["α", -1])
+    body = csv_bytes("a,b,m,v\n", floats, modes, np.array([0.25, 1 / 3]))
+    expected = "a,b,m,v\n0,1.5,α,0.25\n-1.9999999999999999e-07,3e+20,-1,0.33333333333333331\n"
+    assert body == expected.encode()
+    assert csv_bytes("x\n", np.zeros((0, 2)), labels([])) == b"x\n"
