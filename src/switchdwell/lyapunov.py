@@ -164,7 +164,7 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
     Quadratic V in 2-D: equally spaced angles on the circle of radius
     sqrt(eps); quadratic V in other dimensions: deterministic directions on
     the sphere.  Non-quadratic V is supported in 2-D only, by radial
-    bisection per angle.
+    bisection per angle, which stops once the bracket cannot shrink.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -195,6 +195,8 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # lo and hi are adjacent floats: neither can move again
             if sub.lyapunov(sub.equilibrium + mid * d) < eps:
                 lo = mid
             else:

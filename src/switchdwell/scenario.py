@@ -188,6 +188,8 @@ def _parse_label(token: str) -> Label:
 
 def _mode_label(token: str, where: str) -> Label:
     """The label of a new mode, which must be safe as a CSV cell and in a file name."""
+    if not token:
+        raise ValidationError(f"{where}: mode label is empty")
     if any(ch in ',"/\\' or ch.isspace() or unicodedata.category(ch) == "Cc" for ch in token):
         raise ValidationError(
             f"{where}: mode label {token!r} holds a comma, double quote, slash, backslash, "
@@ -292,6 +294,8 @@ def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpe
                 t0=t0, initial_mode=initial, segments=tuple(zip(times, modes)), period=period
             )
         else:
+            if "T" in sec and "dwell" in sec:
+                raise ValidationError(f"[{name}]: set T or dwell, not both")
             if "T" in sec:
                 dwell = _number(sec["T"], f"[{name}] T")
             elif "dwell" in sec:

@@ -108,9 +108,25 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
         raise ValueError("step must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    times, states = _path(sub, _start_state(sub, x0), t0, t1, step)
+    return Trajectory(
+        times=times,
+        states=states,
+        initial_mode=sub.label,
+        switch_events=[],
+        step=step,
+    )
+
+
+def _start_state(sub: Subsystem, x0) -> np.ndarray:
     x0 = sub.check_dimension(x0)
     if not np.all(np.isfinite(x0)):
         raise NonfiniteState("non-finite initial state")
+    return x0
+
+
+def _path(sub: Subsystem, x0: np.ndarray, t0: float, t1: float, step: float):
+    """(times, states) of one constant-mode run from a checked start x0 over [t0, t1]."""
     n_full, rem = _grid(t0, t1, step)
     if sub.affine is not None:
         A, b = sub.affine
@@ -120,13 +136,7 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
     _check_finite(states, sub.label)
     times = t0 + step * np.arange(len(states))
     times[-1] = t1
-    return Trajectory(
-        times=times,
-        states=states,
-        initial_mode=sub.label,
-        switch_events=[],
-        step=step,
-    )
+    return times, states
 
 
 def _generic_rk4_path(f, x0, h, n_full, h_last):
@@ -159,11 +169,15 @@ def simulate_switched(
     incoming mode and is the event's ``index``.  The tail from the last
     switch to the horizon keeps its end sample, and is that one sample when
     the last switch lands on the horizon.  Periodic signals are unrolled to
-    the horizon.
+    the horizon.  Each interval is one ``_path`` call, the same fixed-step
+    RK4 as ``integrate`` without its per-interval ``Trajectory``; affine modes
+    reuse the step-map powers ``kernels`` keeps per (A, b, step).
     """
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
-    x = system[signal.initial_mode].check_dimension(x0)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x = _start_state(system[signal.initial_mode], x0)
     all_t: list[np.ndarray] = []
     all_x: list[np.ndarray] = []
     events: list[SwitchEvent] = []
@@ -171,19 +185,19 @@ def simulate_switched(
     cur_t = signal.t0
     active = signal.initial_mode
     for ts, prev, nxt in signal.switches_until(horizon):
-        seg = integrate(system[active], x, cur_t, ts, step)
-        all_t.append(seg.times[:-1])
-        all_x.append(seg.states[:-1])
-        count += len(seg.times) - 1
-        x = seg.states[-1]
+        times, states = _path(system[active], x, cur_t, ts, step)
+        all_t.append(times[:-1])
+        all_x.append(states[:-1])
+        count += len(times) - 1
+        x = states[-1]
         xe = x.copy()
         xe.setflags(write=False)
         events.append(SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=count))
         cur_t = ts
         active = nxt
-    seg = integrate(system[active], x, cur_t, horizon, step)
-    all_t.append(seg.times)
-    all_x.append(seg.states)
+    times, states = _path(system[active], x, cur_t, horizon, step)
+    all_t.append(times)
+    all_x.append(states)
     return Trajectory(
         times=np.concatenate(all_t),
         states=np.vstack(all_x),
@@ -306,34 +320,50 @@ def w_monitor(
     Each interval uses ``exp(k_u (t - t_lo)) V_u``, W divided by the constant
     ``exp(k_u t_lo)``: the relative increase is the same, and long horizons
     do not overflow.
+
+    The intervals' closed sample ranges are laid end to end, grouped by mode,
+    so a switch sample appears once per side and each mode's rows form one
+    block: V comes from one ``v_batch`` call per mode, the differences from
+    one ``diff``, and each interval's worst from one ``maximum.reduceat``,
+    with the difference across each junction masked out.
     """
     _match_signal(traj, signal)
     last = len(traj.times) - 1
-    verdicts = []
+    runs: dict[Label, list[tuple[int, int, int]]] = {}
     for j, (lo, hi, mode) in enumerate(traj.segments()):
         hi = min(hi, last)
-        if hi <= lo:
-            continue
-        sub = system[mode]
-        k = sub.decay_rate
-        seg_t = traj.times[lo : hi + 1]
-        w = np.exp(k * (seg_t - seg_t[0])) * sub.v_batch(traj.states[lo : hi + 1])
-        dw = np.diff(w)
-        scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
-        scale[scale == 0.0] = 1.0
-        rel = dw / scale
-        worst = float(rel.max())
-        verdicts.append(
-            WIntervalVerdict(
-                index=j,
-                t_start=float(seg_t[0]),
-                t_end=float(seg_t[-1]),
-                mode=mode,
-                nonincreasing=worst <= W_MONOTONE_TOL,
-                max_relative_increase=worst,
-            )
+        if hi > lo:
+            runs.setdefault(mode, []).append((j, lo, hi))
+    segs = [(j, lo, hi, mode) for mode, rs in runs.items() for j, lo, hi in rs]
+    if not segs:
+        return []
+    lo = np.array([seg[1] for seg in segs])
+    lens = np.array([seg[2] for seg in segs]) - lo + 1
+    starts = np.cumsum(lens) - lens
+    idx = np.arange(starts[-1] + lens[-1]) - np.repeat(starts - lo, lens)
+    mode_starts = starts[np.cumsum([len(rs) for rs in runs.values()])[:-1]]
+    blocks = np.split(traj.states.take(idx, axis=0), mode_starts)
+    v = np.concatenate([system[mode].v_batch(block) for mode, block in zip(runs, blocks)])
+    k = np.repeat([system[seg[3]].decay_rate for seg in segs], lens)
+    w = np.exp(k * (traj.times.take(idx) - np.repeat(traj.times[lo], lens))) * v
+    dw = np.diff(w)
+    scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
+    scale[scale == 0.0] = 1.0
+    rel = dw / scale
+    rel[starts[1:] - 1] = -np.inf
+    worst = np.maximum.reduceat(rel, starts).tolist()
+    verdicts = [
+        WIntervalVerdict(
+            index=j,
+            t_start=float(traj.times[a]),
+            t_end=float(traj.times[z]),
+            mode=mode,
+            nonincreasing=wj <= W_MONOTONE_TOL,
+            max_relative_increase=wj,
         )
-    return verdicts
+        for (j, a, z, mode), wj in zip(segs, worst)
+    ]
+    return sorted(verdicts, key=lambda v: v.index)
 
 
 @dataclass(frozen=True)

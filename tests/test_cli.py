@@ -218,6 +218,7 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         (EXAMPLE1, "T = 1.43\nx0 = -0.5", "T = 1.43\ntimes = 9 10\nx0 = -0.5", "times does not"),
         (EXAMPLE2, "times =\n", "times =\nT = 5\n", "T does not apply to kind = explicit"),
         (EXAMPLE2, "times =\n", "times =\ndwell = 7\n", "dwell does not"),
+        (EXAMPLE1, "T = 1.43\nx0 = 0 1", "T = 1.43\ndwell = 0.1\nx0 = 0 1", "T or dwell, not both"),
     ],
     ids=[
         "tube_without_times",
@@ -246,6 +247,7 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "times_of_periodic_signal",
         "T_of_explicit_signal",
         "dwell_of_explicit_signal",
+        "T_and_dwell",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):
@@ -382,8 +384,8 @@ plot_data = true
 
 
 @pytest.mark.parametrize(
-    "label", ["a,b", 'a"b', "a b", "a\x00b", "a\x1bb", "../b", "a\\b"],
-    ids=["comma", "quote", "space", "nul", "escape", "slash", "backslash"],
+    "label", ["a,b", 'a"b', "a b", "a\x00b", "a\x1bb", "../b", "a\\b", ""],
+    ids=["comma", "quote", "space", "nul", "escape", "slash", "backslash", "empty"],
 )
 def test_csv_unsafe_labels_are_input_errors(tmp_path, capsys, label):
     p = tmp_path / "bad.scenario"

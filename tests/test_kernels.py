@@ -74,3 +74,101 @@ def test_batch_final_matches_per_path_finals():
             # the two kernels multiply the step maps in different orders, so
             # components near zero agree in absolute, not relative, terms
             np.testing.assert_allclose(batch[i], path[-1], rtol=0, atol=1e-14)
+
+
+def _uncached_path(A, b, x0, h, n_full, h_last):
+    """The doubling loop with every step map built afresh: the reference for the cache."""
+    n = x0.shape[0]
+    X = np.empty((n_full + 1 + (h_last > 0.0), n + 1))
+    X[0, :n] = x0
+    X[0, n] = 1.0
+    Gk = kernels._rk4_map(A, b, h)
+    k = 1
+    while k <= n_full:
+        m = min(k, n_full + 1 - k)
+        X[k : k + m] = X[:m] @ Gk.T
+        k += m
+        if k <= n_full:
+            Gk = Gk @ Gk
+    if h_last > 0.0:
+        X[-1] = X[n_full] @ kernels._rk4_map(A, b, h_last).T
+    return X[:, :n]
+
+
+def test_cached_paths_are_bit_equal_to_fresh_ones():
+    kernels._cached_powers.cache_clear()
+    A_n, b, x0 = _contracting(4, seed=21)
+    # short, long, short again: the cached powers grow, then serve a prefix
+    cases = [(1e-3, 5, 3e-4), (1e-3, 1_000, 0.0), (1e-3, 70, 7e-4), (2e-3, 33, 1e-4)]
+    for h, n_full, h_last in cases * 2:
+        ref = _uncached_path(A_n, b, x0, h, n_full, h_last)
+        other = kernels.affine_rk4_path(A, B, x0[:2], h, n_full, h_last)
+        assert other.tobytes() == _uncached_path(A, B, x0[:2], h, n_full, h_last).tobytes()
+        assert kernels.affine_rk4_path(A_n, b, x0, h, n_full, h_last).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("h_last", [0.0, 2e-4])
+def test_batch_final_is_bit_equal_to_matrix_power(h_last):
+    A_n, b, _ = _contracting(3, seed=31)
+    X0 = np.random.default_rng(6).normal(size=(5, 3))
+    for n_full in range(71):
+        G = np.linalg.matrix_power(kernels._rk4_map(A_n, b, 1e-3), n_full)
+        if h_last > 0.0:
+            G = kernels._rk4_map(A_n, b, h_last) @ G
+        ref = X0 @ G[:3, :3].T + G[:3, 3]
+        got = kernels.affine_rk4_batch_final(A_n, b, X0, 1e-3, n_full, h_last)
+        assert got.tobytes() == ref.tobytes(), n_full
+
+
+def test_cache_is_keyed_by_content():
+    from switchdwell import ClassKFn, Subsystem, integrate
+
+    A_w = np.array([[-1.0, 0.5], [-0.5, -1.0]])
+    b = np.zeros(2)
+    sub = Subsystem(
+        label="w", field=lambda x: A_w @ x + b, equilibrium=np.zeros(2), decay_rate=2.0,
+        alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+        affine=(A_w, b), quadratic=True,
+    )
+    x0 = np.array([1.0, 1.0])
+    before = integrate(sub, x0, 0.0, 0.5, 1e-3).states
+    A_w[0, 0] = -3.0  # the same array object, new content
+    after = integrate(sub, x0, 0.0, 0.5, 1e-3).states
+    assert after.tobytes() == _uncached_path(A_w, b, x0, 1e-3, 500, 0.0).tobytes()
+    assert not np.array_equal(before, after)
+
+
+def test_cache_size_is_bounded():
+    x0 = np.array([1.0, 0.0])
+    for i in range(10 * kernels.POWER_CACHE_SIZE):
+        kernels.affine_rk4_path(A, B, x0, 1e-3 * (1.0 + i * 1e-6), 2, 0.0)
+    assert kernels._cached_powers.cache_info().currsize <= kernels.POWER_CACHE_SIZE
+
+
+def test_threads_extending_one_entry_agree_with_fresh_paths():
+    import sys
+    import threading
+
+    A_n, b, x0 = _contracting(3, seed=41)
+    ref = _uncached_path(A_n, b, x0, 7e-4, 4_000, 0.0).tobytes()
+    results = []
+
+    def work(barrier):
+        barrier.wait(timeout=30)
+        results.append(kernels.affine_rk4_path(A_n, b, x0, 7e-4, 4_000, 0.0).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            kernels._cached_powers.cache_clear()
+            barrier = threading.Barrier(6)
+            workers = [threading.Thread(target=work, args=(barrier,)) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+                assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [ref] * 60

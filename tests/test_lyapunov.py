@@ -224,6 +224,35 @@ class TestBoundaryPoints:
         for p in pts:
             assert sub.lyapunov(p) == pytest.approx(eps, rel=1e-9)
 
+    def test_bisection_stops_when_the_bracket_cannot_shrink(self, eps):
+        sub = scaled_quadratic_subsystem(2.0)
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return sub.lyapunov(x)
+
+        counted_sub = dataclasses.replace(sub, lyapunov=counted)
+        calls.clear()
+        pts = region_boundary_points(counted_sub, eps, 16)
+        # the full 200-iteration bisection ends on the same floats
+        ref = np.empty((16, 2))
+        for i, th in enumerate(np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)):
+            d = np.array([np.cos(th), np.sin(th)])
+            hi = sub.alpha.inverse(eps) * 2.0 + 1.0
+            while sub.lyapunov(sub.equilibrium + hi * d) < eps:
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if sub.lyapunov(sub.equilibrium + mid * d) < eps:
+                    lo = mid
+                else:
+                    hi = mid
+            ref[i] = sub.equilibrium + 0.5 * (lo + hi) * d
+        assert pts.tobytes() == ref.tobytes()
+        assert len(calls) <= 16 * 60
+
     def test_quadratic_high_dimension_on_sphere(self):
         sub = Subsystem(
             label="3d",

@@ -22,6 +22,7 @@ from switchdwell.errors import (
     NonfiniteState,
     SignalMismatch,
 )
+from switchdwell.sim import W_MONOTONE_TOL, WIntervalVerdict
 
 STEP = 1e-3
 
@@ -222,6 +223,46 @@ class TestWMonitor:
         traj = simulate_switched(fast, sig, np.array([2.0, 2.0]), 1.0, STEP)
         (verdict,) = w_monitor(traj, fast, sig)
         assert not verdict.nonincreasing
+
+
+def _w_monitor_per_segment(traj, system):
+    """One W evaluation per segment, the reference for the batched monitor."""
+    last = len(traj.times) - 1
+    out = []
+    for j, (lo, hi, mode) in enumerate(traj.segments()):
+        hi = min(hi, last)
+        if hi <= lo:
+            continue
+        sub = system[mode]
+        seg_t = traj.times[lo : hi + 1]
+        w = np.exp(sub.decay_rate * (seg_t - seg_t[0])) * sub.v_batch(traj.states[lo : hi + 1])
+        scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
+        scale[scale == 0.0] = 1.0
+        worst = float((np.diff(w) / scale).max())
+        out.append(
+            WIntervalVerdict(j, float(seg_t[0]), float(seg_t[-1]), mode, worst <= W_MONOTONE_TOL, worst)
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "signal, horizon",
+    [
+        (signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True), 10.0),
+        (signal_from_dwell(1, [0, -1], 1.43), 2.86),
+        (signal_from_dwell(1, [0, -1], 1.43), 2.86 + STEP),
+    ],
+    ids=["periodic", "switch_on_horizon", "one_step_tail"],
+)
+def test_w_monitor_matches_per_segment_reference(system, signal, horizon):
+    traj = simulate_switched(system, signal, np.array([0.3, -0.2]), horizon, STEP)
+    ref = _w_monitor_per_segment(traj, system)
+    # V jumps up at switches, so an unmasked difference across a junction
+    # would flip verdicts
+    got = w_monitor(traj, system, signal)
+    assert got == ref
+    assert [v.max_relative_increase for v in got] == [v.max_relative_increase for v in ref]
+    assert len(got) == len(traj.switch_events) + (traj.times[-1] > traj.switch_events[-1].t)
 
 
 class TestConvergenceProduct:
