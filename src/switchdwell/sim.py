@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ def _grid(t0: float, t1: float, step: float) -> tuple[int, float]:
 
 
 def _check_finite(states: np.ndarray, label: Label) -> None:
-    if not np.all(np.isfinite(states)):
+    if not np.isfinite(states).all():
         raise NonfiniteState(f"non-finite state while integrating mode {label!r}")
 
 
@@ -108,7 +109,11 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
         raise ValueError("step must be positive")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    times, states = _path(sub, _start_state(sub, x0), t0, t1, step)
+    n_full, rem = _grid(t0, t1, step)
+    states = _run(sub, _start_state(sub, x0), step, n_full, rem)
+    _check_finite(states, sub.label)
+    times = t0 + step * np.arange(len(states))
+    times[-1] = t1
     return Trajectory(
         times=times,
         states=states,
@@ -125,18 +130,12 @@ def _start_state(sub: Subsystem, x0) -> np.ndarray:
     return x0
 
 
-def _path(sub: Subsystem, x0: np.ndarray, t0: float, t1: float, step: float):
-    """(times, states) of one constant-mode run from a checked start x0 over [t0, t1]."""
-    n_full, rem = _grid(t0, t1, step)
+def _run(sub: Subsystem, x0: np.ndarray, step: float, n_full: int, rem: float) -> np.ndarray:
+    """States of one constant-mode run from a checked start x0: n_full steps, then rem if > 0."""
     if sub.affine is not None:
         A, b = sub.affine
-        states = kernels.affine_rk4_path(A, b, x0, step, n_full, rem)
-    else:
-        states = _generic_rk4_path(sub.field, x0, step, n_full, rem)
-    _check_finite(states, sub.label)
-    times = t0 + step * np.arange(len(states))
-    times[-1] = t1
-    return times, states
+        return kernels.affine_rk4_path(A, b, x0, step, n_full, rem)
+    return _generic_rk4_path(sub.field, x0, step, n_full, rem)
 
 
 def _generic_rk4_path(f, x0, h, n_full, h_last):
@@ -163,44 +162,52 @@ def simulate_switched(
 ) -> Trajectory:
     """Integrate each inter-switch interval with its active subsystem, chaining states.
 
-    The state is continuous at switches; only the mode changes.  Each
-    interval contributes its samples up to, not including, its end; the
-    sample at a switch instant starts the next interval, so it carries the
-    incoming mode and is the event's ``index``.  The tail from the last
-    switch to the horizon keeps its end sample, and is that one sample when
-    the last switch lands on the horizon.  Periodic signals are unrolled to
-    the horizon.  Each interval is one ``_path`` call, the same fixed-step
-    RK4 as ``integrate`` without its per-interval ``Trajectory``; affine modes
-    reuse the step-map powers ``kernels`` keeps per (A, b, step).
+    The state is continuous at switches; only the mode changes.  Interval i
+    runs from its switch sample ``lo_i`` to the next one: its samples up to,
+    not including, its end belong to it, and the sample at a switch instant
+    starts the next interval, so it carries the incoming mode and is the
+    event's ``index``.  The tail from the last switch to the horizon keeps
+    its end sample, and is that one sample when the last switch lands on the
+    horizon.  Periodic signals are unrolled to the horizon.
+
+    Every interval's grid is planned first, so ``times`` and ``states`` are
+    allocated once and each interval writes its rows in place, starting from
+    the row the previous one ended on.  Each run is the same fixed-step RK4
+    as ``integrate``: ``kernels.affine_rk4_path`` for affine modes, which
+    reuses the step-map powers kept per (A, b, step), and generic RK4
+    otherwise; a non-finite state names the interval's mode.
     """
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
     if step <= 0:
         raise ValueError("step must be positive")
-    x = _start_state(system[signal.initial_mode], x0)
-    all_t: list[np.ndarray] = []
-    all_x: list[np.ndarray] = []
-    events: list[SwitchEvent] = []
-    count = 0
-    cur_t = signal.t0
-    active = signal.initial_mode
-    for ts, prev, nxt in signal.switches_until(horizon):
-        times, states = _path(system[active], x, cur_t, ts, step)
-        all_t.append(times[:-1])
-        all_x.append(states[:-1])
-        count += len(times) - 1
-        x = states[-1]
-        xe = x.copy()
-        xe.setflags(write=False)
-        events.append(SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=count))
-        cur_t = ts
-        active = nxt
-    times, states = _path(system[active], x, cur_t, horizon, step)
-    all_t.append(times)
-    all_x.append(states)
+    x0 = _start_state(system[signal.initial_mode], x0)
+    switches = signal.switches_until(horizon)
+    t_lo = [signal.t0] + [ts for ts, _, _ in switches]
+    t_hi = t_lo[1:] + [horizon]
+    modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
+    grids = [_grid(a, z, step) for a, z in zip(t_lo, t_hi)]
+    rows = [n_full + (rem > 0.0) for n_full, rem in grids]
+    # interval i fills samples lo[i]..lo[i + 1]; lo[-1] is the last sample
+    lo = list(accumulate(rows, initial=0))
+    states = np.empty((lo[-1] + 1, x0.shape[0]))
+    states[0] = x0
+    for i, (mode, (n_full, rem)) in enumerate(zip(modes, grids)):
+        run = states[lo[i] : lo[i + 1] + 1]
+        run[:] = _run(system[mode], run[0], step, n_full, rem)
+        _check_finite(run, mode)
+    rows[-1] += 1  # the tail keeps its end sample
+    times = np.repeat(t_lo, rows) + step * (np.arange(len(states)) - np.repeat(lo[:-1], rows))
+    times[-1] = horizon
+    switch_states = states[lo[1:-1]]
+    switch_states.setflags(write=False)
+    events = [
+        SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=index)
+        for (ts, prev, nxt), index, xe in zip(switches, lo[1:-1], switch_states)
+    ]
     return Trajectory(
-        times=np.concatenate(all_t),
-        states=np.vstack(all_x),
+        times=times,
+        states=states,
         initial_mode=signal.initial_mode,
         switch_events=events,
         step=step,
@@ -273,9 +280,11 @@ def verify_trapping(
         raise ValueError("eps must be positive")
     _match_signal(traj, signal)
     events = traj.switch_events
+    by_mode: dict[Label, list[int]] = {}
+    for i, ev in enumerate(events):
+        by_mode.setdefault(ev.prev_mode, []).append(i)
     vs = np.empty(len(events))
-    for mode in dict.fromkeys(ev.prev_mode for ev in events):
-        idx = [i for i, ev in enumerate(events) if ev.prev_mode == mode]
+    for mode, idx in by_mode.items():
         vs[idx] = system[mode].v_batch(np.array([events[i].state for i in idx]))
     records = tuple(
         TrappingRecord(
@@ -328,6 +337,11 @@ def w_monitor(
     with the difference across each junction masked out.
     """
     _match_signal(traj, signal)
+    return _w_verdicts(traj, system)
+
+
+def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdict]:
+    """``w_monitor``'s verdicts for a trajectory already matched to its signal."""
     last = len(traj.times) - 1
     runs: dict[Label, list[tuple[int, int, int]]] = {}
     for j, (lo, hi, mode) in enumerate(traj.segments()):
@@ -421,11 +435,13 @@ def convergence_product(
     log_terms = []
     mus = []
     mu_tildes = []
+    pair_mus: dict[tuple[Label, Label], float] = {}  # one norm per distinct mode pair
     for j in range(i_max):
-        a = system[interval_modes[j]]
-        b = system[interval_modes[j + 1]]
-        dist = float(np.linalg.norm(b.equilibrium - a.equilibrium))
-        mu = pair_mu(eps, dist)
+        pair = (interval_modes[j], interval_modes[j + 1])
+        a, b = system[pair[0]], system[pair[1]]
+        if pair not in pair_mus:
+            pair_mus[pair] = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
+        mu = pair_mus[pair]
         mus.append(mu)
         mu_tildes.append(math.exp((b.decay_rate - a.decay_rate) * times[j + 1]) * mu)
         log_terms.append(math.log(mu) - a.decay_rate * (times[j + 1] - times[j]))
@@ -442,7 +458,7 @@ def convergence_product(
         log_products=log_products,
         certified=certified,
         entry_index=entry,
-        w_verdicts=tuple(w_monitor(traj, system, signal)),
+        w_verdicts=tuple(_w_verdicts(traj, system)),
     )
 
 

@@ -77,13 +77,28 @@ def test_batch_final_matches_per_path_finals():
 
 
 def _uncached_path(A, b, x0, h, n_full, h_last):
-    """The doubling loop with every step map built afresh: the reference for the cache."""
+    """The seed-block path with every step map built afresh: the reference for the cache."""
     n = x0.shape[0]
-    X = np.empty((n_full + 1 + (h_last > 0.0), n + 1))
+    n1 = n + 1
+    X = np.empty((n_full + 1 + (h_last > 0.0), n1))
     X[0, :n] = x0
     X[0, n] = 1.0
+    steps = kernels.SEED_BLOCK_STEPS
+    while steps > 1 and 8 * n1 * n1 * steps > kernels.SEED_BLOCK_BYTES:
+        steps //= 2
+    # stack[j] = G^j for j < steps, doubled with G^k = G^(2^i)
+    stack = np.empty((steps, n1, n1))
+    stack[0] = np.eye(n1)
     Gk = kernels._rk4_map(A, b, h)
     k = 1
+    while k < steps:
+        stack[k : 2 * k] = stack[:k] @ Gk
+        Gk = Gk @ Gk
+        k *= 2
+    block = stack.transpose(2, 0, 1).reshape(n1, steps * n1)
+    k = min(steps, n_full + 1)
+    X[1:k] = (X[0] @ block[:, n1 : k * n1]).reshape(k - 1, n1)
+    # here Gk = G^steps; rows [0, k) mapped by G^k give steps k..2k-1
     while k <= n_full:
         m = min(k, n_full + 1 - k)
         X[k : k + m] = X[:m] @ Gk.T
@@ -139,10 +154,27 @@ def test_cache_is_keyed_by_content():
 
 
 def test_cache_size_is_bounded():
+    import tracemalloc
+
     x0 = np.array([1.0, 0.0])
     for i in range(10 * kernels.POWER_CACHE_SIZE):
         kernels.affine_rk4_path(A, B, x0, 1e-3 * (1.0 + i * 1e-6), 2, 0.0)
     assert kernels._cached_powers.cache_info().currsize <= kernels.POWER_CACHE_SIZE
+    # bytes: n = 7 makes each seed block exactly SEED_BLOCK_BYTES; besides it an
+    # entry holds G, G^2, ..., G^128 (8 maps of 512 bytes), its key and bookkeeping
+    A_7, b_7, x0_7 = _contracting(7, seed=51)
+    assert 8 * 8 * 8 * kernels._seed_steps(8) == kernels.SEED_BLOCK_BYTES
+    kernels._cached_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        for i in range(3 * kernels.POWER_CACHE_SIZE):
+            kernels.affine_rk4_path(A_7, b_7, x0_7, 1e-3 * (1.0 + i * 1e-6), 2, 0.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        kernels._cached_powers.cache_clear()
+    full = kernels.POWER_CACHE_SIZE * kernels.SEED_BLOCK_BYTES
+    assert full <= held <= full + kernels.POWER_CACHE_SIZE * 8 * 1024
 
 
 def test_threads_extending_one_entry_agree_with_fresh_paths():
@@ -172,3 +204,30 @@ def test_threads_extending_one_entry_agree_with_fresh_paths():
     finally:
         sys.setswitchinterval(interval)
     assert results == [ref] * 60
+
+
+def _seed_cases():
+    """(n, B): dimensions 2-6 keep B = 256; n = 12 makes the byte budget lower it."""
+    cases = [(n, kernels._seed_steps(n + 1)) for n in (2, 3, 4, 5, 6, 12)]
+    assert [B for _, B in cases] == [256] * 5 + [64]
+    return cases
+
+
+@pytest.mark.parametrize("n, B", _seed_cases())
+@pytest.mark.parametrize("h_last", [0.0, 1.3e-4])
+def test_paths_around_the_seed_block(n, B, h_last):
+    A_n, b, x0 = _contracting(n, seed=60 + n)
+    h = 2e-4
+    xf = -np.linalg.solve(A_n, b)
+    for n_full in (0, 1, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1):
+        path = kernels.affine_rk4_path(A_n, b, x0, h, n_full, h_last)
+        assert path.shape == (n_full + 1 + (h_last > 0.0), n)
+        assert path.tobytes() == _uncached_path(A_n, b, x0, h, n_full, h_last).tobytes()
+        ref = _generic(A_n, b, x0, h, n_full, h_last)
+        np.testing.assert_allclose(path, ref, rtol=0, atol=1e-12)
+        ts = h * np.arange(n_full + 1)
+        if h_last > 0.0:
+            ts = np.append(ts, n_full * h + h_last)
+        for k in sorted({0, 1, n_full // 2, n_full, len(ts) - 1} & set(range(len(ts)))):
+            exact = xf + expm(A_n * ts[k]) @ (x0 - xf)
+            np.testing.assert_allclose(path[k], exact, rtol=0, atol=1e-12)

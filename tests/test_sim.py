@@ -22,6 +22,7 @@ from switchdwell.errors import (
     NonfiniteState,
     SignalMismatch,
 )
+from switchdwell.core import SwitchedSystem
 from switchdwell.sim import W_MONOTONE_TOL, WIntervalVerdict
 
 STEP = 1e-3
@@ -133,6 +134,50 @@ class TestSimulateSwitched:
         sig = SwitchingSignal(t0=1.0, initial_mode=0)
         with pytest.raises(ValueError):
             simulate_switched(system, sig, np.array([0.0, 1.0]), 1.0, STEP)
+
+    def test_mixed_modes_equal_chained_integrate(self, system):
+        # a callable mode between affine ones; dwell times off the grid, so
+        # every interval ends with a partial step
+        c = _callable_mode("c", lambda x: 0.1 * np.sin(x[::-1]) - x)
+        mixed = SwitchedSystem(subsystems=system.subsystems + (c,))
+        sig = signal_from_dwell(1, ["c", 0, "c", -1], [0.4013, 0.25, 0.3337, 0.12])
+        x0, horizon = np.array([0.7, -0.4]), 1.5003
+        traj = simulate_switched(mixed, sig, x0, horizon, STEP)
+        times, states, indices = [], [], []
+        x, t, mode = x0, sig.t0, sig.initial_mode
+        for ts, _, nxt in sig.switches_until(horizon):
+            piece = integrate(mixed[mode], x, t, ts, STEP)
+            times.append(piece.times[:-1])
+            states.append(piece.states[:-1])
+            indices.append(sum(map(len, times)))
+            x, t, mode = piece.final_state, ts, nxt
+        tail = integrate(mixed[mode], x, t, horizon, STEP)
+        assert traj.times.tobytes() == np.concatenate(times + [tail.times]).tobytes()
+        assert traj.states.tobytes() == np.vstack(states + [tail.states]).tobytes()
+        assert [ev.index for ev in traj.switch_events] == indices
+        for ev in traj.switch_events:
+            assert ev.state.tobytes() == traj.states[ev.index].tobytes()
+
+    def test_blowup_in_a_middle_callable_interval_names_its_mode(self, system):
+        boom = _callable_mode("boom", lambda x: 50.0 * x**3)
+        cubic = SwitchedSystem(subsystems=system.subsystems + (boom,))
+        sig = signal_from_dwell(1, ["boom", 0], [0.5, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonfiniteState, match="mode 'boom'"):
+                simulate_switched(cubic, sig, np.array([0.0, 1.0]), 1.5, STEP)
+
+
+def _callable_mode(label, field):
+    """A 2-D mode given only by its vector field."""
+    return Subsystem(
+        label=label,
+        field=field,
+        equilibrium=np.zeros(2),
+        decay_rate=1.0,
+        alpha=ClassKFn(1.0, 2.0),
+        beta=ClassKFn(1.0, 2.0),
+        lyapunov=lambda x: float(x @ x),
+    )
 
 
 class TestVerifyTrapping:
@@ -263,6 +308,32 @@ def test_w_monitor_matches_per_segment_reference(system, signal, horizon):
     assert got == ref
     assert [v.max_relative_increase for v in got] == [v.max_relative_increase for v in ref]
     assert len(got) == len(traj.switch_events) + (traj.times[-1] > traj.switch_events[-1].t)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda traj, system, sig: verify_trapping(traj, system, sig, 0.05),
+        lambda traj, system, sig: convergence_product(system, sig, traj, 0.05, i_max=1),
+        lambda traj, system, sig: w_monitor(traj, system, sig),
+    ],
+    ids=["verify_trapping", "convergence_product", "w_monitor"],
+)
+@pytest.mark.parametrize(
+    "other",
+    [
+        signal_from_dwell(0, [-1], 1.5),
+        signal_from_dwell(0, [1], 1.43),
+        signal_from_dwell(0, [-1, 0], 1.43),
+    ],
+    ids=["time", "mode", "count"],
+)
+def test_wrong_signal_is_a_mismatch(system, check, other):
+    sig = signal_from_dwell(0, [-1], 1.43)
+    traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
+    check(traj, system, sig)
+    with pytest.raises(SignalMismatch):
+        check(traj, system, other)
 
 
 class TestConvergenceProduct:
