@@ -23,6 +23,7 @@ from .errors import IoError, NonfiniteState, SwitchDwellError
 from .lyapunov import check_certificate, region_boundary_points
 from .scenario import Scenario, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
+from .sim import _v_active
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -44,11 +45,11 @@ def _write_json(path: Path, obj, written: dict[Path, str]) -> None:
 
 
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
-    """One row per sample, V_active evaluated per constant-mode segment."""
+    """One row per sample, V_active from the simulation's one V pass."""
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
     segments = traj.segments()
-    v = np.concatenate([system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in segments])
+    v = _v_active(traj, system)
     modes = labels(m for *_, m in segments).repeat([hi - lo for lo, hi, _ in segments])
     return csv_bytes(header, np.column_stack([traj.times, traj.states]), modes, v)
 

@@ -64,6 +64,26 @@ def _frozen_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def _sq_dist(X: np.ndarray, E) -> np.ndarray:
+    """``sum_j (X[:, j] - E[j])**2`` for each row of ``X``, one column at a time.
+
+    ``E[j]`` is either one number (a single centre) or a vector of one value
+    per row (each row's own centre).  Every term is one IEEE subtraction and
+    one multiplication, added in the order j = 0, 1, ..., with numpy ufuncs
+    and no BLAS or ``vecdot``, so the result does not depend on the BLAS
+    kernel and is the same bits whether the centre is broadcast or given per
+    row.  Columns, not broadcast rows: ``X - e`` over (N, n) rows runs a
+    length-n inner loop per row, several times slower for small n.
+    """
+    v = np.zeros(X.shape[0])
+    d = np.empty_like(v)
+    for j in range(X.shape[1]):
+        np.subtract(X[:, j], E[j], out=d)
+        np.multiply(d, d, out=d)
+        v += d
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class Subsystem:
     """One mode of the switched system with its Lyapunov certificate.
@@ -75,8 +95,8 @@ class Subsystem:
 
     ``v_batch`` and ``grad_batch`` are the single evaluation path for V_u and
     its gradient over rows of states: ``quadratic`` selects the closed forms
-    ``||d||^2`` and ``2d`` with ``d = x - x_u``; any other mode loops over
-    ``lyapunov``, with central differences for the gradient.
+    ``||d||^2`` (``_sq_dist``) and ``2d`` with ``d = x - x_u``; any other mode
+    loops over ``lyapunov``, with central differences for the gradient.
     """
 
     label: Label
@@ -113,10 +133,13 @@ class Subsystem:
         return self.equilibrium.shape[0]
 
     def v_batch(self, X: np.ndarray) -> np.ndarray:
-        """V_u at each row of ``X``."""
+        """V_u at each row of ``X``.
+
+        The quadratic V is ``_sq_dist(X, x_u)``: a column-by-column sum in a
+        fixed order, whose bits do not depend on the BLAS kernel.
+        """
         if self.quadratic:
-            D = X - self.equilibrium
-            return np.vecdot(D, D)
+            return _sq_dist(np.asarray(X), self.equilibrium)
         return np.fromiter(map(self.lyapunov, X), dtype=float, count=len(X))
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
@@ -314,8 +337,7 @@ def make_affine_subsystem(A, b, label: Label) -> Subsystem:
         return A @ x + b
 
     def lyapunov(x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=float) - x_u
-        return float(d @ d)
+        return float(_sq_dist(np.asarray(x, dtype=float)[None, :], x_u)[0])
 
     return Subsystem(
         label=label,

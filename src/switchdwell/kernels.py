@@ -9,25 +9,34 @@ homogeneous ``(n+1) x (n+1)`` matrix G, so k steps are the matrix power G^k.
 A switched trajectory runs the same few modes at the same step over and over,
 so each ``(A, b, h)``, keyed by content, gets one cache entry holding:
 
-* the squarings ``G, G^2, G^4, ...``, extended only when a longer interval
+* the squarings ``G, G^2, G^4, ...``, extended only when a longer batch
   needs another one;
-* once a path asks for it, the seed block: the transposes of
-  ``G^0 ... G^(B-1)`` side by side, built by doubling over a stack.
+* once a path asks for it, the seed block: the top n rows of ``G^1 ... G^B``,
+  transposed and laid side by side, an ``(n+1) x B n`` matrix.  The last row
+  of every G^j is the constant ``(0 ... 0 1)``, so it is left out: a product
+  of ``[x_k, 1]`` with the block gives the states ``x_(k+1) ... x_(k+B)`` and
+  no constant column.  It is built by doubling over a stack of the G^j.
 
-``affine_rk4_path`` fills its first B rows with one product of the start
-state and the seed block, doubles from ``k = B`` with the squarings
-``G^B, G^2B, ...``, and takes the partial step last, so an interval shorter
-than B steps costs one product plus the partial step.  B is
-``SEED_BLOCK_STEPS``, halved for large n until one block fits in
-``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
+``affine_rk4_path`` fills its rows by chained one-row products: rows
+``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
+the partial step last, so an interval shorter than B steps costs one product
+plus the partial step.  B is ``SEED_BLOCK_STEPS``, halved for large n until
+one block fits in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
+``affine_rk4_batch_final`` needs only one power per batch and multiplies the
+squarings.
 
 At most ``POWER_CACHE_SIZE`` entries are kept (least recently used go first);
 states are never cached.  Seed blocks add at most ``POWER_CACHE_SIZE *
 SEED_BLOCK_BYTES`` = 32 MiB; each squaring adds ``8 (n+1)^2`` bytes, and an
-entry holds at most ``max(log2 B, bit_length(n_full))`` of them.  A cached
-path is bit-identical to the same algorithm with every map built afresh.  Its
-rows differ from plain doubling ``G, G^2, G^4, ...`` from row 1 (the rule
-before seed blocks) by rounding alone, about 1e-15.
+entry holds ``log2 B`` of them, or ``bit_length(n_full)`` once a batch asks
+for more.
+
+Rounding contract: a cached path is bit-identical to the same algorithm with
+every map built afresh.  Row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
+matrix-vector product, so its rounding differs from stepping one G at a time
+by about 1e-15 over a few thousand steps.  These products go through BLAS,
+whose kernel (``OPENBLAS_CORETYPE``) can change their last bits; V and W
+(``core._sq_dist``) do not.
 """
 
 import threading
@@ -55,22 +64,22 @@ def _rk4_map(A, b, h):
     return G
 
 
-def _seed_steps(n1):
-    """B for maps of size n1: a power of two, so that G^B is a cached squaring."""
-    fit = SEED_BLOCK_BYTES // (8 * n1 * n1)
+def _seed_steps(n):
+    """B for states of dimension n: a power of two that keeps the block in ``SEED_BLOCK_BYTES``."""
+    fit = SEED_BLOCK_BYTES // (8 * (n + 1) * n)
     return min(SEED_BLOCK_STEPS, 1 << max(fit.bit_length() - 1, 0))
 
 
 def _seed_block(powers, steps):
-    """``[(G^0)^T ... (G^(steps-1))^T]`` side by side, from the squarings ``powers``."""
-    n1 = powers[0].shape[0]
-    stack = np.empty((steps, n1, n1))
-    stack[0] = np.eye(n1)
+    """Top rows of ``G^1 ... G^steps``, transposed side by side, from the squarings ``powers``."""
+    n = powers[0].shape[0] - 1
+    stack = np.empty((steps, n + 1, n + 1))
+    stack[0] = powers[0]
     k = 1
     for Gk in powers[: steps.bit_length() - 1]:
-        stack[k : 2 * k] = stack[:k] @ Gk
+        stack[k : 2 * k] = stack[:k] @ Gk  # G^(k+1) ... G^(2k)
         k *= 2
-    block = stack.transpose(2, 0, 1).reshape(n1, steps * n1)
+    block = stack[:, :n].transpose(2, 0, 1).reshape(n + 1, steps * n)
     block.setflags(write=False)
     return block
 
@@ -100,7 +109,7 @@ def _step_map(A, b, h, count, seed=False):
     if len(entry.powers) < count or (seed and entry.block is None):
         with _EXTENDING:
             if seed and entry.block is None:
-                steps = _seed_steps(A.shape[0] + 1)
+                steps = _seed_steps(A.shape[0])
                 _extend(entry.powers, steps.bit_length() - 1)  # G, G^2, ..., G^(B/2)
                 entry.block = _seed_block(entry.powers, steps)
             _extend(entry.powers, count)
@@ -131,23 +140,22 @@ def _matrix_power(powers, n_full):
 def affine_rk4_path(A, b, x0, h, n_full, h_last):
     """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
     n = x0.shape[0]
-    X = np.empty((n_full + 1 + (h_last > 0.0), n + 1))
-    X[0, :n] = x0
-    X[0, n] = 1.0
+    X = np.empty((n_full + 1 + (h_last > 0.0), n))
+    X[0] = x0
+    z = np.empty(n + 1)  # [x_k, 1], the homogeneous row a product starts from
+    z[n] = 1.0
     if n_full > 0:
-        doublings = int(n_full).bit_length()
-        entry = _step_map(A, b, h, doublings, seed=True)
-        steps = entry.block.shape[1] // (n + 1)
-        # rows 1..k-1 from the seed block; then rows [0, k) mapped by G^k give k..2k-1
-        k = min(steps, n_full + 1)
-        X[1:k] = (X[0] @ entry.block[:, n + 1 : k * (n + 1)]).reshape(k - 1, n + 1)
-        for Gk in entry.powers[steps.bit_length() - 1 : doublings]:
-            m = min(k, n_full + 1 - k)
-            X[k : k + m] = X[:m] @ Gk.T
-            k += m
+        block = _step_map(A, b, h, 0, seed=True).block
+        steps = block.shape[1] // n
+        flat = X.reshape(-1)
+        for k in range(0, n_full, steps):
+            m = min(steps, n_full - k)
+            z[:n] = X[k]
+            np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
     if h_last > 0.0:
-        X[-1] = X[n_full] @ _step_map(A, b, h_last, 1).powers[0].T
-    return X[:, :n]
+        z[:n] = X[n_full]
+        X[-1] = _step_map(A, b, h_last, 1).powers[0][:n] @ z
+    return X
 
 
 def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):

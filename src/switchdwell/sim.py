@@ -10,6 +10,7 @@ which is what the dwell-time guarantee certifies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal
+from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal, _sq_dist
 from .dwell import pair_mu
 from .errors import (
     InsufficientSwitches,
@@ -25,7 +26,7 @@ from .errors import (
     SignalMismatch,
     UnsupportedCertificate,
 )
-from .lyapunov import MEMBERSHIP_TOL, in_region, region_boundary_points
+from .lyapunov import MEMBERSHIP_TOL, region_boundary_points
 
 W_MONOTONE_TOL = 1e-7
 
@@ -55,11 +56,14 @@ class Trajectory:
     initial_mode: Label
     switch_events: list[SwitchEvent]
     step: float
+    # (signal, events, horizon) that simulate_switched built this trajectory
+    # from; dataclasses.replace leaves it None, see _match_signal
+    _source: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(np.subtract(self.times[1:], self.times[:-1]) <= 0):
             raise ValueError("sample times must be strictly increasing")
 
     def segments(self) -> list[tuple[int, int, Label]]:
@@ -171,11 +175,13 @@ def simulate_switched(
     horizon.  Periodic signals are unrolled to the horizon.
 
     Every interval's grid is planned first, so ``times`` and ``states`` are
-    allocated once and each interval writes its rows in place, starting from
-    the row the previous one ended on.  Each run is the same fixed-step RK4
-    as ``integrate``: ``kernels.affine_rk4_path`` for affine modes, which
-    reuses the step-map powers kept per (A, b, step), and generic RK4
-    otherwise; a non-finite state names the interval's mode.
+    allocated once and each interval copies its rows in, starting from the
+    row the previous one ended on.  Each run is the same fixed-step RK4 as
+    ``integrate``: ``kernels.affine_rk4_path`` for affine modes, which reuses
+    the seed block kept per (A, b, step), and generic RK4 otherwise.  States
+    are checked for finiteness once at the end and before each callable
+    interval, so a callable is never given a non-finite start; a non-finite
+    state names the first interval that has one.
     """
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
@@ -192,12 +198,18 @@ def simulate_switched(
     lo = list(accumulate(rows, initial=0))
     states = np.empty((lo[-1] + 1, x0.shape[0]))
     states[0] = x0
+    checked = 0  # the intervals before this one are known to be finite
     for i, (mode, (n_full, rem)) in enumerate(zip(modes, grids)):
+        sub = system[mode]
+        if sub.affine is None:
+            _check_runs(states, lo, modes, checked, i)
+            checked = i
         run = states[lo[i] : lo[i + 1] + 1]
-        run[:] = _run(system[mode], run[0], step, n_full, rem)
-        _check_finite(run, mode)
+        run[:] = _run(sub, run[0], step, n_full, rem)
+    _check_runs(states, lo, modes, checked, len(modes))
     rows[-1] += 1  # the tail keeps its end sample
-    times = np.repeat(t_lo, rows) + step * (np.arange(len(states)) - np.repeat(lo[:-1], rows))
+    offsets = np.arange(len(states)) - np.array(lo[:-1]).repeat(rows)
+    times = np.array(t_lo).repeat(rows) + step * offsets
     times[-1] = horizon
     switch_states = states[lo[1:-1]]
     switch_states.setflags(write=False)
@@ -205,16 +217,35 @@ def simulate_switched(
         SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=index)
         for (ts, prev, nxt), index, xe in zip(switches, lo[1:-1], switch_states)
     ]
-    return Trajectory(
+    traj = Trajectory(
         times=times,
         states=states,
         initial_mode=signal.initial_mode,
         switch_events=events,
         step=step,
     )
+    traj._source = (signal, tuple(events), horizon)
+    return traj
+
+
+def _check_runs(states: np.ndarray, lo: list, modes: list, first: int, last: int) -> None:
+    """``_check_finite`` on each of intervals first..last-1, in one pass when all are finite."""
+    if not np.isfinite(states[lo[first] : lo[last] + 1]).all():
+        for i in range(first, last):
+            _check_finite(states[lo[i] : lo[i + 1] + 1], modes[i])
 
 
 def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
+    """Raise ``SignalMismatch`` unless the events are the switches ``signal`` prescribes.
+
+    A trajectory that ``simulate_switched`` built from this very signal, whose
+    horizon and event objects are still the ones it built, matches without
+    unrolling the signal again.
+    """
+    source, events = traj._source, traj.switch_events
+    if source and source[0] is signal and source[2] == traj.times[-1]:
+        if len(source[1]) == len(events) and all(map(operator.is_, source[1], events)):
+            return
     expected = signal.switches_until(float(traj.times[-1]))
     if len(expected) != len(traj.switch_events):
         raise SignalMismatch(
@@ -274,18 +305,13 @@ def verify_trapping(
     equilibrium over the whole interval ending at t_i; the dwell-time guarantee
     promises x(t_i) in that mode's N^eps when the dwell condition held.
     Membership uses the 1e-9 tolerance on V; strict membership is reported
-    alongside.  V comes from one ``Subsystem.v_batch`` call per exited mode.
+    alongside.  V is ``_v_exit``, evaluated at the switch states only.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _match_signal(traj, signal)
     events = traj.switch_events
-    by_mode: dict[Label, list[int]] = {}
-    for i, ev in enumerate(events):
-        by_mode.setdefault(ev.prev_mode, []).append(i)
-    vs = np.empty(len(events))
-    for mode, idx in by_mode.items():
-        vs[idx] = system[mode].v_batch(np.array([events[i].state for i in idx]))
+    vs = _v_exit(traj, system)
     records = tuple(
         TrappingRecord(
             index=i,
@@ -330,54 +356,88 @@ def w_monitor(
     ``exp(k_u t_lo)``: the relative increase is the same, and long horizons
     do not overflow.
 
-    The intervals' closed sample ranges are laid end to end, grouped by mode,
-    so a switch sample appears once per side and each mode's rows form one
-    block: V comes from one ``v_batch`` call per mode, the differences from
-    one ``diff``, and each interval's worst from one ``maximum.reduceat``,
-    with the difference across each junction masked out.
+    V is ``_v_active`` at every sample, and the closing sample of an interval
+    that ends at a switch takes its left limit, the exited mode's V there
+    (``_v_exit``); the relative increases come from one pass over the samples
+    and each interval's worst from one ``maximum.reduceat``.
     """
     _match_signal(traj, signal)
-    return _w_verdicts(traj, system)
+    return _w_verdicts(traj, system, _v_exit(traj, system))
 
 
-def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdict]:
-    """``w_monitor``'s verdicts for a trajectory already matched to its signal."""
+def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
+    """The exited mode's V at each switch event's state.
+
+    Quadratic modes share one ``_sq_dist`` pass; otherwise each switch costs
+    one ``v_batch`` call on its one state, never a pass over the trajectory.
+    Bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.
+    """
+    events = traj.switch_events
+    subs = [system[ev.prev_mode] for ev in events]
+    X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
+    if all(sub.quadratic for sub in subs):
+        centres = np.array([sub.equilibrium for sub in subs]).reshape(X.shape)
+        return _sq_dist(X, centres.T)
+    return np.array([sub.v_batch(x[None])[0] for sub, x in zip(subs, X)], dtype=float)
+
+
+def _v_active(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
+    """The active mode's V at every sample, bit-equal to one ``v_batch`` per segment.
+
+    When every run's mode is quadratic this is one ``_sq_dist`` pass over the
+    whole trajectory with each sample's own equilibrium; otherwise it is one
+    ``v_batch`` per segment.
+    """
+    segs = traj.segments()
+    subs = [system[mode] for _, _, mode in segs]
+    if all(sub.quadratic for sub in subs):
+        lens = [hi - lo for lo, hi, _ in segs]
+        centres = np.array([sub.equilibrium for sub in subs]).T.repeat(lens, axis=1)
+        return _sq_dist(traj.states, centres)
+    return np.concatenate([sub.v_batch(traj.states[lo:hi]) for (lo, hi, _), sub in zip(segs, subs)])
+
+
+def _w_verdicts(
+    traj: Trajectory, system: SwitchedSystem, v_exit: np.ndarray
+) -> list[WIntervalVerdict]:
+    """``w_monitor``'s verdicts for a trajectory already matched to its signal.
+
+    ``v_exit`` is ``_v_exit(traj, system)``: entry j is segment j's V at its
+    closing switch sample.
+    """
+    segs = traj.segments()
     last = len(traj.times) - 1
-    runs: dict[Label, list[tuple[int, int, int]]] = {}
-    for j, (lo, hi, mode) in enumerate(traj.segments()):
-        hi = min(hi, last)
-        if hi > lo:
-            runs.setdefault(mode, []).append((j, lo, hi))
-    segs = [(j, lo, hi, mode) for mode, rs in runs.items() for j, lo, hi in rs]
-    if not segs:
+    # intervals with at least one step: segment j, its samples lo..hi, its mode
+    runs = [
+        (j, lo, min(hi, last), mode) for j, (lo, hi, mode) in enumerate(segs) if min(hi, last) > lo
+    ]
+    if not runs:
         return []
-    lo = np.array([seg[1] for seg in segs])
-    lens = np.array([seg[2] for seg in segs]) - lo + 1
-    starts = np.cumsum(lens) - lens
-    idx = np.arange(starts[-1] + lens[-1]) - np.repeat(starts - lo, lens)
-    mode_starts = starts[np.cumsum([len(rs) for rs in runs.values()])[:-1]]
-    blocks = np.split(traj.states.take(idx, axis=0), mode_starts)
-    v = np.concatenate([system[mode].v_batch(block) for mode, block in zip(runs, blocks)])
-    k = np.repeat([system[seg[3]].decay_rate for seg in segs], lens)
-    w = np.exp(k * (traj.times.take(idx) - np.repeat(traj.times[lo], lens))) * v
-    dw = np.diff(w)
-    scale = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
+    js, los, his, modes = (list(c) for c in zip(*runs))
+    t = traj.times
+    lens = [hi - lo for lo, hi, _ in segs]
+    k = np.array([system[mode].decay_rate for _, _, mode in segs]).repeat(lens)
+    w = np.exp(k * (t - t[[lo for lo, _, _ in segs]].repeat(lens))) * _v_active(traj, system)
+    # w at each difference's later sample; an interval closing at a switch
+    # takes the exited mode's W there, its left limit
+    later = w[1:].copy()
+    closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
+    j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, los, his))
+    later[hi_end - 1] = np.exp(k[lo_end] * (t[hi_end] - t[lo_end])) * v_exit[j_end]
+    scale = np.maximum(np.abs(w[:-1]), np.abs(later))
     scale[scale == 0.0] = 1.0
-    rel = dw / scale
-    rel[starts[1:] - 1] = -np.inf
-    worst = np.maximum.reduceat(rel, starts).tolist()
-    verdicts = [
+    worst = np.maximum.reduceat((later - w[:-1]) / scale, los).tolist()
+    return [
         WIntervalVerdict(
             index=j,
-            t_start=float(traj.times[a]),
-            t_end=float(traj.times[z]),
+            t_start=ts,
+            t_end=te,
             mode=mode,
             nonincreasing=wj <= W_MONOTONE_TOL,
             max_relative_increase=wj,
         )
-        for (j, a, z, mode), wj in zip(segs, worst)
+        for j, ts, te, mode, wj in zip(js, t[los].tolist(), t[his].tolist(), modes, worst)
     ]
-    return sorted(verdicts, key=lambda v: v.index)
 
 
 @dataclass(frozen=True)
@@ -447,10 +507,9 @@ def convergence_product(
         log_terms.append(math.log(mu) - a.decay_rate * (times[j + 1] - times[j]))
     log_products = tuple(np.cumsum(log_terms))
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
-    entry = next(
-        (i for i, ev in enumerate(events) if in_region(system[ev.prev_mode], eps, ev.state)),
-        None,
-    )
+    v_exit = _v_exit(traj, system)
+    inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
+    entry = int(inside[0]) if inside.size else None
     return ConvergenceReport(
         eps=eps,
         mu_values=tuple(mus),
@@ -458,7 +517,7 @@ def convergence_product(
         log_products=log_products,
         certified=certified,
         entry_index=entry,
-        w_verdicts=tuple(_w_verdicts(traj, system)),
+        w_verdicts=tuple(_w_verdicts(traj, system, v_exit)),
     )
 
 

@@ -477,8 +477,9 @@ class TestPlotData:
         lines = ["t,x1,x2,mode,V_active"]
         for t, x, m in zip(traj.times, traj.states, modes):
             d = x - system[m].equilibrium
+            v = d[0] * d[0] + d[1] * d[1]  # V's fixed order: column 1, then column 2
             cells = [t, *x]
-            lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(d @ d):.17g}")
+            lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(v):.17g}")
         assert _trajectory_csv(traj, system) == ("\n".join(lines) + "\n").encode()
 
     def test_region_polyline_is_closed(self, example1_run):

@@ -77,37 +77,30 @@ def test_batch_final_matches_per_path_finals():
 
 
 def _uncached_path(A, b, x0, h, n_full, h_last):
-    """The seed-block path with every step map built afresh: the reference for the cache."""
+    """The chained seed-block path with every map built afresh: the reference for the cache."""
     n = x0.shape[0]
     n1 = n + 1
-    X = np.empty((n_full + 1 + (h_last > 0.0), n1))
-    X[0, :n] = x0
-    X[0, n] = 1.0
     steps = kernels.SEED_BLOCK_STEPS
-    while steps > 1 and 8 * n1 * n1 * steps > kernels.SEED_BLOCK_BYTES:
+    while steps > 1 and 8 * n1 * n * steps > kernels.SEED_BLOCK_BYTES:
         steps //= 2
-    # stack[j] = G^j for j < steps, doubled with G^k = G^(2^i)
+    # stack[j - 1] = G^j for j = 1..steps, doubled with Gk = G^(2^i)
     stack = np.empty((steps, n1, n1))
-    stack[0] = np.eye(n1)
-    Gk = kernels._rk4_map(A, b, h)
+    stack[0] = Gk = kernels._rk4_map(A, b, h)
     k = 1
     while k < steps:
         stack[k : 2 * k] = stack[:k] @ Gk
         Gk = Gk @ Gk
         k *= 2
-    block = stack.transpose(2, 0, 1).reshape(n1, steps * n1)
-    k = min(steps, n_full + 1)
-    X[1:k] = (X[0] @ block[:, n1 : k * n1]).reshape(k - 1, n1)
-    # here Gk = G^steps; rows [0, k) mapped by G^k give steps k..2k-1
-    while k <= n_full:
-        m = min(k, n_full + 1 - k)
-        X[k : k + m] = X[:m] @ Gk.T
-        k += m
-        if k <= n_full:
-            Gk = Gk @ Gk
+    # top n rows of each G^j, transposed side by side: no constant column
+    block = stack[:, :n].transpose(2, 0, 1).reshape(n1, steps * n)
+    X = np.empty((n_full + 1 + (h_last > 0.0), n))
+    X[0] = x0
+    for k in range(0, n_full, steps):  # rows k+1..k+m from row k
+        m = min(steps, n_full - k)
+        X[k + 1 : k + 1 + m] = (np.append(X[k], 1.0) @ block[:, : m * n]).reshape(m, n)
     if h_last > 0.0:
-        X[-1] = X[n_full] @ kernels._rk4_map(A, b, h_last).T
-    return X[:, :n]
+        X[-1] = kernels._rk4_map(A, b, h_last)[:n] @ np.append(X[n_full], 1.0)
+    return X
 
 
 def test_cached_paths_are_bit_equal_to_fresh_ones():
@@ -160,10 +153,12 @@ def test_cache_size_is_bounded():
     for i in range(10 * kernels.POWER_CACHE_SIZE):
         kernels.affine_rk4_path(A, B, x0, 1e-3 * (1.0 + i * 1e-6), 2, 0.0)
     assert kernels._cached_powers.cache_info().currsize <= kernels.POWER_CACHE_SIZE
-    # bytes: n = 7 makes each seed block exactly SEED_BLOCK_BYTES; besides it an
-    # entry holds G, G^2, ..., G^128 (8 maps of 512 bytes), its key and bookkeeping
+    # bytes: at n = 7 each seed block is 8 x (256 * 7) doubles, 112 KiB of the
+    # SEED_BLOCK_BYTES budget; besides it an entry holds G, G^2, ..., G^128 (8
+    # maps of 512 bytes), its key and bookkeeping
     A_7, b_7, x0_7 = _contracting(7, seed=51)
-    assert 8 * 8 * 8 * kernels._seed_steps(8) == kernels.SEED_BLOCK_BYTES
+    block = 8 * 8 * 7 * kernels._seed_steps(7)
+    assert block == 112 * 1024 <= kernels.SEED_BLOCK_BYTES
     kernels._cached_powers.cache_clear()
     tracemalloc.start()
     try:
@@ -173,7 +168,7 @@ def test_cache_size_is_bounded():
     finally:
         tracemalloc.stop()
         kernels._cached_powers.cache_clear()
-    full = kernels.POWER_CACHE_SIZE * kernels.SEED_BLOCK_BYTES
+    full = kernels.POWER_CACHE_SIZE * block
     assert full <= held <= full + kernels.POWER_CACHE_SIZE * 8 * 1024
 
 
@@ -208,7 +203,7 @@ def test_threads_extending_one_entry_agree_with_fresh_paths():
 
 def _seed_cases():
     """(n, B): dimensions 2-6 keep B = 256; n = 12 makes the byte budget lower it."""
-    cases = [(n, kernels._seed_steps(n + 1)) for n in (2, 3, 4, 5, 6, 12)]
+    cases = [(n, kernels._seed_steps(n)) for n in (2, 3, 4, 5, 6, 12)]
     assert [B for _, B in cases] == [256] * 5 + [64]
     return cases
 
@@ -219,7 +214,7 @@ def test_paths_around_the_seed_block(n, B, h_last):
     A_n, b, x0 = _contracting(n, seed=60 + n)
     h = 2e-4
     xf = -np.linalg.solve(A_n, b)
-    for n_full in (0, 1, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1):
+    for n_full in (0, 1, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 1):
         path = kernels.affine_rk4_path(A_n, b, x0, h, n_full, h_last)
         assert path.shape == (n_full + 1 + (h_last > 0.0), n)
         assert path.tobytes() == _uncached_path(A_n, b, x0, h, n_full, h_last).tobytes()

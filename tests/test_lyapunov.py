@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -91,6 +92,10 @@ class TestBatchEvaluation:
         v = sub.v_batch(X)
         assert v.shape == (500,)
         assert all(v[i] == sub.lyapunov(x) for i, x in enumerate(X))
+        # the fixed order: (x_1 - e_1)^2 + (x_2 - e_2)^2 + ..., in plain floats
+        rows = (X - sub.equilibrium).tolist()
+        ref = [functools.reduce(lambda acc, d: acc + d * d, row, 0.0) for row in rows]
+        assert v.tolist() == ref
         np.testing.assert_array_equal(sub.grad_batch(X), 2.0 * (X - sub.equilibrium))
 
     def test_callable_gradient_is_central_difference(self, system):

@@ -23,7 +23,7 @@ from switchdwell.errors import (
     SignalMismatch,
 )
 from switchdwell.core import SwitchedSystem
-from switchdwell.sim import W_MONOTONE_TOL, WIntervalVerdict
+from switchdwell.sim import W_MONOTONE_TOL, WIntervalVerdict, _v_active, _v_exit
 
 STEP = 1e-3
 
@@ -166,8 +166,29 @@ class TestSimulateSwitched:
             with pytest.raises(NonfiniteState, match="mode 'boom'"):
                 simulate_switched(cubic, sig, np.array([0.0, 1.0]), 1.5, STEP)
 
+    def test_affine_blowup_stops_before_a_callable_interval(self, system):
+        # x' = 1000 x overflows within the first second; the callable after it
+        # must never see the non-finite state
+        up = Subsystem(
+            label="up", field=lambda x: 1000.0 * x, equilibrium=np.zeros(2), decay_rate=1.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+            affine=(1000.0 * np.eye(2), np.zeros(2)),
+        )
+        seen = []
 
-def _callable_mode(label, field):
+        def field(x):
+            seen.append(bool(np.isfinite(x).all()))
+            return -x
+
+        mixed = SwitchedSystem(subsystems=system.subsystems + (up, _callable_mode("c", field)))
+        sig = signal_from_dwell(0, ["up", "c"], [0.3, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonfiniteState, match="mode 'up'"):
+                simulate_switched(mixed, sig, np.array([0.5, 1.0]), 1.5, STEP)
+        assert all(seen)
+
+
+def _callable_mode(label, field, lyapunov=lambda x: float(x @ x)):
     """A 2-D mode given only by its vector field."""
     return Subsystem(
         label=label,
@@ -176,8 +197,31 @@ def _callable_mode(label, field):
         decay_rate=1.0,
         alpha=ClassKFn(1.0, 2.0),
         beta=ClassKFn(1.0, 2.0),
-        lyapunov=lambda x: float(x @ x),
+        lyapunov=lyapunov,
     )
+
+
+def _mixed_system(system, lyapunov=lambda x: float(x @ x)):
+    """The demo system plus callable mode 'c', and a periodic signal through every mode."""
+    c = _callable_mode("c", lambda x: 0.1 * np.sin(x[::-1]) - x, lyapunov)
+    mixed = SwitchedSystem(subsystems=system.subsystems + (c,))
+    dwell = [0.4013, 0.25, 0.3337, 0.12, 0.3]
+    return mixed, signal_from_dwell(1, ["c", 0, "c", -1], dwell, periodic=True)
+
+
+class TestVPasses:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["quadratic", "with_callable"])
+    def test_v_passes_equal_per_segment_and_per_switch_references(self, system, mixed):
+        if mixed:
+            system, sig = _mixed_system(system)
+        else:
+            sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        assert len(traj.switch_events) >= 4
+        per_segment = [system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in traj.segments()]
+        assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
+        per_switch = [v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events]
+        assert _v_exit(traj, system).tobytes() == np.array(per_switch).tobytes()
 
 
 class TestVerifyTrapping:
@@ -215,6 +259,21 @@ class TestVerifyTrapping:
                 ev.prev_mode, v, v <= eps + 1e-9, v <= eps
             )
             assert type(rec.v) is float and type(rec.member) is bool
+
+    def test_callable_v_is_evaluated_once_per_switch(self, system, eps):
+        calls = []
+
+        def lyapunov(x):
+            calls.append(1)
+            return float(x @ x)
+
+        mixed, sig = _mixed_system(system, lyapunov)
+        traj = simulate_switched(mixed, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        calls.clear()
+        report = verify_trapping(traj, mixed, sig, eps)
+        # V of the quadratic modes is a closed form; the callable's is not
+        assert len(calls) == sum(ev.prev_mode == "c" for ev in traj.switch_events) > 2
+        assert len(report.records) == len(traj.switch_events)
 
     def test_serialization(self, system, eps):
         sig = signal_from_dwell(0, [-1], 1.43)
@@ -334,6 +393,35 @@ def test_wrong_signal_is_a_mismatch(system, check, other):
     check(traj, system, sig)
     with pytest.raises(SignalMismatch):
         check(traj, system, other)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda traj, system, sig: verify_trapping(traj, system, sig, 0.05),
+        lambda traj, system, sig: convergence_product(system, sig, traj, 0.05, i_max=1),
+        lambda traj, system, sig: w_monitor(traj, system, sig),
+    ],
+    ids=["verify_trapping", "convergence_product", "w_monitor"],
+)
+def test_edited_trajectory_is_matched_again(system, check):
+    sig = signal_from_dwell(0, [-1, 0], 1.43)
+    traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 4.0, STEP)
+    check(traj, system, sig)
+    # the same event objects, but the trajectory now ends before the second switch
+    cut = traj.index_at(2.0)
+    short = dataclasses.replace(traj, times=traj.times[:cut], states=traj.states[:cut])
+    with pytest.raises(SignalMismatch):
+        check(short, system, sig)
+    traj.times, traj.states = short.times, short.states
+    with pytest.raises(SignalMismatch):
+        check(traj, system, sig)
+    # an event replaced in place in a simulated trajectory's own list
+    traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 4.0, STEP)
+    ev = traj.switch_events[0]
+    traj.switch_events[0] = dataclasses.replace(ev, t=ev.t + 0.01)
+    with pytest.raises(SignalMismatch):
+        check(traj, system, sig)
 
 
 class TestConvergenceProduct:
