@@ -31,17 +31,27 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
-def _write_bytes(path: Path, data: bytes | str, written: dict[Path, str]) -> None:
-    """Write ``data`` (text as UTF-8) and record its sha256 in ``written``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    written[path] = hashlib.sha256(data).hexdigest()
+class _Tree:
+    """The output tree: each directory is created once, and each file's sha256 kept by path."""
 
+    def __init__(self, root: Path):
+        self.sha256: dict[Path, str] = {}
+        self._dirs = {root}
 
-def _write_json(path: Path, obj, written: dict[Path, str]) -> None:
-    _write_bytes(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", written)
+    def write(self, data: bytes | str, *paths: Path) -> None:
+        """Write ``data`` (text as UTF-8) to each of ``paths``, hashing it once."""
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        digest = hashlib.sha256(data).hexdigest()
+        for path in paths:
+            if path.parent not in self._dirs:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self._dirs.add(path.parent)
+            path.write_bytes(data)
+            self.sha256[path] = digest
+
+    def write_json(self, path: Path, obj) -> None:
+        self.write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
@@ -77,7 +87,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    written: dict[Path, str] = {}
+    tree = _Tree(out)
     warnings: list[str] = []
     failed = False
     flags = s.analyses
@@ -92,10 +102,9 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         ]
         ok = all(r.passed for r in reports)
         failed |= not ok
-        _write_json(
+        tree.write_json(
             out / "certificate_report.json",
             {"all_passed": ok, "reports": [r.to_dict() for r in reports]},
-            written,
         )
         print(f"certify: {'pass' if ok else 'FAIL'}")
 
@@ -109,7 +118,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         doc["mu"] = mu
         doc["t_glob"] = global_dwell(eps, mu, min(x.decay_rate for x in system.subsystems))
         doc["t_required"] = max(doc["t_glob"], table.t_loc)
-        _write_json(out / "dwell_table.json", doc, written)
+        tree.write_json(out / "dwell_table.json", doc)
         print(f"dwell: t_loc={table.t_loc:.6g} t_glob={doc['t_glob']:.6g}")
 
     trajs: dict[tuple[str, int], Trajectory] = {}
@@ -118,11 +127,12 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             for i, x0 in enumerate(spec.x0):
                 traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
                 trajs[(name, i)] = traj
-                # rendered once: the same bytes are the plot directory's trajectory.csv
-                data = _trajectory_csv(traj, system)
-                _write_bytes(out / f"trajectory_{name}_{i}.csv", data, written)
+                # rendered and hashed once: the same bytes are the plot
+                # directory's trajectory.csv
+                paths = [out / f"trajectory_{name}_{i}.csv"]
                 if flags.get("plot_data"):
-                    _write_bytes(out / f"plot_{name}_{i}" / "trajectory.csv", data, written)
+                    paths.append(out / f"plot_{name}_{i}" / "trajectory.csv")
+                tree.write(_trajectory_csv(traj, system), *paths)
 
     if flags.get("trapping"):
         reports = {}
@@ -131,14 +141,14 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             reports[f"{name}_{i}"] = rep.to_dict()
             failed |= not rep.overall_pass
         ok = all(r["overall_pass"] for r in reports.values())
-        _write_json(out / "trapping_report.json", {"all_passed": ok, "runs": reports}, written)
+        tree.write_json(out / "trapping_report.json", {"all_passed": ok, "runs": reports})
         print(f"trapping: {'pass' if ok else 'FAIL'}")
 
     if flags.get("convergence"):
         rep = convergence_product(
             system, s.signals["signal"].signal, trajs[("signal", 0)], eps, s.i_max
         )
-        _write_json(out / "convergence_report.json", rep.to_dict(), written)
+        tree.write_json(out / "convergence_report.json", rep.to_dict())
         print(
             "convergence: "
             + ("certified" if rep.certified else "not certified by i_max")
@@ -149,7 +159,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         ta = triangle_gap(eps, *(system[m] for m in s.triangle_modes))
         if ta.eps0 is None:
             warnings.append("triangle: geometry outside the eps0 search domain")
-        _write_json(out / "triangle_report.json", ta.to_dict(), written)
+        tree.write_json(out / "triangle_report.json", ta.to_dict())
         print(f"triangle: gap={ta.gap:.6g} ({'detour longer' if ta.gap < 0 else 'detour not longer'})")
 
     if flags.get("tube"):
@@ -170,15 +180,15 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
                 for t, pts in result
             ],
         }
-        _write_json(out / "tube_report.json", doc, written)
+        tree.write_json(out / "tube_report.json", doc)
         print("tube: written")
 
     if flags.get("plot_data"):
-        regions = _region_csvs(system, eps)  # the same polylines go to every plot directory
-        for (name, i), traj in trajs.items():
-            plot = out / f"plot_{name}_{i}"
-            for region, data in regions.items():
-                _write_bytes(plot / region, data, written)
+        plots = [out / f"plot_{name}_{i}" for name, i in trajs]
+        # the same polylines go to every plot directory
+        for region, data in _region_csvs(system, eps).items():
+            tree.write(data, *(plot / region for plot in plots))
+        for plot, traj in zip(plots, trajs.values()):
             events = traj.switch_events
             body = csv_bytes(
                 "t,x1,x2,prev_mode,next_mode\n",
@@ -186,7 +196,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
                 labels(ev.prev_mode for ev in events),
                 labels(ev.next_mode for ev in events),
             )
-            _write_bytes(plot / "switch_points.csv", body, written)
+            tree.write(body, plot / "switch_points.csv")
         print("plot-data: written")
 
     status = EXIT_VERIFICATION if failed else EXIT_OK
@@ -194,10 +204,11 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         "exit_status": status,
         "warnings": warnings,
         "files": [
-            {"path": str(p.relative_to(out)), "sha256": written[p]} for p in sorted(written)
+            {"path": str(p.relative_to(out)), "sha256": sha}
+            for p, sha in sorted(tree.sha256.items())
         ],
     }
-    _write_json(out / "manifest.json", manifest, {})
+    tree.write_json(out / "manifest.json", manifest)
     return status, manifest
 
 

@@ -20,8 +20,12 @@ so each ``(A, b, h)``, keyed by content, gets one cache entry holding:
 ``affine_rk4_path`` fills its rows by chained one-row products: rows
 ``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
 the partial step last, so an interval shorter than B steps costs one product
-plus the partial step.  B is ``SEED_BLOCK_STEPS``, halved for large n until
-one block fits in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
+plus the partial step.  The fill is ``_path_filler(A, b, h)``, which writes
+into a caller's rows in place: ``sim.simulate_switched`` keeps one per affine
+mode, so each interval writes straight into the trajectory's buffer and the
+cache is searched for the seed block once per mode and trajectory.  B is
+``SEED_BLOCK_STEPS``, halved for large n until one block fits in
+``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
 ``affine_rk4_batch_final`` needs only one power per batch and multiplies the
 squarings.
 
@@ -101,15 +105,20 @@ def _cached_powers(A_bytes: bytes, b_bytes: bytes, n: int, h: float) -> _StepMap
     return _StepMap(G)
 
 
-def _step_map(A, b, h, count, seed=False):
-    """Cache entry of the map of step h: ``count`` squarings, and the seed block if ``seed``."""
+def _mode_key(A, b):
+    """Cache key of x' = Ax + b without the step: the bytes of A and b, and n."""
     A = np.ascontiguousarray(A, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
-    entry = _cached_powers(A.tobytes(), b.tobytes(), A.shape[0], float(h))
+    return A.tobytes(), b.tobytes(), A.shape[0]
+
+
+def _step_map(key, h, count, seed=False):
+    """Cache entry of the map of step h: ``count`` squarings, and the seed block if ``seed``."""
+    entry = _cached_powers(*key, float(h))
     if len(entry.powers) < count or (seed and entry.block is None):
         with _EXTENDING:
             if seed and entry.block is None:
-                steps = _seed_steps(A.shape[0])
+                steps = _seed_steps(key[2])
                 _extend(entry.powers, steps.bit_length() - 1)  # G, G^2, ..., G^(B/2)
                 entry.block = _seed_block(entry.powers, steps)
             _extend(entry.powers, count)
@@ -137,31 +146,53 @@ def _matrix_power(powers, n_full):
     return result
 
 
-def affine_rk4_path(A, b, x0, h, n_full, h_last):
-    """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
-    n = x0.shape[0]
-    X = np.empty((n_full + 1 + (h_last > 0.0), n))
-    X[0] = x0
+def _path_filler(A, b, h):
+    """``fill(X, h_last)``: rows ``1 ...`` of X from ``X[0]``, in place, as ``affine_rk4_path``.
+
+    X is C-contiguous (a row range of a C-contiguous array is) and has
+    ``n_full + 1 + (h_last > 0)`` rows: n_full steps of h, then one of
+    h_last if it is positive.  The cache key is built once, and the seed
+    block looked up on the first fill with a full step, so one filler serves
+    every interval of one mode in a trajectory.
+    """
+    key = _mode_key(A, b)
+    n = key[2]
+    block = None
     z = np.empty(n + 1)  # [x_k, 1], the homogeneous row a product starts from
     z[n] = 1.0
-    if n_full > 0:
-        block = _step_map(A, b, h, 0, seed=True).block
-        steps = block.shape[1] // n
-        flat = X.reshape(-1)
-        for k in range(0, n_full, steps):
-            m = min(steps, n_full - k)
-            z[:n] = X[k]
-            np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
-    if h_last > 0.0:
-        z[:n] = X[n_full]
-        X[-1] = _step_map(A, b, h_last, 1).powers[0][:n] @ z
+
+    def fill(X, h_last):
+        nonlocal block
+        n_full = len(X) - 1 - (h_last > 0.0)
+        if n_full > 0:
+            if block is None:
+                block = _step_map(key, h, 0, seed=True).block
+            steps = block.shape[1] // n
+            flat = X.reshape(-1)
+            for k in range(0, n_full, steps):
+                m = min(steps, n_full - k)
+                z[:n] = X[k]
+                np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
+        if h_last > 0.0:
+            z[:n] = X[n_full]
+            np.matmul(_step_map(key, h_last, 1).powers[0][:n], z, out=X[-1])
+
+    return fill
+
+
+def affine_rk4_path(A, b, x0, h, n_full, h_last):
+    """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
+    X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
+    X[0] = x0
+    _path_filler(A, b, h)(X, h_last)
     return X
 
 
 def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):
     """Final states for a batch of initial conditions X0 (rows)."""
     n = X0.shape[1]
-    G = _matrix_power(_step_map(A, b, h, int(n_full).bit_length()).powers, int(n_full))
+    key = _mode_key(A, b)
+    G = _matrix_power(_step_map(key, h, int(n_full).bit_length()).powers, int(n_full))
     if h_last > 0.0:
-        G = _step_map(A, b, h_last, 1).powers[0] @ G
+        G = _step_map(key, h_last, 1).powers[0] @ G
     return X0 @ G[:n, :n].T + G[:n, n]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy  # noqa: F401  cheap; perfbench/run.py reads its version after import
@@ -23,6 +24,7 @@ from .errors import UnsupportedDimension
 
 MEMBERSHIP_TOL = 1e-9
 DECAY_TOL = 1e-9
+HALTON_CACHE_SIZE = 1
 
 
 def v_eval(sub: Subsystem, x) -> float:
@@ -85,14 +87,19 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+@lru_cache(maxsize=HALTON_CACHE_SIZE)
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
-    """First ``n`` points of the scrambled Halton sequence in [0, 1)^d, shape (n, d).
+    """First ``n`` points of the scrambled Halton sequence in [0, 1)^d, shape (n, d), read-only.
 
     Owen's random digit permutations: dimension j uses base p_j (the j-th
     prime) and one shuffled ``arange(p_j)`` per digit, for every digit that
     a double can resolve.  Seeding, shuffle order and the order of the
     floating-point sums follow ``scipy.stats.qmc.Halton(d, scramble=True,
     seed=seed).random(n)``, so the points are bit-identical to scipy's.
+    The last point set is kept, by ``(d, n, seed)``: the modes of one
+    system share a dimension and a seed, so certifying them in turn draws
+    the set once, and a run that changes seeds holds one set, not many.
+    ``seed`` is an int.
     """
     rng = np.random.default_rng(seed)
     pts = np.empty((n, d))
@@ -113,6 +120,7 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
                 seq += perm[0] * b2r
             b2r /= base
         pts[:, j] = seq
+    pts.setflags(write=False)
     return pts
 
 

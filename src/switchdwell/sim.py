@@ -5,6 +5,11 @@ carries the incoming mode.  Membership checks at switch instants test the
 region of the mode being exited: with a dwell-compliant signal the state has
 been flowing toward that mode's equilibrium for the whole preceding interval,
 which is what the dwell-time guarantee certifies.
+
+Per-switch and per-interval work costs array operations: the records are
+named tuples built from ``tolist()`` columns, the exited mode's V at the
+switches (``_v_exit``) is computed once per trajectory and system, and the
+convergence terms once per distinct mode pair.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +64,8 @@ class Trajectory:
     # (signal, events, horizon) that simulate_switched built this trajectory
     # from; dataclasses.replace leaves it None, see _match_signal
     _source: Optional[tuple] = field(default=None, init=False, repr=False)
+    # (system, events, v) of the last _v_exit; dataclasses.replace leaves it None
+    _v_exit_cache: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -114,7 +121,11 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     n_full, rem = _grid(t0, t1, step)
-    states = _run(sub, _start_state(sub, x0), step, n_full, rem)
+    x0 = _start_state(sub, x0)
+    if sub.affine is not None:
+        states = kernels.affine_rk4_path(*sub.affine, x0, step, n_full, rem)
+    else:
+        states = _generic_rk4_path(sub.field, x0, step, n_full, rem)
     _check_finite(states, sub.label)
     times = t0 + step * np.arange(len(states))
     times[-1] = t1
@@ -132,14 +143,6 @@ def _start_state(sub: Subsystem, x0) -> np.ndarray:
     if not np.all(np.isfinite(x0)):
         raise NonfiniteState("non-finite initial state")
     return x0
-
-
-def _run(sub: Subsystem, x0: np.ndarray, step: float, n_full: int, rem: float) -> np.ndarray:
-    """States of one constant-mode run from a checked start x0: n_full steps, then rem if > 0."""
-    if sub.affine is not None:
-        A, b = sub.affine
-        return kernels.affine_rk4_path(A, b, x0, step, n_full, rem)
-    return _generic_rk4_path(sub.field, x0, step, n_full, rem)
 
 
 def _generic_rk4_path(f, x0, h, n_full, h_last):
@@ -175,13 +178,15 @@ def simulate_switched(
     horizon.  Periodic signals are unrolled to the horizon.
 
     Every interval's grid is planned first, so ``times`` and ``states`` are
-    allocated once and each interval copies its rows in, starting from the
-    row the previous one ended on.  Each run is the same fixed-step RK4 as
-    ``integrate``: ``kernels.affine_rk4_path`` for affine modes, which reuses
-    the seed block kept per (A, b, step), and generic RK4 otherwise.  States
-    are checked for finiteness once at the end and before each callable
-    interval, so a callable is never given a non-finite start; a non-finite
-    state names the first interval that has one.
+    allocated once, and each interval fills its rows from the row the
+    previous one ended on.  Each run is the same fixed-step RK4 as
+    ``integrate``: an affine interval is written in place by its mode's
+    ``kernels._path_filler`` (the fill behind ``affine_rk4_path``, with the
+    seed block looked up once per mode and trajectory), a callable one is
+    generic RK4 copied in.  States are checked for finiteness once at the
+    end and before each callable interval, so a callable is never given a
+    non-finite start; a non-finite state names the first interval that has
+    one.
     """
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
@@ -199,13 +204,19 @@ def simulate_switched(
     states = np.empty((lo[-1] + 1, x0.shape[0]))
     states[0] = x0
     checked = 0  # the intervals before this one are known to be finite
+    fills = {}  # one kernels._path_filler per affine mode
     for i, (mode, (n_full, rem)) in enumerate(zip(modes, grids)):
-        sub = system[mode]
-        if sub.affine is None:
-            _check_runs(states, lo, modes, checked, i)
-            checked = i
         run = states[lo[i] : lo[i + 1] + 1]
-        run[:] = _run(sub, run[0], step, n_full, rem)
+        fill = fills.get(mode)
+        if fill is None:
+            sub = system[mode]
+            if sub.affine is None:
+                _check_runs(states, lo, modes, checked, i)
+                checked = i
+                run[:] = _generic_rk4_path(sub.field, run[0], step, n_full, rem)
+                continue
+            fill = fills[mode] = kernels._path_filler(*sub.affine, step)
+        fill(run, rem)
     _check_runs(states, lo, modes, checked, len(modes))
     rows[-1] += 1  # the tail keeps its end sample
     offsets = np.arange(len(states)) - np.array(lo[:-1]).repeat(rows)
@@ -214,16 +225,10 @@ def simulate_switched(
     switch_states = states[lo[1:-1]]
     switch_states.setflags(write=False)
     events = [
-        SwitchEvent(t=ts, prev_mode=prev, next_mode=nxt, state=xe, index=index)
+        SwitchEvent(ts, prev, nxt, xe, index)
         for (ts, prev, nxt), index, xe in zip(switches, lo[1:-1], switch_states)
     ]
-    traj = Trajectory(
-        times=times,
-        states=states,
-        initial_mode=signal.initial_mode,
-        switch_events=events,
-        step=step,
-    )
+    traj = Trajectory(times, states, signal.initial_mode, events, step)
     traj._source = (signal, tuple(events), horizon)
     return traj
 
@@ -235,6 +240,10 @@ def _check_runs(states: np.ndarray, lo: list, modes: list, first: int, last: int
             _check_finite(states[lo[i] : lo[i + 1] + 1], modes[i])
 
 
+def _same_objects(a: Sequence, b: Sequence) -> bool:
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
 def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
     """Raise ``SignalMismatch`` unless the events are the switches ``signal`` prescribes.
 
@@ -242,9 +251,9 @@ def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
     horizon and event objects are still the ones it built, matches without
     unrolling the signal again.
     """
-    source, events = traj._source, traj.switch_events
+    source = traj._source
     if source and source[0] is signal and source[2] == traj.times[-1]:
-        if len(source[1]) == len(events) and all(map(operator.is_, source[1], events)):
+        if _same_objects(source[1], traj.switch_events):
             return
     expected = signal.switches_until(float(traj.times[-1]))
     if len(expected) != len(traj.switch_events):
@@ -257,8 +266,7 @@ def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
             raise SignalMismatch(f"switch event {ev} disagrees with signal switch {(t, prev, nxt)}")
 
 
-@dataclass(frozen=True)
-class TrappingRecord:
+class TrappingRecord(NamedTuple):
     index: int
     t: float
     mode: Label
@@ -305,33 +313,30 @@ def verify_trapping(
     equilibrium over the whole interval ending at t_i; the dwell-time guarantee
     promises x(t_i) in that mode's N^eps when the dwell condition held.
     Membership uses the 1e-9 tolerance on V; strict membership is reported
-    alongside.  V is ``_v_exit``, evaluated at the switch states only.
+    alongside.  V is ``_v_exit``, evaluated at the switch states only, and
+    the records are built from its columns.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _match_signal(traj, signal)
     events = traj.switch_events
     vs = _v_exit(traj, system)
+    member = vs <= eps + MEMBERSHIP_TOL
     records = tuple(
-        TrappingRecord(
-            index=i,
-            t=ev.t,
-            mode=ev.prev_mode,
-            v=v,
-            member=v <= eps + MEMBERSHIP_TOL,
-            strict_member=v <= eps,
+        map(
+            TrappingRecord,
+            range(len(events)),
+            [ev.t for ev in events],
+            [ev.prev_mode for ev in events],
+            vs.tolist(),
+            member.tolist(),
+            (vs <= eps).tolist(),
         )
-        for i, (ev, v) in enumerate(zip(events, vs.tolist()))
     )
-    return TrappingReport(
-        eps=eps,
-        records=records,
-        overall_pass=all(r.member for r in records),
-    )
+    return TrappingReport(eps, records, bool(member.all()))
 
 
-@dataclass(frozen=True)
-class WIntervalVerdict:
+class WIntervalVerdict(NamedTuple):
     index: int
     t_start: float
     t_end: float
@@ -366,19 +371,29 @@ def w_monitor(
 
 
 def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
-    """The exited mode's V at each switch event's state.
+    """The exited mode's V at each switch event's state, read-only.
 
     Quadratic modes share one ``_sq_dist`` pass; otherwise each switch costs
     one ``v_batch`` call on its one state, never a pass over the trajectory.
-    Bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.
+    Bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.  The
+    array is kept on the trajectory and reused while ``system`` and the event
+    objects are the very ones it was computed for, the test ``_match_signal``
+    makes of its signal.
     """
     events = traj.switch_events
+    cache = traj._v_exit_cache
+    if cache and cache[0] is system and _same_objects(cache[1], events):
+        return cache[2]
     subs = [system[ev.prev_mode] for ev in events]
     X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
     if all(sub.quadratic for sub in subs):
         centres = np.array([sub.equilibrium for sub in subs]).reshape(X.shape)
-        return _sq_dist(X, centres.T)
-    return np.array([sub.v_batch(x[None])[0] for sub, x in zip(subs, X)], dtype=float)
+        v = _sq_dist(X, centres.T)
+    else:
+        v = np.array([sub.v_batch(x[None])[0] for sub, x in zip(subs, X)], dtype=float)
+    v.setflags(write=False)
+    traj._v_exit_cache = (system, tuple(events), v)
+    return v
 
 
 def _v_active(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
@@ -426,18 +441,18 @@ def _w_verdicts(
     later[hi_end - 1] = np.exp(k[lo_end] * (t[hi_end] - t[lo_end])) * v_exit[j_end]
     scale = np.maximum(np.abs(w[:-1]), np.abs(later))
     scale[scale == 0.0] = 1.0
-    worst = np.maximum.reduceat((later - w[:-1]) / scale, los).tolist()
-    return [
-        WIntervalVerdict(
-            index=j,
-            t_start=ts,
-            t_end=te,
-            mode=mode,
-            nonincreasing=wj <= W_MONOTONE_TOL,
-            max_relative_increase=wj,
+    worst = np.maximum.reduceat((later - w[:-1]) / scale, los)
+    return list(
+        map(
+            WIntervalVerdict,
+            js,
+            t[los].tolist(),
+            t[his].tolist(),
+            modes,
+            (worst <= W_MONOTONE_TOL).tolist(),
+            worst.tolist(),
         )
-        for j, ts, te, mode, wj in zip(js, t[los].tolist(), t[his].tolist(), modes, worst)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -478,9 +493,16 @@ def convergence_product(
     ``certified`` means some P_i dropped below 1e-6 * P_0; a false value is not
     a counterexample (the criterion is sufficient only).  ``entry_index`` is the
     first switch at which the state is inside the exited mode's region.
+
+    mu, log mu and the decay rates enter once per distinct mode pair
+    (``_pair_terms``); what is left per switch is one ``math.exp`` for
+    mu-tilde and one multiply-subtract for the log term.  ``i_max`` must be
+    nonnegative.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if i_max < 0:
+        raise ValueError("i_max must be nonnegative")
     _match_signal(traj, signal)
     events = traj.switch_events
     if len(events) < i_max:
@@ -490,35 +512,38 @@ def convergence_product(
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
 
+    modes = [signal.initial_mode] + [ev.next_mode for ev in events[:i_max]]
     times = [signal.t0] + [ev.t for ev in events[:i_max]]
-    interval_modes = [signal.initial_mode] + [ev.next_mode for ev in events[: i_max]]
-    log_terms = []
-    mus = []
-    mu_tildes = []
-    pair_mus: dict[tuple[Label, Label], float] = {}  # one norm per distinct mode pair
-    for j in range(i_max):
-        pair = (interval_modes[j], interval_modes[j + 1])
-        a, b = system[pair[0]], system[pair[1]]
-        if pair not in pair_mus:
-            pair_mus[pair] = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
-        mu = pair_mus[pair]
-        mus.append(mu)
-        mu_tildes.append(math.exp((b.decay_rate - a.decay_rate) * times[j + 1]) * mu)
-        log_terms.append(math.log(mu) - a.decay_rate * (times[j + 1] - times[j]))
-    log_products = tuple(np.cumsum(log_terms))
+    pairs = list(zip(modes, modes[1:]))
+    pair_terms = {pair: _pair_terms(system, eps, *pair) for pair in dict.fromkeys(pairs)}
+    terms = [pair_terms[pair] for pair in pairs]
+    log_products = tuple(
+        accumulate(
+            log_mu - k_a * (t1 - t0)
+            for (_, log_mu, _, k_a), t0, t1 in zip(terms, times, times[1:])
+        )
+    )
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
     v_exit = _v_exit(traj, system)
     inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
-    entry = int(inside[0]) if inside.size else None
     return ConvergenceReport(
         eps=eps,
-        mu_values=tuple(mus),
-        mu_tilde_values=tuple(mu_tildes),
+        mu_values=tuple(mu for mu, *_ in terms),
+        mu_tilde_values=tuple(
+            math.exp(dk * t1) * mu for (mu, _, dk, _), t1 in zip(terms, times[1:])
+        ),
         log_products=log_products,
         certified=certified,
-        entry_index=entry,
+        entry_index=int(inside[0]) if inside.size else None,
         w_verdicts=tuple(_w_verdicts(traj, system, v_exit)),
     )
+
+
+def _pair_terms(system: SwitchedSystem, eps: float, u: Label, v: Label) -> tuple:
+    """(mu, log mu, k_v - k_u, k_u) of a switch from mode u to mode v, mu from ``pair_mu``."""
+    a, b = system[u], system[v]
+    mu = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
+    return mu, math.log(mu), b.decay_rate - a.decay_rate, a.decay_rate
 
 
 def tube_sample(

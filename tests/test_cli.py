@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchdwell import signal_from_dwell, simulate_switched
+from switchdwell import cli
 from switchdwell.cli import _trajectory_csv, main, run_scenario
 from switchdwell.errors import IoError, ValidationError
 from switchdwell.scenario import parse_scenario
@@ -432,6 +434,30 @@ class TestManifest:
         assert set(listed) == on_disk
         for rel, digest in listed.items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+
+    def test_each_buffer_hashed_and_each_directory_made_once(self, tmp_path, monkeypatch):
+        made, hashed = [], []
+        mkdir, sha256 = Path.mkdir, hashlib.sha256
+
+        def counted_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        def counted_sha256(data):
+            hashed.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(Path, "mkdir", counted_mkdir)
+        monkeypatch.setattr(cli.hashlib, "sha256", counted_sha256)
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", scenario_path("example1.scenario"), "--out", str(out)])
+        assert code == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        dirs = {out} | {(out / e["path"]).parent for e in files}
+        assert sorted(made) == sorted(dirs) and len(dirs) == 19
+        # the trajectory CSVs and the region CSVs are each one buffer at many
+        # paths; every other buffer has its own content, and the manifest is one more
+        assert len(hashed) == len({e["sha256"] for e in files}) + 1 < len(files)
 
     def test_trapping_report_passes(self, example1_run):
         _, out = example1_run

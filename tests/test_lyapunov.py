@@ -14,7 +14,7 @@ from switchdwell import (
     v_eval,
 )
 from switchdwell.errors import UnsupportedDimension
-from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL, _halton
+from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -155,6 +155,28 @@ def test_halton_is_scipy_scrambled_halton(d, seed, n):
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     expected = qmc.scale(qmc.Halton(d=d, scramble=True, seed=seed).random(n), lo, hi)
     assert (_halton(d, n, seed) * (hi - lo) + lo).tobytes() == expected.tobytes()
+
+
+def test_halton_sets_are_shared_read_only_and_bounded():
+    pts = _halton(2, 500, 11)
+    assert _halton(2, 500, 11) is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
+    for seed in range(HALTON_CACHE_SIZE + 3):
+        _halton(2, 50, seed)
+    assert _halton.cache_info().currsize == HALTON_CACHE_SIZE
+    # an evicted set is drawn again, with the same bits
+    again = _halton(2, 500, 11)
+    assert again is not pts and again.tobytes() == pts.tobytes()
+
+
+def test_modes_of_one_system_draw_the_samples_once(system):
+    _halton.cache_clear()
+    for sub in system.subsystems:
+        check_certificate(sub, BOX2, 2000, seed=3)
+    info = _halton.cache_info()
+    assert (info.misses, info.hits) == (1, len(system.subsystems) - 1)
 
 
 class TestEvaluation:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,16 @@ from switchdwell.errors import (
     NonfiniteState,
     SignalMismatch,
 )
-from switchdwell.core import SwitchedSystem
-from switchdwell.sim import W_MONOTONE_TOL, WIntervalVerdict, _v_active, _v_exit
+from switchdwell.core import SwitchedSystem, make_affine_subsystem
+from switchdwell.dwell import pair_mu
+from switchdwell.prebuilt import DEMO_A
+from switchdwell.sim import (
+    W_MONOTONE_TOL,
+    TrappingRecord,
+    WIntervalVerdict,
+    _v_active,
+    _v_exit,
+)
 
 STEP = 1e-3
 
@@ -222,6 +231,81 @@ class TestVPasses:
         assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
         per_switch = [v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events]
         assert _v_exit(traj, system).tobytes() == np.array(per_switch).tobytes()
+
+
+def _v_exit_reference(traj, system):
+    return np.array([v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events])
+
+
+def _shifted_demo_system(shift):
+    """The demo system's labels and A, with every b(u) = (u + shift, 1)."""
+    return SwitchedSystem(
+        subsystems=tuple(
+            make_affine_subsystem(DEMO_A, np.array([u + shift, 1.0]), u) for u in (1, 0, -1)
+        )
+    )
+
+
+class TestVExitCache:
+    def test_reused_for_the_same_system_and_events(self, system, eps):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        v = _v_exit(traj, system)
+        assert not v.flags.writeable
+        assert _v_exit(traj, system) is v
+        verify_trapping(traj, system, sig, eps)
+        convergence_product(system, sig, traj, eps, i_max=3)
+        assert _v_exit(traj, system) is v
+
+    def test_dropped_by_replace_event_swap_and_another_system(self, system):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        first = _v_exit(traj, system)
+        ev = traj.switch_events[0]
+        moved = dataclasses.replace(ev, state=ev.state + 1e-3)
+        replaced = dataclasses.replace(traj, switch_events=[moved] + traj.switch_events[1:])
+        v = _v_exit(replaced, system)
+        assert v.tobytes() == _v_exit_reference(replaced, system).tobytes()
+        assert v[0] != first[0]
+        # the same trajectory with an event swapped in place in its own list
+        traj.switch_events[0] = moved
+        assert _v_exit(traj, system).tobytes() == v.tobytes()
+        # an equal system is another object; a shifted one has other values
+        same = SwitchedSystem(subsystems=system.subsystems)
+        assert _v_exit(traj, same) is not _v_exit(traj, system)
+        shifted = _shifted_demo_system(0.25)
+        got = _v_exit(traj, shifted)
+        assert got.tobytes() == _v_exit_reference(traj, shifted).tobytes()
+        assert not np.array_equal(got, v)
+        assert _v_exit(traj, system).tobytes() == v.tobytes()
+
+
+class TestRecords:
+    def test_records_are_immutable_positional_values(self, system, eps):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        x0 = np.array([0.7, -0.4])
+        traj = simulate_switched(system, sig, x0, 6.0, STEP)
+        report = verify_trapping(traj, system, sig, eps)
+        verdicts = w_monitor(traj, system, sig)
+        assert TrappingRecord._fields == ("index", "t", "mode", "v", "member", "strict_member")
+        assert WIntervalVerdict._fields == (
+            "index", "t_start", "t_end", "mode", "nonincreasing", "max_relative_increase"
+        )
+        rec, verdict = report.records[1], verdicts[1]
+        assert tuple(rec) == (rec.index, rec.t, rec.mode, rec.v, rec.member, rec.strict_member)
+        assert rec.index == 1 and verdict.index == 1
+        for r in (rec, verdict):
+            with pytest.raises(AttributeError):
+                r.index = 7
+            copy = type(r)(*r)
+            assert copy == r and copy is not r and hash(copy) == hash(r)
+            assert repr(r) == repr(copy) and repr(r).startswith(f"{type(r).__name__}(index=1, ")
+            assert type(r)(**r._asdict()) == r
+        # a second run gives equal records, built afresh
+        again = simulate_switched(system, sig, x0, 6.0, STEP)
+        assert verify_trapping(again, system, sig, eps) == report
+        assert w_monitor(again, system, sig) == verdicts
+        assert report.overall_pass is all(r.member for r in report.records) is False
 
 
 class TestVerifyTrapping:
@@ -441,6 +525,48 @@ class TestConvergenceProduct:
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
         with pytest.raises(InsufficientSwitches):
             convergence_product(system, sig, traj, eps, i_max=5)
+
+    def test_negative_i_max_is_rejected(self, system, eps):
+        sig = signal_from_dwell(0, [-1], 1.43)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
+        with pytest.raises(ValueError, match="i_max"):
+            convergence_product(system, sig, traj, eps, i_max=-1)
+        empty = convergence_product(system, sig, traj, eps, i_max=0)
+        assert (empty.mu_values, empty.log_products, empty.certified) == ((), (), False)
+
+    @pytest.mark.parametrize("i_max", [0, 1, 5, 14])
+    def test_terms_equal_a_per_switch_reference(self, eps, i_max):
+        # decay rates 2, 3 and 4, so k_b - k_a differs between pairs; the signal
+        # visits the pairs (1, 0), (0, -1), (-1, 0), (0, 1) and (1, -1)
+        system = SwitchedSystem(
+            subsystems=tuple(
+                make_affine_subsystem(c * DEMO_A, np.array([float(u), 1.0]), u)
+                for c, u in ((1.0, 1), (1.5, 0), (2.0, -1))
+            )
+        )
+        sig = signal_from_dwell(1, [0, -1, 0, 1, -1], [1.1, 0.9, 0.7, 1.3, 0.8, 1.2], periodic=True)
+        traj = simulate_switched(system, sig, np.array([3.0, -2.0]), 15.0, STEP)
+        events = traj.switch_events
+        assert len({(ev.prev_mode, ev.next_mode) for ev in events[:i_max]}) >= min(i_max, 3)
+        report = convergence_product(system, sig, traj, eps, i_max)
+        times = [sig.t0] + [ev.t for ev in events]
+        mus, tildes, logs, total = [], [], [], 0.0
+        for j, ev in enumerate(events[:i_max]):
+            a, b = system[ev.prev_mode], system[ev.next_mode]
+            mu = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
+            mus.append(mu)
+            tildes.append(math.exp((b.decay_rate - a.decay_rate) * times[j + 1]) * mu)
+            total += math.log(mu) - a.decay_rate * (times[j + 1] - times[j])
+            logs.append(total)
+        for got, ref in zip(
+            (report.mu_values, report.mu_tilde_values, report.log_products), (mus, tildes, logs)
+        ):
+            assert np.array(got, dtype=float).tobytes() == np.array(ref, dtype=float).tobytes()
+        assert report.certified == any(lp <= logs[0] + math.log(1e-6) for lp in logs)
+        v = [v_eval(system[ev.prev_mode], ev.state) for ev in events]
+        assert report.entry_index == next(
+            (i for i, vi in enumerate(v) if vi <= eps + 1e-9), None
+        )
 
 
 class TestTubeSample:
