@@ -37,7 +37,7 @@ def in_region(sub: Subsystem, eps: float, x, strict: bool = False) -> bool:
 
     ``strict=True`` tests exact mathematical membership V(x) <= eps instead.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     v = v_eval(sub, x)
     return v <= eps if strict else v <= eps + MEMBERSHIP_TOL
@@ -174,7 +174,7 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
     the sphere.  Non-quadratic V is supported in 2-D only, by radial
     bisection per angle, which stops once the bracket cannot shrink.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if count < 3:
         raise ValueError("count must be >= 3")

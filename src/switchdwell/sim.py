@@ -6,6 +6,22 @@ region of the mode being exited: with a dwell-compliant signal the state has
 been flowing toward that mode's equilibrium for the whole preceding interval,
 which is what the dwell-time guarantee certifies.
 
+Everything that does not depend on the start state is planned once per
+``(system, signal, horizon, step)``, in a ``_Plan`` kept in a least recently
+used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
+and signal objects: the unrolled switches, the interval grids and row offsets,
+one read-only ``times`` array shared by every trajectory built from the plan,
+the segments, each switch's exited equilibrium for quadratic V, W's factors
+``exp(k (t - t_lo))``, the record columns, and the convergence terms of the
+last ``(eps, i_max)``.  A plan holds only such derived data, never a state or
+a verdict: about ``16 N`` bytes for N samples once W has been checked, the
+``times`` and W's factor.  One plan is kept: a sweep runs the starts of one
+signal back to back, and a larger cache would only keep plans alive after
+their sweep.  The checks read the plan a trajectory was simulated from
+while the trajectory is unchanged (same system and signal objects, ``times``
+the plan's, the very event objects); any other trajectory gets an uncached
+plan built from its own times and events.
+
 Per-switch and per-interval work costs array operations: the records are
 named tuples built from ``tolist()`` columns, the exited mode's V at the
 switches (``_v_exit``) is computed once per trajectory and system, and the
@@ -17,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,6 +51,7 @@ from .errors import (
 from .lyapunov import MEMBERSHIP_TOL, region_boundary_points
 
 W_MONOTONE_TOL = 1e-7
+PLAN_CACHE_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -61,16 +79,16 @@ class Trajectory:
     initial_mode: Label
     switch_events: list[SwitchEvent]
     step: float
-    # (signal, events, horizon) that simulate_switched built this trajectory
-    # from; dataclasses.replace leaves it None, see _match_signal
-    _source: Optional[tuple] = field(default=None, init=False, repr=False)
+    # (plan, events) that simulate_switched built this trajectory from;
+    # dataclasses.replace leaves it None, see _plan_of
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False)
     # (system, events, v) of the last _v_exit; dataclasses.replace leaves it None
     _v_exit_cache: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
-        if np.any(np.subtract(self.times[1:], self.times[:-1]) <= 0):
+        if (np.subtract(self.times[1:], self.times[:-1]) <= 0).any():
             raise ValueError("sample times must be strictly increasing")
 
     def segments(self) -> list[tuple[int, int, Label]]:
@@ -111,11 +129,19 @@ def _check_finite(states: np.ndarray, label: Label) -> None:
         raise NonfiniteState(f"non-finite state while integrating mode {label!r}")
 
 
+def _check_finite_args(**values) -> None:
+    """One-line ``ValueError`` for the first argument that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 over [t0, t1]; the last step shrinks to land on t1.
 
     A zero-length span gives the single start sample.
     """
+    _check_finite_args(t0=t0, t1=t1, step=step)
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 < t0:
@@ -177,9 +203,11 @@ def simulate_switched(
     its end sample, and is that one sample when the last switch lands on the
     horizon.  Periodic signals are unrolled to the horizon.
 
-    Every interval's grid is planned first, so ``times`` and ``states`` are
-    allocated once, and each interval fills its rows from the row the
-    previous one ended on.  Each run is the same fixed-step RK4 as
+    The switches, every interval's grid and the read-only ``times`` come from
+    the plan of ``(system, signal, horizon, step)`` (``_signal_plan``), so a
+    sweep of starts through one signal plans once and shares one ``times``;
+    ``states`` is allocated once, and each interval fills its rows from the
+    row the previous one ended on.  Each run is the same fixed-step RK4 as
     ``integrate``: an affine interval is written in place by its mode's
     ``kernels._path_filler`` (the fill behind ``affine_rk4_path``, with the
     seed block looked up once per mode and trajectory), a callable one is
@@ -188,56 +216,179 @@ def simulate_switched(
     non-finite start; a non-finite state names the first interval that has
     one.
     """
+    _check_finite_args(horizon=horizon, step=step)
     if horizon <= signal.t0:
         raise ValueError("horizon must exceed the signal start time")
     if step <= 0:
         raise ValueError("step must be positive")
     x0 = _start_state(system[signal.initial_mode], x0)
-    switches = signal.switches_until(horizon)
-    t_lo = [signal.t0] + [ts for ts, _, _ in switches]
-    t_hi = t_lo[1:] + [horizon]
-    modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
-    grids = [_grid(a, z, step) for a, z in zip(t_lo, t_hi)]
-    rows = [n_full + (rem > 0.0) for n_full, rem in grids]
-    # interval i fills samples lo[i]..lo[i + 1]; lo[-1] is the last sample
-    lo = list(accumulate(rows, initial=0))
-    states = np.empty((lo[-1] + 1, x0.shape[0]))
+    plan = _signal_plan(system, signal, float(horizon), float(step))
+    segments = plan.segments
+    states = np.empty((len(plan.times), x0.shape[0]))
     states[0] = x0
     checked = 0  # the intervals before this one are known to be finite
     fills = {}  # one kernels._path_filler per affine mode
-    for i, (mode, (n_full, rem)) in enumerate(zip(modes, grids)):
-        run = states[lo[i] : lo[i + 1] + 1]
+    for i, ((lo, hi, mode), (n_full, rem)) in enumerate(zip(segments, plan.grids)):
+        run = states[lo : hi + 1]  # up to the next interval's first sample
         fill = fills.get(mode)
         if fill is None:
             sub = system[mode]
             if sub.affine is None:
-                _check_runs(states, lo, modes, checked, i)
+                _check_runs(states, segments[checked:i])
                 checked = i
                 run[:] = _generic_rk4_path(sub.field, run[0], step, n_full, rem)
                 continue
             fill = fills[mode] = kernels._path_filler(*sub.affine, step)
         fill(run, rem)
-    _check_runs(states, lo, modes, checked, len(modes))
-    rows[-1] += 1  # the tail keeps its end sample
-    offsets = np.arange(len(states)) - np.array(lo[:-1]).repeat(rows)
-    times = np.array(t_lo).repeat(rows) + step * offsets
-    times[-1] = horizon
-    switch_states = states[lo[1:-1]]
+    _check_runs(states, segments[checked:])
+    rows = plan.los[1:]
+    switch_states = states[rows]
     switch_states.setflags(write=False)
-    events = [
-        SwitchEvent(ts, prev, nxt, xe, index)
-        for (ts, prev, nxt), index, xe in zip(switches, lo[1:-1], switch_states)
-    ]
-    traj = Trajectory(times, states, signal.initial_mode, events, step)
-    traj._source = (signal, tuple(events), horizon)
+    events = list(
+        map(SwitchEvent, plan.switch_t, plan.exit_modes, plan.modes[1:], switch_states, rows)
+    )
+    traj = Trajectory(plan.times, states, signal.initial_mode, events, step)
+    traj._plan = (plan, tuple(events))
     return traj
 
 
-def _check_runs(states: np.ndarray, lo: list, modes: list, first: int, last: int) -> None:
-    """``_check_finite`` on each of intervals first..last-1, in one pass when all are finite."""
-    if not np.isfinite(states[lo[first] : lo[last] + 1]).all():
-        for i in range(first, last):
-            _check_finite(states[lo[i] : lo[i + 1] + 1], modes[i])
+def _check_runs(states: np.ndarray, segments: list) -> None:
+    """``_check_finite`` on each segment and its closing sample, in one pass when all are finite."""
+    if segments and not np.isfinite(states[segments[0][0] : segments[-1][1] + 1]).all():
+        for lo, hi, mode in segments:
+            _check_finite(states[lo : hi + 1], mode)
+
+
+class _Plan:
+    """What the checks of a trajectory need that does not depend on its start state.
+
+    ``segments`` are ``Trajectory.segments``, and ``modes``, ``los`` and
+    ``lens`` their columns; ``switch_t`` and ``exit_modes`` are the record
+    columns of the switches, and ``grids`` the (full steps, partial step) of
+    each interval, for a plan that ``simulate_switched`` fills from.
+    The arrays are built on first use and never written after: each
+    switch's exited equilibrium when V is quadratic (``exit_centres``) and
+    W's factors (``w_terms``).  ``signal`` is the one the switches were
+    matched to, or None.
+    """
+
+    def __init__(self, system, signal, times, segments, switches, grids=None):
+        self.system, self.signal, self.times, self.grids = system, signal, times, grids
+        self.segments = segments
+        self.los = [lo for lo, _, _ in segments]
+        self.lens = [hi - lo for lo, hi, _ in segments]
+        self.modes = [mode for _, _, mode in segments]
+        self.switch_t = [t for t, _, _ in switches]
+        self.exit_modes = [prev for _, prev, _ in switches]
+        self._terms = None  # (eps, i_max) and the convergence terms of the last call
+
+    def _equilibria(self, modes: list) -> Optional[np.ndarray]:
+        """The equilibria of ``modes`` as the columns of an array, when every V is quadratic."""
+        subs = [self.system[mode] for mode in modes]
+        if all(sub.quadratic for sub in subs):
+            shape = (len(subs), self.system.dimension)
+            return np.array([sub.equilibrium for sub in subs]).reshape(shape).T
+
+    @cached_property
+    def exit_centres(self) -> Optional[np.ndarray]:
+        """Each switch's exited equilibrium, an (n, switches) array, when all are quadratic."""
+        return self._equilibria(self.exit_modes)
+
+    @cached_property
+    def w_terms(self) -> Optional[tuple]:
+        """``_w_verdicts``' inputs that do not depend on the states; None without a run of one step.
+
+        (factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes):
+        ``exp(k (t - t_lo))`` at every sample, the difference rows that close
+        at a switch with their factors and segments, and the columns of the
+        runs with at least one step (segment j, its first sample, times and
+        mode).
+        """
+        t, segs = self.times, self.segments
+        last = len(t) - 1
+        ends = [min(hi, last) for _, hi, _ in segs]
+        runs = [(j, lo, end, m) for j, ((lo, _, m), end) in enumerate(zip(segs, ends)) if end > lo]
+        if not runs:
+            return None
+        js, firsts, lasts, modes = (list(c) for c in zip(*runs))
+        k = np.array([self.system[mode].decay_rate for mode in self.modes]).repeat(self.lens)
+        factor = np.exp(k * (t - t[self.los].repeat(self.lens)))
+        closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
+        j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, firsts, lasts))
+        closing = np.exp(k[lo_end] * (t[hi_end] - t[lo_end]))
+        t_start, t_end = t[firsts].tolist(), t[lasts].tolist()
+        return factor, hi_end - 1, closing, j_end, firsts, js, t_start, t_end, modes
+
+    def convergence_terms(self, eps: float, i_max: int) -> tuple:
+        """(mu, mu-tilde, log products) over the first ``i_max`` switches, kept for the last key.
+
+        mu, log mu and the decay rates enter once per distinct mode pair
+        (``_pair_terms``); what is left per switch is one ``math.exp`` for
+        mu-tilde and one multiply-subtract for the log term.
+        """
+        kept = self._terms  # one read: another thread may replace it
+        if kept and kept[0] == (eps, i_max):
+            return kept[1]
+        modes = [self.signal.initial_mode] + self.modes[1 : i_max + 1]
+        times = [self.signal.t0] + self.switch_t[:i_max]
+        pairs = list(zip(modes, modes[1:]))
+        pair_terms = {pair: _pair_terms(self.system, eps, *pair) for pair in dict.fromkeys(pairs)}
+        terms = [pair_terms[pair] for pair in pairs]
+        log_products = tuple(
+            accumulate(
+                log_mu - k_a * (t1 - t0)
+                for (_, log_mu, _, k_a), t0, t1 in zip(terms, times, times[1:])
+            )
+        )
+        mu_tilde = tuple(math.exp(dk * t1) * mu for (mu, _, dk, _), t1 in zip(terms, times[1:]))
+        value = (tuple(mu for mu, *_ in terms), mu_tilde, log_products)
+        self._terms = ((eps, i_max), value)
+        return value
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float, step: float):
+    """The plan of every trajectory of ``signal`` to ``horizon`` at ``step``, with read-only times.
+
+    Keyed by the identity of ``system`` and ``signal`` (neither compares by
+    value), so value-equal signals such as ones labelled ``1`` and ``1.0``
+    keep plans, and labels, of their own.
+    """
+    switches = signal.switches_until(horizon)
+    t_lo = [signal.t0] + [ts for ts, _, _ in switches]
+    t_hi = t_lo[1:] + [horizon]
+    grids = [_grid(a, z, step) for a, z in zip(t_lo, t_hi)]
+    rows = [n_full + (rem > 0.0) for n_full, rem in grids]
+    # interval i fills samples lo[i]..lo[i + 1]; lo[-1] is the last sample
+    lo = list(accumulate(rows, initial=0))
+    rows[-1] += 1  # the tail keeps its end sample
+    offsets = np.arange(lo[-1] + 1) - np.array(lo[:-1]).repeat(rows)
+    times = np.array(t_lo).repeat(rows) + step * offsets
+    times[-1] = horizon
+    times.setflags(write=False)
+    modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
+    segments = list(zip(lo[:-1], lo[1:-1] + [len(times)], modes))
+    return _Plan(system, signal, times, segments, switches, grids)
+
+
+def _plan_of(traj: Trajectory, system: SwitchedSystem, signal=None) -> _Plan:
+    """The plan ``traj`` was simulated from while it still describes ``traj``, else a fresh one.
+
+    The simulated plan serves while ``system`` (and ``signal``, when given)
+    are its very objects, ``traj.times`` is its ``times``, ``initial_mode`` is
+    its first mode and the events are the very objects ``simulate_switched``
+    built.  Otherwise the events are matched to ``signal`` (when given) and
+    an uncached plan is built from the trajectory's own times and events.
+    """
+    plan, events = traj._plan or (None, ())
+    if plan and plan.system is system and (signal is None or plan.signal is signal):
+        if traj.times is plan.times and traj.initial_mode is plan.modes[0]:
+            if _same_objects(events, traj.switch_events):
+                return plan
+    if signal is not None:
+        _match_signal(traj, signal)
+    switches = [(ev.t, ev.prev_mode, ev.next_mode) for ev in traj.switch_events]
+    return _Plan(system, signal, traj.times, traj.segments(), switches)
 
 
 def _same_objects(a: Sequence, b: Sequence) -> bool:
@@ -245,16 +396,7 @@ def _same_objects(a: Sequence, b: Sequence) -> bool:
 
 
 def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
-    """Raise ``SignalMismatch`` unless the events are the switches ``signal`` prescribes.
-
-    A trajectory that ``simulate_switched`` built from this very signal, whose
-    horizon and event objects are still the ones it built, matches without
-    unrolling the signal again.
-    """
-    source = traj._source
-    if source and source[0] is signal and source[2] == traj.times[-1]:
-        if _same_objects(source[1], traj.switch_events):
-            return
+    """Raise ``SignalMismatch`` unless the events are the switches ``signal`` prescribes."""
     expected = signal.switches_until(float(traj.times[-1]))
     if len(expected) != len(traj.switch_events):
         raise SignalMismatch(
@@ -314,25 +456,15 @@ def verify_trapping(
     promises x(t_i) in that mode's N^eps when the dwell condition held.
     Membership uses the 1e-9 tolerance on V; strict membership is reported
     alongside.  V is ``_v_exit``, evaluated at the switch states only, and
-    the records are built from its columns.
+    the records are built from its columns and the plan's.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    _match_signal(traj, signal)
-    events = traj.switch_events
-    vs = _v_exit(traj, system)
+    plan = _plan_of(traj, system, signal)
+    vs = _v_exit(traj, system, plan)
     member = vs <= eps + MEMBERSHIP_TOL
-    records = tuple(
-        map(
-            TrappingRecord,
-            range(len(events)),
-            [ev.t for ev in events],
-            [ev.prev_mode for ev in events],
-            vs.tolist(),
-            member.tolist(),
-            (vs <= eps).tolist(),
-        )
-    )
+    columns = vs.tolist(), member.tolist(), (vs <= eps).tolist()
+    records = tuple(map(TrappingRecord, range(len(vs)), plan.switch_t, plan.exit_modes, *columns))
     return TrappingReport(eps, records, bool(member.all()))
 
 
@@ -366,93 +498,75 @@ def w_monitor(
     (``_v_exit``); the relative increases come from one pass over the samples
     and each interval's worst from one ``maximum.reduceat``.
     """
-    _match_signal(traj, signal)
-    return _w_verdicts(traj, system, _v_exit(traj, system))
+    plan = _plan_of(traj, system, signal)
+    return _w_verdicts(traj, system, _v_exit(traj, system, plan), plan)
 
 
-def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
+def _v_exit(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
     """The exited mode's V at each switch event's state, read-only.
 
-    Quadratic modes share one ``_sq_dist`` pass; otherwise each switch costs
-    one ``v_batch`` call on its one state, never a pass over the trajectory.
-    Bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.  The
-    array is kept on the trajectory and reused while ``system`` and the event
-    objects are the very ones it was computed for, the test ``_match_signal``
-    makes of its signal.
+    Quadratic modes share one ``_sq_dist`` pass with the plan's
+    ``exit_centres``; otherwise each switch costs one ``v_batch`` call on its
+    one state, never a pass over the trajectory.  The states are the events'
+    own, not rows of ``states``.  Bit-equal to ``v_eval(system[ev.prev_mode],
+    ev.state)`` per event.  The array is kept on the trajectory and reused
+    while ``system`` and the event objects are the very ones it was computed
+    for.
     """
     events = traj.switch_events
     cache = traj._v_exit_cache
     if cache and cache[0] is system and _same_objects(cache[1], events):
         return cache[2]
-    subs = [system[ev.prev_mode] for ev in events]
+    plan = plan or _plan_of(traj, system)
     X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
-    if all(sub.quadratic for sub in subs):
-        centres = np.array([sub.equilibrium for sub in subs]).reshape(X.shape)
-        v = _sq_dist(X, centres.T)
+    if plan.exit_centres is not None:
+        v = _sq_dist(X, plan.exit_centres)
     else:
-        v = np.array([sub.v_batch(x[None])[0] for sub, x in zip(subs, X)], dtype=float)
+        v = np.array([system[m].v_batch(x[None])[0] for m, x in zip(plan.exit_modes, X)])
     v.setflags(write=False)
     traj._v_exit_cache = (system, tuple(events), v)
     return v
 
 
-def _v_active(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
+def _v_active(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
     """The active mode's V at every sample, bit-equal to one ``v_batch`` per segment.
 
     When every run's mode is quadratic this is one ``_sq_dist`` pass over the
-    whole trajectory with each sample's own equilibrium; otherwise it is one
-    ``v_batch`` per segment.
+    whole trajectory with each sample's equilibrium, repeated from the
+    segments' on every call (kept on the plan, they would add n N doubles to
+    what a sweep holds); otherwise it is one ``v_batch`` per segment.
     """
-    segs = traj.segments()
-    subs = [system[mode] for _, _, mode in segs]
-    if all(sub.quadratic for sub in subs):
-        lens = [hi - lo for lo, hi, _ in segs]
-        centres = np.array([sub.equilibrium for sub in subs]).T.repeat(lens, axis=1)
-        return _sq_dist(traj.states, centres)
-    return np.concatenate([sub.v_batch(traj.states[lo:hi]) for (lo, hi, _), sub in zip(segs, subs)])
+    plan = plan or _plan_of(traj, system)
+    columns = plan._equilibria(plan.modes)
+    if columns is not None:
+        return _sq_dist(traj.states, columns.repeat(plan.lens, axis=1))
+    return np.concatenate(
+        [system[mode].v_batch(traj.states[lo:hi]) for lo, hi, mode in plan.segments]
+    )
 
 
 def _w_verdicts(
-    traj: Trajectory, system: SwitchedSystem, v_exit: np.ndarray
+    traj: Trajectory, system: SwitchedSystem, v_exit: np.ndarray, plan: Optional[_Plan] = None
 ) -> list[WIntervalVerdict]:
     """``w_monitor``'s verdicts for a trajectory already matched to its signal.
 
     ``v_exit`` is ``_v_exit(traj, system)``: entry j is segment j's V at its
     closing switch sample.
     """
-    segs = traj.segments()
-    last = len(traj.times) - 1
-    # intervals with at least one step: segment j, its samples lo..hi, its mode
-    runs = [
-        (j, lo, min(hi, last), mode) for j, (lo, hi, mode) in enumerate(segs) if min(hi, last) > lo
-    ]
-    if not runs:
+    plan = plan or _plan_of(traj, system)
+    if plan.w_terms is None:
         return []
-    js, los, his, modes = (list(c) for c in zip(*runs))
-    t = traj.times
-    lens = [hi - lo for lo, hi, _ in segs]
-    k = np.array([system[mode].decay_rate for _, _, mode in segs]).repeat(lens)
-    w = np.exp(k * (t - t[[lo for lo, _, _ in segs]].repeat(lens))) * _v_active(traj, system)
+    factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes = plan.w_terms
+    w = factor * _v_active(traj, system, plan)
     # w at each difference's later sample; an interval closing at a switch
     # takes the exited mode's W there, its left limit
     later = w[1:].copy()
-    closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
-    j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, los, his))
-    later[hi_end - 1] = np.exp(k[lo_end] * (t[hi_end] - t[lo_end])) * v_exit[j_end]
+    later[close_rows] = closing * v_exit[close_runs]
     scale = np.maximum(np.abs(w[:-1]), np.abs(later))
     scale[scale == 0.0] = 1.0
-    worst = np.maximum.reduceat((later - w[:-1]) / scale, los)
-    return list(
-        map(
-            WIntervalVerdict,
-            js,
-            t[los].tolist(),
-            t[his].tolist(),
-            modes,
-            (worst <= W_MONOTONE_TOL).tolist(),
-            worst.tolist(),
-        )
-    )
+    worst = np.maximum.reduceat((later - w[:-1]) / scale, firsts)
+    columns = (worst <= W_MONOTONE_TOL).tolist(), worst.tolist()
+    return list(map(WIntervalVerdict, js, t_start, t_end, modes, *columns))
 
 
 @dataclass(frozen=True)
@@ -494,48 +608,29 @@ def convergence_product(
     a counterexample (the criterion is sufficient only).  ``entry_index`` is the
     first switch at which the state is inside the exited mode's region.
 
-    mu, log mu and the decay rates enter once per distinct mode pair
-    (``_pair_terms``); what is left per switch is one ``math.exp`` for
-    mu-tilde and one multiply-subtract for the log term.  ``i_max`` must be
-    nonnegative.
+    The terms come from the plan (``_Plan.convergence_terms``), which keeps
+    those of the last ``(eps, i_max)``.  ``i_max`` must be nonnegative.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    _match_signal(traj, signal)
-    events = traj.switch_events
-    if len(events) < i_max:
+    plan = _plan_of(traj, system, signal)
+    if len(plan.switch_t) < i_max:
         raise InsufficientSwitches(
-            f"need {i_max} switches, trajectory has {len(events)}"
+            f"need {i_max} switches, trajectory has {len(plan.switch_t)}"
         )
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
 
-    modes = [signal.initial_mode] + [ev.next_mode for ev in events[:i_max]]
-    times = [signal.t0] + [ev.t for ev in events[:i_max]]
-    pairs = list(zip(modes, modes[1:]))
-    pair_terms = {pair: _pair_terms(system, eps, *pair) for pair in dict.fromkeys(pairs)}
-    terms = [pair_terms[pair] for pair in pairs]
-    log_products = tuple(
-        accumulate(
-            log_mu - k_a * (t1 - t0)
-            for (_, log_mu, _, k_a), t0, t1 in zip(terms, times, times[1:])
-        )
-    )
+    mu_values, mu_tilde_values, log_products = plan.convergence_terms(eps, i_max)
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
-    v_exit = _v_exit(traj, system)
+    v_exit = _v_exit(traj, system, plan)
     inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
+    entry_index = int(inside[0]) if inside.size else None
+    w_verdicts = tuple(_w_verdicts(traj, system, v_exit, plan))
     return ConvergenceReport(
-        eps=eps,
-        mu_values=tuple(mu for mu, *_ in terms),
-        mu_tilde_values=tuple(
-            math.exp(dk * t1) * mu for (mu, _, dk, _), t1 in zip(terms, times[1:])
-        ),
-        log_products=log_products,
-        certified=certified,
-        entry_index=int(inside[0]) if inside.size else None,
-        w_verdicts=tuple(_w_verdicts(traj, system, v_exit)),
+        eps, mu_values, mu_tilde_values, log_products, certified, entry_index, w_verdicts
     )
 
 
@@ -561,9 +656,12 @@ def tube_sample(
     (exact in the boundary-count limit for 2-D quadratic regions, where the
     smooth flow maps boundaries to boundaries).
     """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     t_grid = [float(t) for t in t_grid]
-    if any(t < 0 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be nonnegative and increasing")
+    finite = all(0 <= t < math.inf for t in t_grid)  # written to fail on NaN too
+    if not finite or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be finite, nonnegative and increasing")
     from_sub = system[from_label]
     to_sub = system[to_label]
     pts = region_boundary_points(from_sub, eps, boundary_count)

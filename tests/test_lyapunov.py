@@ -196,6 +196,10 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             in_region(system[1], 0.0, [0.0, 1.0])
 
+    def test_in_region_rejects_nan_eps(self, system):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            in_region(system[1], float("nan"), [0.0, 1.0])
+
 
 class TestCheckCertificate:
     def test_demo_modes_pass(self, system):
@@ -239,6 +243,10 @@ class TestCheckCertificate:
 
 
 class TestBoundaryPoints:
+    def test_nan_eps_is_rejected(self, system):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            region_boundary_points(system[0], float("nan"), 32)
+
     def test_quadratic_circle(self, system, eps):
         pts = region_boundary_points(system[0], eps, 32)
         assert pts.shape == (32, 2)

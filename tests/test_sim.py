@@ -23,18 +23,23 @@ from switchdwell.errors import (
     NonfiniteState,
     SignalMismatch,
 )
+from switchdwell.cli import _trajectory_csv
 from switchdwell.core import SwitchedSystem, make_affine_subsystem
 from switchdwell.dwell import pair_mu
 from switchdwell.prebuilt import DEMO_A
 from switchdwell.sim import (
+    PLAN_CACHE_SIZE,
     W_MONOTONE_TOL,
     TrappingRecord,
     WIntervalVerdict,
+    _plan_of,
+    _signal_plan,
     _v_active,
     _v_exit,
 )
 
 STEP = 1e-3
+NAN, INF = float("nan"), float("inf")
 
 
 class TestIntegrate:
@@ -594,3 +599,243 @@ class TestTubeSample:
             tube_sample(system, 1, 0, eps, [-1.0], 8, STEP)
         with pytest.raises(ValueError):
             tube_sample(system, 1, 0, eps, [1.0, 0.5], 8, STEP)
+
+
+class TestNonfiniteArguments:
+    """Non-finite times and steps end in one ValueError before any unrolling."""
+
+    @pytest.fixture(autouse=True)
+    def no_unrolling(self, monkeypatch):
+        def unreachable(self, k0=0):
+            raise AssertionError("the signal was unrolled")
+
+        monkeypatch.setattr(SwitchingSignal, "_unroll", unreachable)
+
+    @pytest.mark.parametrize(
+        "horizon, step", [(NAN, STEP), (INF, STEP), (-INF, STEP), (6.0, NAN), (6.0, INF)]
+    )
+    def test_simulate_switched(self, system, horizon, step):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, step)
+
+    @pytest.mark.parametrize(
+        "t0, t1, step", [(0.0, NAN, STEP), (0.0, INF, STEP), (-INF, 1.0, STEP), (0.0, 1.0, NAN)]
+    )
+    def test_integrate(self, system, t0, t1, step):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(system[0], np.array([0.0, 1.0]), t0, t1, step)
+
+    @pytest.mark.parametrize(
+        "t_grid, step", [([NAN], STEP), ([0.5, INF], STEP), ([0.5], NAN), ([0.5], INF)]
+    )
+    def test_tube_sample(self, system, eps, t_grid, step):
+        with pytest.raises(ValueError, match="finite"):
+            tube_sample(system, 1, 0, eps, t_grid, 8, step)
+
+
+class TestNanEps:
+    def test_verify_trapping(self, system):
+        sig = signal_from_dwell(0, [-1], 1.43)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            verify_trapping(traj, system, sig, NAN)
+
+    def test_convergence_product(self, system):
+        sig = signal_from_dwell(0, [-1], 1.43)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            convergence_product(system, sig, traj, NAN, i_max=1)
+
+    def test_tube_sample(self, system):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            tube_sample(system, 1, 0, NAN, [0.5], 8, STEP)
+
+
+def _checks(traj, system, sig, i_max=None, eps=0.05):
+    """repr of every check of ``traj``; equal reprs mean bit-equal floats and equal labels."""
+    out = [
+        verify_trapping(traj, system, sig, eps),
+        w_monitor(traj, system, sig),
+        _v_active(traj, system).tobytes(),
+        _v_exit(traj, system).tobytes(),
+        _trajectory_csv(traj, system),
+    ]
+    if all(sub.quadratic for sub in system.subsystems):
+        n = len(traj.switch_events) if i_max is None else i_max
+        out.append(convergence_product(system, sig, traj, eps, n))
+    return repr(out)
+
+
+def _plan_case(system, case):
+    """(system, signal, horizon) of one shape of trajectory."""
+    if case.startswith("mixed"):
+        system, periodic = _mixed_system(system)
+        if case == "mixed_periodic":
+            return system, periodic, 6.0
+        sig = signal_from_dwell(1, ["c", 0], [0.4013, 0.25])
+        return system, sig, sig.segments[-1][0]
+    if case == "periodic":
+        return system, signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True), 6.0
+    if case == "no_switch":
+        return system, signal_from_dwell(1, [], None), 1.0
+    sig = signal_from_dwell(1, [0, -1], 1.43)
+    return system, sig, sig.segments[-1][0]  # the last switch on the horizon
+
+
+class TestPlan:
+    @pytest.mark.parametrize("i_max", ["0", "1", "all"])
+    @pytest.mark.parametrize(
+        "case", ["periodic", "on_horizon", "no_switch", "mixed_periodic", "mixed_on_horizon"]
+    )
+    def test_plan_path_equals_the_uncached_plan(self, system, case, i_max):
+        system, sig, horizon = _plan_case(system, case)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
+        plan = traj._plan[0]
+        assert _plan_of(traj, system, sig) is plan and traj.times is plan.times
+        assert not traj.times.flags.writeable
+        fresh = dataclasses.replace(traj)
+        assert _plan_of(fresh, system, sig) is not plan
+        n = {"0": 0, "1": 1, "all": len(traj.switch_events)}[i_max]
+        n = min(n, len(traj.switch_events))
+        assert _checks(traj, system, sig, n) == _checks(fresh, system, sig, n)
+        assert w_monitor(traj, system, sig) == _w_monitor_per_segment(traj, system)
+        assert _v_exit(traj, system).tobytes() == _v_exit_reference(traj, system).tobytes()
+        if case in ("on_horizon", "mixed_on_horizon"):
+            assert traj.switch_events[-1].index == len(traj.times) - 1
+
+    def test_changed_trajectories_and_other_objects_fall_back(self, system):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        plan = traj._plan[0]
+        expected = _checks(dataclasses.replace(traj), system, sig)
+        assert _checks(traj, system, sig) == expected
+        # an equal system is another object
+        same = SwitchedSystem(subsystems=system.subsystems)
+        assert _plan_of(traj, same, sig) is not plan
+        assert _checks(traj, same, sig) == expected
+        # states written in place: V_active follows them, _v_exit keeps the events' states
+        traj.states[1:] += 1e-3
+        assert _plan_of(traj, system, sig) is plan
+        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
+        assert _v_exit(traj, system).tobytes() == _v_exit_reference(traj, system).tobytes()
+        per_segment = [system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in traj.segments()]
+        assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
+        # another, value-equal initial mode
+        traj.initial_mode = 1.0
+        assert _plan_of(traj, system, sig) is not plan
+        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
+        traj.initial_mode = sig.initial_mode
+        assert _plan_of(traj, system, sig) is plan
+        # an event swapped in place in the trajectory's own list
+        ev = traj.switch_events[0]
+        traj.switch_events[0] = dataclasses.replace(ev, state=ev.state + 1e-3)
+        assert _plan_of(traj, system, sig) is not plan
+        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
+        assert _v_exit(traj, system)[0] == v_eval(system[ev.prev_mode], ev.state + 1e-3)
+
+    def test_kept_convergence_terms_follow_eps_and_i_max(self, system):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        fresh = dataclasses.replace(traj)
+        for eps, i_max in [(0.05, 3), (0.05, 1), (0.07, 1), (0.05, 3), (0.05, 3)]:
+            got = convergence_product(system, sig, traj, eps, i_max)
+            assert repr(got) == repr(convergence_product(system, sig, fresh, eps, i_max))
+            assert len(got.mu_values) == i_max
+
+    def test_value_equal_signals_keep_their_own_plans_and_labels(self, system, eps):
+        as_int = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        as_float = signal_from_dwell(1.0, [0.0, -1.0, 0.0], 1.43, periodic=True)
+        x0 = np.array([0.7, -0.4])
+        t_int = simulate_switched(system, as_int, x0, 6.0, STEP)
+        t_float = simulate_switched(system, as_float, x0, 6.0, STEP)
+        assert t_int._plan[0] is not t_float._plan[0]
+        r_int = verify_trapping(t_int, system, as_int, eps)
+        r_float = verify_trapping(t_float, system, as_float, eps)
+        assert {type(r.mode) for r in r_int.records} == {int}
+        assert {type(r.mode) for r in r_float.records} == {float}
+        assert r_int == r_float and repr(r_int) != repr(r_float)
+        # checked against the other signal, a trajectory keeps its events' labels
+        assert repr(verify_trapping(t_int, system, as_float, eps)) == repr(r_int)
+        cross = w_monitor(t_float, system, as_int)
+        assert repr(cross) == repr(w_monitor(t_float, system, as_float))
+
+    def test_a_sweep_unrolls_its_signal_once(self, system, eps, monkeypatch):
+        calls = []
+        original = SwitchingSignal.switches_until
+
+        def counting(self, t_end):
+            calls.append(t_end)
+            return original(self, t_end)
+
+        monkeypatch.setattr(SwitchingSignal, "switches_until", counting)
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        for i in range(5):
+            traj = simulate_switched(system, sig, np.array([0.7, -0.4]) * (1 + 0.2 * i), 6.0, STEP)
+            verify_trapping(traj, system, sig, eps)
+            convergence_product(system, sig, traj, eps, i_max=3)
+            w_monitor(traj, system, sig)
+            _trajectory_csv(traj, system)
+        assert calls == [6.0]
+
+    def test_cache_is_bounded(self, system):
+        import tracemalloc
+
+        signals = [
+            signal_from_dwell(1, [0, -1, 0], 1.43 + 1e-3 * i, periodic=True)
+            for i in range(PLAN_CACHE_SIZE + 4)
+        ]
+
+        def sweep():
+            for sig in signals:
+                traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+                convergence_product(system, sig, traj, 0.05, i_max=3)
+                verify_trapping(traj, system, sig, 0.05)
+            return len(traj.times)
+
+        sweep()  # the kernels' maps, partial steps included, are cached from here on
+        assert _signal_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+        _signal_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            N = sweep()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _signal_plan.cache_clear()
+        # per plan: times and W's factor, 2 N doubles; the rest is per switch
+        full = PLAN_CACHE_SIZE * 8 * N * 2
+        assert full <= held <= full + PLAN_CACHE_SIZE * 8 * 1024
+
+    def test_threads_sweeping_one_plan_agree_with_a_serial_run(self, system):
+        import sys
+        import threading
+
+        starts = [np.array([0.7, -0.4]) * (1 + 0.2 * i) for i in range(5)]
+
+        def sweep(sig):
+            return [
+                _checks(simulate_switched(system, sig, x0, 6.0, STEP), system, sig)
+                for x0 in starts
+            ]
+
+        serial = sweep(signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True))
+        # a signal of its own, so the threads also race to build the plan
+        shared = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        results = [None] * 4
+
+        def worker(i):
+            results[i] = [sweep(shared) for _ in range(2)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial, serial]] * len(results)
