@@ -32,11 +32,10 @@ EXIT_NUMERIC = 4
 
 
 class _Tree:
-    """The output tree: each directory is created once, and each file's sha256 kept by path."""
+    """The output tree: each file's sha256 kept by path."""
 
-    def __init__(self, root: Path):
+    def __init__(self):
         self.sha256: dict[Path, str] = {}
-        self._dirs = {root}
 
     def write(self, data: bytes | str, *paths: Path) -> None:
         """Write ``data`` (text as UTF-8) to each of ``paths``, hashing it once."""
@@ -44,14 +43,17 @@ class _Tree:
             data = data.encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
         for path in paths:
-            if path.parent not in self._dirs:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                self._dirs.add(path.parent)
+            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
             self.sha256[path] = digest
 
     def write_json(self, path: Path, obj) -> None:
-        self.write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+        """Write ``obj`` as JSON; a NaN or infinity, which JSON has not, is ``NonfiniteState``."""
+        try:
+            text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise NonfiniteState(f"non-finite value in {path.name}") from exc
+        self.write(text + "\n", path)
 
 
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
@@ -87,7 +89,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    tree = _Tree(out)
+    tree = _Tree()
     warnings: list[str] = []
     failed = False
     flags = s.analyses
@@ -244,14 +246,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        scenario = parse_scenario(
-            text,
-            step=args.step,
-            eps=args.eps,
-            seed=args.seed,
-            analyses=_SUBCOMMAND_FLAGS[args.command],
-        )
-        status, _ = run_scenario(scenario, args.out)
+        with np.errstate(all="ignore"):  # an overflow is reported once, as NonfiniteState
+            scenario = parse_scenario(
+                text,
+                step=args.step,
+                eps=args.eps,
+                seed=args.seed,
+                analyses=_SUBCOMMAND_FLAGS[args.command],
+            )
+            status, _ = run_scenario(scenario, args.out)
         return status
     except NonfiniteState as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -7,15 +7,18 @@ Hairer, Norsett & Wanner, *Solving ODEs I*).  ``_rk4_map`` builds it as one
 homogeneous ``(n+1) x (n+1)`` matrix G, so k steps are the matrix power G^k.
 
 A switched trajectory runs the same few modes at the same step over and over,
-so each ``(A, b, h)``, keyed by content, gets one cache entry holding:
+so two ``lru_cache`` functions of ``(A, b, h)``, keyed by the bytes of A and b,
+the dimension n and h, keep what each step map needs, as read-only arrays:
 
-* the squarings ``G, G^2, G^4, ...``, extended only when a longer batch
-  needs another one;
-* once a path asks for it, the seed block: the top n rows of ``G^1 ... G^B``,
-  transposed and laid side by side, an ``(n+1) x B n`` matrix.  The last row
-  of every G^j is the constant ``(0 ... 0 1)``, so it is left out: a product
-  of ``[x_k, 1]`` with the block gives the states ``x_(k+1) ... x_(k+B)`` and
-  no constant column.  It is built by doubling over a stack of the G^j.
+* ``_squaring(..., i)``, the power ``G^(2^i)``: i = 0 is ``_rk4_map`` and
+  i > 0 squares i - 1.  Callers ask for i = 0, 1, ... in order, so each
+  squaring finds the one before it cached;
+* ``_seed_block``, the top n rows of ``G^1 ... G^B``, transposed and laid
+  side by side, an ``(n+1) x B n`` matrix.  The last row of every G^j is the
+  constant ``(0 ... 0 1)``, so it is left out: a product of ``[x_k, 1]``
+  with the block gives the states ``x_(k+1) ... x_(k+B)`` and no constant
+  column.  It is built by doubling over a stack of the G^j, from the
+  squarings ``G, G^2, ..., G^(B/2)``.
 
 ``affine_rk4_path`` fills its rows by chained one-row products: rows
 ``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
@@ -29,11 +32,11 @@ cache is searched for the seed block once per mode and trajectory.  B is
 ``affine_rk4_batch_final`` needs only one power per batch and multiplies the
 squarings.
 
-At most ``POWER_CACHE_SIZE`` entries are kept (least recently used go first);
-states are never cached.  Seed blocks add at most ``POWER_CACHE_SIZE *
-SEED_BLOCK_BYTES`` = 32 MiB; each squaring adds ``8 (n+1)^2`` bytes, and an
-entry holds ``log2 B`` of them, or ``bit_length(n_full)`` once a batch asks
-for more.
+Each cache keeps at most ``POWER_CACHE_SIZE`` entries (least recently used go
+first); states are never cached.  Seed blocks take at most
+``POWER_CACHE_SIZE * SEED_BLOCK_BYTES`` = 32 MiB, and squarings at most
+``POWER_CACHE_SIZE`` maps of ``8 (n+1)^2`` bytes.  A batch that needs more
+squarings than that recomputes the evicted ones on its next call.
 
 Rounding contract: a cached path is bit-identical to the same algorithm with
 every map built afresh.  Row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
@@ -43,7 +46,6 @@ whose kernel (``OPENBLAS_CORETYPE``) can change their last bits; V and W
 (``core._sq_dist``) do not.
 """
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +55,6 @@ __all__ = ["affine_rk4_path", "affine_rk4_batch_final"]
 POWER_CACHE_SIZE = 256
 SEED_BLOCK_STEPS = 256
 SEED_BLOCK_BYTES = 128 * 1024
-_EXTENDING = threading.Lock()  # two threads must not both grow one entry
 
 
 def _rk4_map(A, b, h):
@@ -74,35 +75,31 @@ def _seed_steps(n):
     return min(SEED_BLOCK_STEPS, 1 << max(fit.bit_length() - 1, 0))
 
 
-def _seed_block(powers, steps):
-    """Top rows of ``G^1 ... G^steps``, transposed side by side, from the squarings ``powers``."""
-    n = powers[0].shape[0] - 1
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _squaring(A_bytes: bytes, b_bytes: bytes, n: int, h: float, i: int) -> np.ndarray:
+    """G^(2^i) of the step map of size h, read-only: i = 0 is ``_rk4_map``, i > 0 squares i - 1."""
+    if i == 0:
+        G = _rk4_map(np.frombuffer(A_bytes).reshape(n, n), np.frombuffer(b_bytes), h)
+    else:
+        G = _squaring(A_bytes, b_bytes, n, h, i - 1)
+        G = G @ G
+    G.setflags(write=False)
+    return G
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _seed_block(A_bytes: bytes, b_bytes: bytes, n: int, h: float) -> np.ndarray:
+    """Top rows of ``G^1 ... G^B``, transposed side by side, read-only; B is ``_seed_steps(n)``."""
+    steps = _seed_steps(n)
     stack = np.empty((steps, n + 1, n + 1))
-    stack[0] = powers[0]
+    stack[0] = _squaring(A_bytes, b_bytes, n, h, 0)
     k = 1
-    for Gk in powers[: steps.bit_length() - 1]:
-        stack[k : 2 * k] = stack[:k] @ Gk  # G^(k+1) ... G^(2k)
+    for i in range(steps.bit_length() - 1):  # G^(k+1) ... G^(2k) from G^1 ... G^k
+        stack[k : 2 * k] = stack[:k] @ _squaring(A_bytes, b_bytes, n, h, i)
         k *= 2
     block = stack[:, :n].transpose(2, 0, 1).reshape(n + 1, steps * n)
     block.setflags(write=False)
     return block
-
-
-class _StepMap:
-    """Cache entry of one (A, b, h): squarings ``[G, G^2, G^4, ...]`` and the seed block."""
-
-    __slots__ = ("powers", "block")
-
-    def __init__(self, G):
-        self.powers = [G]
-        self.block = None
-
-
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _cached_powers(A_bytes: bytes, b_bytes: bytes, n: int, h: float) -> _StepMap:
-    G = _rk4_map(np.frombuffer(A_bytes).reshape(n, n), np.frombuffer(b_bytes), h)
-    G.setflags(write=False)
-    return _StepMap(G)
 
 
 def _mode_key(A, b):
@@ -112,35 +109,15 @@ def _mode_key(A, b):
     return A.tobytes(), b.tobytes(), A.shape[0]
 
 
-def _step_map(key, h, count, seed=False):
-    """Cache entry of the map of step h: ``count`` squarings, and the seed block if ``seed``."""
-    entry = _cached_powers(*key, float(h))
-    if len(entry.powers) < count or (seed and entry.block is None):
-        with _EXTENDING:
-            if seed and entry.block is None:
-                steps = _seed_steps(key[2])
-                _extend(entry.powers, steps.bit_length() - 1)  # G, G^2, ..., G^(B/2)
-                entry.block = _seed_block(entry.powers, steps)
-            _extend(entry.powers, count)
-    return entry
-
-
-def _extend(powers, count):
-    """Append squarings until ``powers`` holds ``count``; the caller holds ``_EXTENDING``."""
-    while len(powers) < count:
-        G = powers[-1] @ powers[-1]
-        G.setflags(write=False)
-        powers.append(G)
-
-
-def _matrix_power(powers, n_full):
-    """G^n_full from ``powers``, multiplied in ``np.linalg.matrix_power``'s order."""
+def _matrix_power(key, h, n_full):
+    """G^n_full of the step map of size h, multiplied in ``np.linalg.matrix_power``'s order."""
     if n_full == 0:
-        return np.eye(powers[0].shape[0])
+        return np.eye(key[2] + 1)
     if n_full == 3:  # its shortcut (G G) G, not the bit loop's G (G G)
-        return powers[1] @ powers[0]
+        return _squaring(*key, h, 1) @ _squaring(*key, h, 0)
     result = None
-    for i, G in enumerate(powers[: n_full.bit_length()]):
+    for i in range(n_full.bit_length()):  # in order, so each squaring finds the last cached
+        G = _squaring(*key, h, i)
         if n_full >> i & 1:
             result = G if result is None else result @ G
     return result
@@ -166,7 +143,7 @@ def _path_filler(A, b, h):
         n_full = len(X) - 1 - (h_last > 0.0)
         if n_full > 0:
             if block is None:
-                block = _step_map(key, h, 0, seed=True).block
+                block = _seed_block(*key, float(h))
             steps = block.shape[1] // n
             flat = X.reshape(-1)
             for k in range(0, n_full, steps):
@@ -175,7 +152,7 @@ def _path_filler(A, b, h):
                 np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
         if h_last > 0.0:
             z[:n] = X[n_full]
-            np.matmul(_step_map(key, h_last, 1).powers[0][:n], z, out=X[-1])
+            np.matmul(_squaring(*key, float(h_last), 0)[:n], z, out=X[-1])
 
     return fill
 
@@ -192,7 +169,7 @@ def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):
     """Final states for a batch of initial conditions X0 (rows)."""
     n = X0.shape[1]
     key = _mode_key(A, b)
-    G = _matrix_power(_step_map(key, h, int(n_full).bit_length()).powers, int(n_full))
+    G = _matrix_power(key, float(h), int(n_full))
     if h_last > 0.0:
-        G = _step_map(key, h_last, 1).powers[0] @ G
+        G = _squaring(*key, float(h_last), 0) @ G
     return X0 @ G[:n, :n].T + G[:n, n]

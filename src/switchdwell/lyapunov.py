@@ -20,7 +20,7 @@ import numpy as np
 import scipy  # noqa: F401  cheap; perfbench/run.py reads its version after import
 
 from .core import Label, Subsystem
-from .errors import UnsupportedDimension
+from .errors import NonfiniteState, UnsupportedDimension
 
 MEMBERSHIP_TOL = 1e-9
 DECAY_TOL = 1e-9
@@ -134,7 +134,8 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
     grad V(x) . f(x) <= -k V(x) + 1e-9, with V and its gradient from
     ``Subsystem.v_batch``/``grad_batch``.  Violation lists are ordered by
-    sample index.
+    sample index.  A non-finite V, bound or derivative at any point raises
+    ``NonfiniteState``: no comparison with it could find a violation.
     """
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
@@ -154,6 +155,8 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
         f = np.fromiter(map(sub.field, pts), dtype=(float, sub.dimension), count=n_samples)
     deriv = np.vecdot(sub.grad_batch(pts), f)
     slack = deriv + sub.decay_rate * v
+    if not all(np.isfinite(a).all() for a in (v, lo, hi, slack)):
+        raise NonfiniteState(f"non-finite V, bound or derivative sampled for mode {sub.label!r}")
     # a finite-difference gradient carries a relative error, so off the closed
     # form the tolerance scales with the derivative magnitude
     tol = DECAY_TOL if sub.quadratic else DECAY_TOL * (1.0 + np.abs(deriv))

@@ -29,16 +29,17 @@ default, and raises a ``SwitchDwellError`` (``ParseError`` for malformed
 INI, ``ValidationError`` or a domain error otherwise) before any output file
 is written; ``cli.run_scenario`` only executes what it returns.
 
-Every number must be finite, and out-of-range values (a nonpositive step
-or eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,
-boundary_points of 1 or 2, tube_boundary_count < 3, an empty box, decreasing
-or negative tube_times) are rejected.  Defaults are resolved per signal: its
-starts are its own ``x0``, else ``[analysis] x0``, followed for the primary
-``[signal]`` by the ``boundary_points`` starts on the boundary of
-``start_region``'s region; its horizon is its own, else ``[analysis]
-horizon``.  A periodic pattern must switch; it unrolls by the rule in
-``core.SwitchingSignal``.  Without ``transitions``, the dwell table takes
-the primary signal's switches over one period, the wrap included.
+Every number must be finite, and out-of-range values (a nonpositive step or
+eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,
+boundary_points of 1 or 2, tube_boundary_count < 3, an empty box or one
+whose width hi - lo overflows, decreasing or negative tube_times) are
+rejected.  Defaults are resolved per signal: its starts are its own ``x0``,
+else ``[analysis] x0``, followed for the primary ``[signal]`` by the
+``boundary_points`` starts on the boundary of ``start_region``'s region; its
+horizon is its own, else ``[analysis] horizon``.  A periodic pattern must
+switch; it unrolls by the rule in ``core.SwitchingSignal``.  Without
+``transitions``, the dwell table takes the primary signal's switches over
+one period, the wrap included.
 Companion rules:
 
 * simulate, trapping, convergence and plot_data need a signal, and every
@@ -468,8 +469,10 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
         box = _floats(an["box"], "[analysis] box")
         if len(box) != 2:
             raise ValidationError("[analysis] box needs exactly two numbers (lo hi)")
-        if not box[0] < box[1]:
-            raise ValidationError(f"[analysis] box: lo must be < hi, got {an['box']!r}")
+        if not 0 < box[1] - box[0] < math.inf:
+            raise ValidationError(
+                f"[analysis] box: lo must be < hi with a finite hi - lo, got {an['box']!r}"
+            )
         scenario.box = (box[0], box[1])
 
     if scenario.simulates:

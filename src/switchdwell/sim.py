@@ -12,15 +12,16 @@ used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
 and signal objects: the unrolled switches, the interval grids and row offsets,
 one read-only ``times`` array shared by every trajectory built from the plan,
 the segments, each switch's exited equilibrium for quadratic V, W's factors
-``exp(k (t - t_lo))``, the record columns, and the convergence terms of the
-last ``(eps, i_max)``.  A plan holds only such derived data, never a state or
-a verdict: about ``16 N`` bytes for N samples once W has been checked, the
-``times`` and W's factor.  One plan is kept: a sweep runs the starts of one
-signal back to back, and a larger cache would only keep plans alive after
-their sweep.  The checks read the plan a trajectory was simulated from
-while the trajectory is unchanged (same system and signal objects, ``times``
-the plan's, the very event objects); any other trajectory gets an uncached
-plan built from its own times and events.
+``exp(k (t - t_lo))`` and the record columns.  A plan holds only such derived
+data, never a state or a verdict: about ``16 N`` bytes for N samples once W
+has been checked, the ``times`` and W's factor.  One plan is kept: a sweep
+runs the starts of one signal back to back, and a larger cache would only
+keep plans alive after their sweep.  For the same reason
+``_convergence_terms``, a pure function of a plan, ``eps`` and ``i_max``,
+keeps only its last result.  The checks read the plan a trajectory was
+simulated from while the trajectory is unchanged (same system and signal
+objects, ``times`` the plan's, the very event objects); any other trajectory
+gets an uncached plan built from its own times and events.
 
 Per-switch and per-interval work costs array operations: the records are
 named tuples built from ``tolist()`` columns, the exited mode's V at the
@@ -280,7 +281,6 @@ class _Plan:
         self.modes = [mode for _, _, mode in segments]
         self.switch_t = [t for t, _, _ in switches]
         self.exit_modes = [prev for _, prev, _ in switches]
-        self._terms = None  # (eps, i_max) and the convergence terms of the last call
 
     def _equilibria(self, modes: list) -> Optional[np.ndarray]:
         """The equilibria of ``modes`` as the columns of an array, when every V is quadratic."""
@@ -318,32 +318,6 @@ class _Plan:
         closing = np.exp(k[lo_end] * (t[hi_end] - t[lo_end]))
         t_start, t_end = t[firsts].tolist(), t[lasts].tolist()
         return factor, hi_end - 1, closing, j_end, firsts, js, t_start, t_end, modes
-
-    def convergence_terms(self, eps: float, i_max: int) -> tuple:
-        """(mu, mu-tilde, log products) over the first ``i_max`` switches, kept for the last key.
-
-        mu, log mu and the decay rates enter once per distinct mode pair
-        (``_pair_terms``); what is left per switch is one ``math.exp`` for
-        mu-tilde and one multiply-subtract for the log term.
-        """
-        kept = self._terms  # one read: another thread may replace it
-        if kept and kept[0] == (eps, i_max):
-            return kept[1]
-        modes = [self.signal.initial_mode] + self.modes[1 : i_max + 1]
-        times = [self.signal.t0] + self.switch_t[:i_max]
-        pairs = list(zip(modes, modes[1:]))
-        pair_terms = {pair: _pair_terms(self.system, eps, *pair) for pair in dict.fromkeys(pairs)}
-        terms = [pair_terms[pair] for pair in pairs]
-        log_products = tuple(
-            accumulate(
-                log_mu - k_a * (t1 - t0)
-                for (_, log_mu, _, k_a), t0, t1 in zip(terms, times, times[1:])
-            )
-        )
-        mu_tilde = tuple(math.exp(dk * t1) * mu for (mu, _, dk, _), t1 in zip(terms, times[1:]))
-        value = (tuple(mu for mu, *_ in terms), mu_tilde, log_products)
-        self._terms = ((eps, i_max), value)
-        return value
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -608,8 +582,9 @@ def convergence_product(
     a counterexample (the criterion is sufficient only).  ``entry_index`` is the
     first switch at which the state is inside the exited mode's region.
 
-    The terms come from the plan (``_Plan.convergence_terms``), which keeps
-    those of the last ``(eps, i_max)``.  ``i_max`` must be nonnegative.
+    The terms come from ``_convergence_terms`` of the plan, which keeps those
+    of the last ``(plan, eps, i_max)``; a mu-tilde that overflows is inf.
+    ``i_max`` must be nonnegative.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -623,7 +598,7 @@ def convergence_product(
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
 
-    mu_values, mu_tilde_values, log_products = plan.convergence_terms(eps, i_max)
+    mu_values, mu_tilde_values, log_products = _convergence_terms(plan, eps, i_max)
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
     v_exit = _v_exit(traj, system, plan)
     inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
@@ -639,6 +614,39 @@ def _pair_terms(system: SwitchedSystem, eps: float, u: Label, v: Label) -> tuple
     a, b = system[u], system[v]
     mu = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
     return mu, math.log(mu), b.decay_rate - a.decay_rate, a.decay_rate
+
+
+@lru_cache(maxsize=1)
+def _convergence_terms(plan: _Plan, eps: float, i_max: int) -> tuple:
+    """(mu, mu-tilde, log products) over the first ``i_max`` switches of ``plan``'s signal.
+
+    mu, log mu and the decay rates enter once per distinct mode pair
+    (``_pair_terms``); what is left per switch is one ``math.exp`` for
+    mu-tilde, inf where it overflows, and one multiply-subtract for the log
+    term.  The last key is kept: a sweep checks the starts of one signal
+    back to back.
+    """
+    modes = [plan.signal.initial_mode] + plan.modes[1 : i_max + 1]
+    times = [plan.signal.t0] + plan.switch_t[:i_max]
+    pairs = list(zip(modes, modes[1:]))
+    pair_terms = {pair: _pair_terms(plan.system, eps, *pair) for pair in dict.fromkeys(pairs)}
+    terms = [pair_terms[pair] for pair in pairs]
+    log_products = tuple(
+        accumulate(
+            log_mu - k_a * (t1 - t0)
+            for (_, log_mu, _, k_a), t0, t1 in zip(terms, times, times[1:])
+        )
+    )
+    mu_tilde = tuple(_exp(dk * t1) * mu for (mu, _, dk, _), t1 in zip(terms, times[1:]))
+    return tuple(mu for mu, *_ in terms), mu_tilde, log_products
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, and inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def tube_sample(

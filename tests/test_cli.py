@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -141,6 +142,7 @@ EXAMPLE1 = (resources.files("switchdwell") / "scenarios" / "example1.scenario").
         ("seed = 42", "seed = -5"),
         ("horizon = 2.86", "horizon = inf"),
         ("plot_data = true", "tube = true\ntube_from = 7\ntube_to = 0\ntube_times = 0 1"),
+        ("plot_data = true", "plot_data = true\nbox = -1e308 1e308"),
     ],
     ids=[
         "samples",
@@ -152,6 +154,7 @@ EXAMPLE1 = (resources.files("switchdwell") / "scenarios" / "example1.scenario").
         "seed",
         "infinite_horizon",
         "tube_label",
+        "box_width_overflows",
     ],
 )
 def test_out_of_range_values_are_input_errors(tmp_path, capsys, old, new):
@@ -307,6 +310,66 @@ def test_nonfinite_equilibrium_is_input_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+OVERFLOWING_MU_TILDE = """
+[system]
+
+[subsystem.a]
+A = -1 0 0 -1
+b = 1 0
+
+[subsystem.b]
+A = -5 0 0 -5
+b = 0 5
+
+[signal]
+kind = periodic
+initial_mode = a
+modes = b
+T = 50
+x0 = 0 0
+horizon = 400
+
+[analysis]
+eps = 0.05
+convergence = true
+i_max = 7
+
+[numeric]
+step = 0.01
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", OVERFLOWING_MU_TILDE, "non-finite value in convergence_report.json"),
+        (
+            "verify",
+            EXAMPLE1.replace("x0 = 0 1", "x0 = 1e300 1e300"),
+            "non-finite value in trapping_report.json",
+        ),
+        (
+            "certify",
+            EXAMPLE1.replace("samples = 10000", "samples = 200").replace(
+                "plot_data = true", "plot_data = true\nbox = -1e200 1e200"
+            ),
+            "non-finite V, bound or derivative sampled for mode 1",
+        ),
+    ],
+    ids=["mu_tilde", "v_at_switches", "certificate_samples"],
+)
+def test_nonfinite_values_are_numeric_failures(tmp_path, capsys, command, text, message):
+    p = tmp_path / "huge.scenario"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would be more stderr lines
+        code = main([command, "--scenario", str(p), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    for written in (tmp_path / "o").rglob("*.json"):
+        json.loads(written.read_text(), parse_constant=pytest.fail)
+
+
 def test_eps0_without_threshold_is_a_warning(tmp_path):
     # a detour leg of 2e-7 leaves no eps in the search grid with a negative gap
     p = tmp_path / "tri.scenario"
@@ -435,7 +498,7 @@ class TestManifest:
         for rel, digest in listed.items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
-    def test_each_buffer_hashed_and_each_directory_made_once(self, tmp_path, monkeypatch):
+    def test_each_buffer_hashed_once_and_every_directory_made(self, tmp_path, monkeypatch):
         made, hashed = [], []
         mkdir, sha256 = Path.mkdir, hashlib.sha256
 
@@ -454,7 +517,7 @@ class TestManifest:
         assert code == 0
         files = json.loads((out / "manifest.json").read_text())["files"]
         dirs = {out} | {(out / e["path"]).parent for e in files}
-        assert sorted(made) == sorted(dirs) and len(dirs) == 19
+        assert set(made) == dirs and len(dirs) == 19
         # the trajectory CSVs and the region CSVs are each one buffer at many
         # paths; every other buffer has its own content, and the manifest is one more
         assert len(hashed) == len({e["sha256"] for e in files}) + 1 < len(files)

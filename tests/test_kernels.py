@@ -103,8 +103,13 @@ def _uncached_path(A, b, x0, h, n_full, h_last):
     return X
 
 
+def _clear_caches():
+    kernels._squaring.cache_clear()
+    kernels._seed_block.cache_clear()
+
+
 def test_cached_paths_are_bit_equal_to_fresh_ones():
-    kernels._cached_powers.cache_clear()
+    _clear_caches()
     A_n, b, x0 = _contracting(4, seed=21)
     # short, long, short again: the cached powers grow, then serve a prefix
     cases = [(1e-3, 5, 3e-4), (1e-3, 1_000, 0.0), (1e-3, 70, 7e-4), (2e-3, 33, 1e-4)]
@@ -150,16 +155,20 @@ def test_cache_size_is_bounded():
     import tracemalloc
 
     x0 = np.array([1.0, 0.0])
+    X0 = np.array([[1.0, 0.0]])
     for i in range(10 * kernels.POWER_CACHE_SIZE):
         kernels.affine_rk4_path(A, B, x0, 1e-3 * (1.0 + i * 1e-6), 2, 0.0)
-    assert kernels._cached_powers.cache_info().currsize <= kernels.POWER_CACHE_SIZE
+    for i in range(kernels.POWER_CACHE_SIZE // 8):  # 22 squarings each
+        kernels.affine_rk4_batch_final(A, B, X0, 1e-3 * (1.0 + i * 1e-6), 2**20 + i, 1e-4)
+    for cache in (kernels._squaring, kernels._seed_block):
+        assert cache.cache_info().currsize <= kernels.POWER_CACHE_SIZE
     # bytes: at n = 7 each seed block is 8 x (256 * 7) doubles, 112 KiB of the
-    # SEED_BLOCK_BYTES budget; besides it an entry holds G, G^2, ..., G^128 (8
-    # maps of 512 bytes), its key and bookkeeping
+    # SEED_BLOCK_BYTES budget; besides the blocks, the squarings cache holds
+    # maps of 512 bytes, and each cache its keys and bookkeeping
     A_7, b_7, x0_7 = _contracting(7, seed=51)
     block = 8 * 8 * 7 * kernels._seed_steps(7)
     assert block == 112 * 1024 <= kernels.SEED_BLOCK_BYTES
-    kernels._cached_powers.cache_clear()
+    _clear_caches()
     tracemalloc.start()
     try:
         for i in range(3 * kernels.POWER_CACHE_SIZE):
@@ -167,9 +176,27 @@ def test_cache_size_is_bounded():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        kernels._cached_powers.cache_clear()
+        _clear_caches()
     full = kernels.POWER_CACHE_SIZE * block
     assert full <= held <= full + kernels.POWER_CACHE_SIZE * 8 * 1024
+
+
+@pytest.mark.parametrize("h_last", [0.0, 2e-4])
+def test_batch_final_past_the_squaring_cache_is_bit_equal_to_matrix_power(h_last):
+    # 1101 squarings, more than the cache holds: the first ones are evicted
+    # before the last are made, and a second call makes them again
+    A_n, b, _ = _contracting(3, seed=33)
+    X0 = np.random.default_rng(7).normal(size=(4, 3))
+    n_full = 2**1100 + 12345
+    G = np.linalg.matrix_power(kernels._rk4_map(A_n, b, 1e-3), n_full)
+    if h_last > 0.0:
+        G = kernels._rk4_map(A_n, b, h_last) @ G
+    ref = X0 @ G[:3, :3].T + G[:3, 3]
+    _clear_caches()
+    for _ in range(2):
+        got = kernels.affine_rk4_batch_final(A_n, b, X0, 1e-3, n_full, h_last)
+        assert got.tobytes() == ref.tobytes()
+        assert kernels._squaring.cache_info().currsize == kernels.POWER_CACHE_SIZE
 
 
 def test_threads_extending_one_entry_agree_with_fresh_paths():
@@ -188,7 +215,7 @@ def test_threads_extending_one_entry_agree_with_fresh_paths():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            kernels._cached_powers.cache_clear()
+            _clear_caches()
             barrier = threading.Barrier(6)
             workers = [threading.Thread(target=work, args=(barrier,)) for _ in range(6)]
             for w in workers:

@@ -13,7 +13,7 @@ from switchdwell import (
     region_boundary_points,
     v_eval,
 )
-from switchdwell.errors import UnsupportedDimension
+from switchdwell.errors import NonfiniteState, UnsupportedDimension
 from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
@@ -240,6 +240,14 @@ class TestCheckCertificate:
             check_certificate(system[1], BOX2, 0, seed=0)
         with pytest.raises(ValueError):
             check_certificate(system[1], (BOX2[1], BOX2[0]), 10, seed=0)
+
+    def test_nonfinite_samples_are_numeric_failures(self, system):
+        # V overflows at 1e200; at 1e308 the width hi - lo, and so every point, does
+        for half in (1e200, 1e308):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonfiniteState, match="mode 1"):
+                    box = (np.full(2, -half), np.full(2, half))
+                    check_certificate(system[1], box, 50, seed=0)
 
 
 class TestBoundaryPoints:

@@ -573,6 +573,56 @@ class TestConvergenceProduct:
             (i for i, vi in enumerate(v) if vi <= eps + 1e-9), None
         )
 
+    def test_an_overflowing_mu_tilde_is_inf(self, eps):
+        # k_b - k_a = 8 at t = 150, 350, ... takes exp past the largest double
+        system = SwitchedSystem(
+            subsystems=(
+                make_affine_subsystem(-np.eye(2), np.array([1.0, 0.0]), "a"),
+                make_affine_subsystem(-5.0 * np.eye(2), np.array([0.0, 5.0]), "b"),
+            )
+        )
+        sig = signal_from_dwell("a", ["b"], 50.0, periodic=True)
+        traj = simulate_switched(system, sig, np.zeros(2), 400.0, 0.01)
+        report = convergence_product(system, sig, traj, eps, i_max=7)
+        ks = {label: system[label].decay_rate for label in "ab"}
+        for ev, mu, tilde in zip(traj.switch_events, report.mu_values, report.mu_tilde_values):
+            x = (ks[ev.next_mode] - ks[ev.prev_mode]) * ev.t
+            assert tilde == (math.exp(x) * mu if x < 709.0 else math.inf)
+        assert math.inf in report.mu_tilde_values and 0.0 in report.mu_tilde_values
+        assert all(map(math.isfinite, report.mu_values + report.log_products))
+
+    def test_threads_alternating_keys_agree_with_a_serial_run(self, system):
+        import sys
+        import threading
+
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        keys = [(0.05, 3), (0.07, 1), (0.05, 1), (0.06, 2)]
+        serial = [repr(convergence_product(system, sig, traj, *key)) for key in keys]
+        mismatches, done = [], []
+
+        def work(barrier, shift):
+            barrier.wait(timeout=30)
+            for r in range(40):
+                j = (r + shift) % len(keys)
+                if repr(convergence_product(system, sig, traj, *keys[j])) != serial[j]:
+                    mismatches.append(keys[j])
+            done.append(shift)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(4)
+            workers = [threading.Thread(target=work, args=(barrier, s)) for s in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+
 
 class TestTubeSample:
     def test_zero_time_returns_boundary(self, system, eps):
