@@ -1,7 +1,14 @@
 """Command-line entry point: scenario execution and bit-stable CSV/JSON outputs.
 
+A run is ``analyse`` then ``emit``.  ``analyse`` runs every requested stage
+and writes nothing: it returns each output file as its relative paths and
+its content, with every JSON document already encoded and every trajectory
+checked for finite V.  ``emit`` creates ``--out``, writes each content once
+to its paths and the manifest last.  So an input error or a numeric failure
+leaves no file behind, and an existing ``--out`` untouched.
+
 Exit codes: 0 success / all verifications passed, 2 verification failure,
-3 input error, 4 numeric failure (non-finite state).
+3 input error, 4 numeric failure (non-finite state, V or JSON value).
 
 Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_bytes``.
 """
@@ -12,6 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,29 +39,13 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
-class _Tree:
-    """The output tree: each file's sha256 kept by path."""
-
-    def __init__(self):
-        self.sha256: dict[Path, str] = {}
-
-    def write(self, data: bytes | str, *paths: Path) -> None:
-        """Write ``data`` (text as UTF-8) to each of ``paths``, hashing it once."""
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        digest = hashlib.sha256(data).hexdigest()
-        for path in paths:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-            self.sha256[path] = digest
-
-    def write_json(self, path: Path, obj) -> None:
-        """Write ``obj`` as JSON; a NaN or infinity, which JSON has not, is ``NonfiniteState``."""
-        try:
-            text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise NonfiniteState(f"non-finite value in {path.name}") from exc
-        self.write(text + "\n", path)
+def _json(name: str, obj) -> bytes:
+    """``obj`` as indented, key-sorted JSON; a NaN or infinity in it is ``NonfiniteState``."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonfiniteState(f"non-finite value in {name}") from exc
+    return (text + "\n").encode("utf-8")
 
 
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
@@ -66,34 +58,24 @@ def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
     return csv_bytes(header, np.column_stack([traj.times, traj.states]), modes, v)
 
 
-def _region_csvs(system: SwitchedSystem, eps: float) -> dict[str, bytes]:
-    """region_<label>.csv bytes: closed 256-point boundary polylines of a 2-D system."""
-    csvs = {}
-    for sub in system.subsystems:
-        pts = region_boundary_points(sub, eps, 256)
-        csvs[f"region_{sub.label}.csv"] = csv_bytes("x1,x2\n", np.vstack([pts, pts[:1]]))
-    return csvs
-
-
-def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
-    """Execute the requested analyses in order and write the output tree.
+def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
+    """Run the requested analyses in order, print a line per stage, and write nothing.
 
     Order: certify, dwell, simulate, trapping, convergence, triangle, tube,
-    plot data; finally a manifest listing every file with its sha256.
-    ``s`` comes from ``parse_scenario``, which has resolved and checked every
-    input, so what can still fail here is numeric (``NonfiniteState``) or the
-    file system (``IoError``).  Returns (exit_status, manifest).
+    plot data.  ``s`` comes from ``parse_scenario``, which has resolved and
+    checked every input, so what can still fail here is numeric
+    (``NonfiniteState``).  Returns (exit_status, warnings, files): each file
+    is its relative paths and its content, bytes or a function that renders
+    them (a trajectory CSV, rendered when written).
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    tree = _Tree()
+    files: list[tuple] = []
     warnings: list[str] = []
     failed = False
     flags = s.analyses
     system, eps = s.system, s.eps
+
+    def report(name: str, obj) -> None:
+        files.append(((name,), _json(name, obj)))
 
     if flags.get("certify"):
         lower = np.full(system.dimension, s.box[0])
@@ -104,8 +86,8 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         ]
         ok = all(r.passed for r in reports)
         failed |= not ok
-        tree.write_json(
-            out / "certificate_report.json",
+        report(
+            "certificate_report.json",
             {"all_passed": ok, "reports": [r.to_dict() for r in reports]},
         )
         print(f"certify: {'pass' if ok else 'FAIL'}")
@@ -120,7 +102,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         doc["mu"] = mu
         doc["t_glob"] = global_dwell(eps, mu, min(x.decay_rate for x in system.subsystems))
         doc["t_required"] = max(doc["t_glob"], table.t_loc)
-        tree.write_json(out / "dwell_table.json", doc)
+        report("dwell_table.json", doc)
         print(f"dwell: t_loc={table.t_loc:.6g} t_glob={doc['t_glob']:.6g}")
 
     trajs: dict[tuple[str, int], Trajectory] = {}
@@ -129,12 +111,15 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             for i, x0 in enumerate(spec.x0):
                 traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
                 trajs[(name, i)] = traj
-                # rendered and hashed once: the same bytes are the plot
-                # directory's trajectory.csv
-                paths = [out / f"trajectory_{name}_{i}.csv"]
+                # the states are checked by simulate_switched; V, dropped here
+                # to keep memory flat, is recomputed when the CSV is rendered
+                if not np.isfinite(_v_active(traj, system)).all():
+                    raise NonfiniteState(f"non-finite value in trajectory_{name}_{i}.csv")
+                # one buffer: the same bytes are the plot directory's trajectory.csv
+                paths = (f"trajectory_{name}_{i}.csv",)
                 if flags.get("plot_data"):
-                    paths.append(out / f"plot_{name}_{i}" / "trajectory.csv")
-                tree.write(_trajectory_csv(traj, system), *paths)
+                    paths += (f"plot_{name}_{i}/trajectory.csv",)
+                files.append((paths, partial(_trajectory_csv, traj, system)))
 
     if flags.get("trapping"):
         reports = {}
@@ -143,14 +128,14 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
             reports[f"{name}_{i}"] = rep.to_dict()
             failed |= not rep.overall_pass
         ok = all(r["overall_pass"] for r in reports.values())
-        tree.write_json(out / "trapping_report.json", {"all_passed": ok, "runs": reports})
+        report("trapping_report.json", {"all_passed": ok, "runs": reports})
         print(f"trapping: {'pass' if ok else 'FAIL'}")
 
     if flags.get("convergence"):
         rep = convergence_product(
             system, s.signals["signal"].signal, trajs[("signal", 0)], eps, s.i_max
         )
-        tree.write_json(out / "convergence_report.json", rep.to_dict())
+        report("convergence_report.json", rep.to_dict())
         print(
             "convergence: "
             + ("certified" if rep.certified else "not certified by i_max")
@@ -161,7 +146,7 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
         ta = triangle_gap(eps, *(system[m] for m in s.triangle_modes))
         if ta.eps0 is None:
             warnings.append("triangle: geometry outside the eps0 search domain")
-        tree.write_json(out / "triangle_report.json", ta.to_dict())
+        report("triangle_report.json", ta.to_dict())
         print(f"triangle: gap={ta.gap:.6g} ({'detour longer' if ta.gap < 0 else 'detour not longer'})")
 
     if flags.get("tube"):
@@ -182,14 +167,16 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
                 for t, pts in result
             ],
         }
-        tree.write_json(out / "tube_report.json", doc)
+        report("tube_report.json", doc)
         print("tube: written")
 
     if flags.get("plot_data"):
-        plots = [out / f"plot_{name}_{i}" for name, i in trajs]
-        # the same polylines go to every plot directory
-        for region, data in _region_csvs(system, eps).items():
-            tree.write(data, *(plot / region for plot in plots))
+        plots = [f"plot_{name}_{i}" for name, i in trajs]
+        # closed 256-point boundary polylines, the same in every plot directory
+        for sub in system.subsystems:
+            pts = region_boundary_points(sub, eps, 256)
+            body = csv_bytes("x1,x2\n", np.vstack([pts, pts[:1]]))
+            files.append((tuple(f"{plot}/region_{sub.label}.csv" for plot in plots), body))
         for plot, traj in zip(plots, trajs.values()):
             events = traj.switch_events
             body = csv_bytes(
@@ -198,20 +185,49 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
                 labels(ev.prev_mode for ev in events),
                 labels(ev.next_mode for ev in events),
             )
-            tree.write(body, plot / "switch_points.csv")
+            files.append(((f"{plot}/switch_points.csv",), body))
         print("plot-data: written")
 
-    status = EXIT_VERIFICATION if failed else EXIT_OK
-    manifest = {
-        "exit_status": status,
-        "warnings": warnings,
-        "files": [
-            {"path": str(p.relative_to(out)), "sha256": sha}
-            for p, sha in sorted(tree.sha256.items())
-        ],
-    }
-    tree.write_json(out / "manifest.json", manifest)
-    return status, manifest
+    return (EXIT_VERIFICATION if failed else EXIT_OK), warnings, files
+
+
+def emit(status: int, warnings: list[str], files: list[tuple], out_dir) -> dict:
+    """Create ``out_dir`` and write each file's content, hashed once, to its paths.
+
+    The manifest, written last and by the same path, lists every file with
+    its sha256.  Returns the manifest.
+    """
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out}: {exc}") from exc
+    sha256: dict[Path, str] = {}
+
+    def write(paths: tuple[str, ...], data: bytes) -> None:
+        digest = hashlib.sha256(data).hexdigest()
+        for rel in paths:
+            path = out / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+            sha256[Path(rel)] = digest  # a Path key: the manifest sorts by path components
+
+    for paths, content in files:
+        write(paths, content() if callable(content) else content)
+    listed = [{"path": str(p), "sha256": h} for p, h in sorted(sha256.items())]
+    manifest = {"exit_status": status, "warnings": warnings, "files": listed}
+    write(("manifest.json",), _json("manifest.json", manifest))
+    return manifest
+
+
+def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
+    """``analyse`` the scenario, then ``emit`` its files to ``out_dir``: (exit_status, manifest).
+
+    A ``NonfiniteState`` from ``analyse`` propagates before ``out_dir`` is
+    created or touched; what ``emit`` can raise is ``IoError`` or ``OSError``.
+    """
+    status, warnings, files = analyse(s)
+    return status, emit(status, warnings, files, out_dir)
 
 
 _SUBCOMMAND_FLAGS = {

@@ -74,8 +74,8 @@ class TriangleAnalysis:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps > 0:
-        raise InvalidEpsilon(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # NaN too
+        raise InvalidEpsilon(f"eps must be positive and finite, got {eps}")
 
 
 def _pairwise_raw(eps: float, from_sub: Subsystem, to_sub: Subsystem) -> float:
@@ -149,6 +149,10 @@ def mu_bound(
         return pair_mu(eps, d_max)
     if mode != "sampled":
         raise ValueError(f"mode must be 'closed_form' or 'sampled', got {mode!r}")
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if radius is not None and not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     n = system.dimension
     best = 1.0
@@ -177,9 +181,9 @@ def mu_bound(
 def global_dwell(eps: float, mu: float, k_min: float, margin: float = 0.01) -> float:
     """Dwell time strictly above the global-attraction bound ln(mu)/k_min by ``margin``."""
     _check_eps(eps)
-    if mu < 1.0:
+    if not mu >= 1.0:  # NaN too
         raise InvalidMu(f"mu must be >= 1, got {mu}")
-    if k_min <= 0:
+    if not k_min > 0:
         raise ValueError("k_min must be positive")
     if mu == 1.0:
         return 0.0
@@ -241,11 +245,11 @@ def epsilon0_search(
     K0 = beta(r + alpha^{-1}(eps))^{2/k} / beta(2d + alpha^{-1}(eps))^{1/k};
     the gap is negative iff K0/eps^{1/k} > 1.  Bisection to relative width 1e-6.
     """
-    if d <= 0 or r <= 0:
+    if not (d > 0 and r > 0):  # NaN too
         raise ValueError("d and r must be positive")
     if r > 2 * d:
         raise EmptyConfiguration(f"r = {r} > 2d = {2 * d} admits no configuration")
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
 
     def margin(eps: float) -> float:

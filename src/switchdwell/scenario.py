@@ -27,7 +27,7 @@ Schema (unknown sections and keys are rejected):
 complete and valid.  It applies the CLI overrides first, resolves every
 default, and raises a ``SwitchDwellError`` (``ParseError`` for malformed
 INI, ``ValidationError`` or a domain error otherwise) before any output file
-is written; ``cli.run_scenario`` only executes what it returns.
+is written; ``cli.analyse`` only executes what it returns.
 
 Every number must be finite, and out-of-range values (a nonpositive step or
 eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,

@@ -12,7 +12,7 @@ import pytest
 
 from switchdwell import signal_from_dwell, simulate_switched
 from switchdwell import cli
-from switchdwell.cli import _trajectory_csv, main, run_scenario
+from switchdwell.cli import _SUBCOMMAND_FLAGS, _trajectory_csv, main, run_scenario
 from switchdwell.errors import IoError, ValidationError
 from switchdwell.scenario import parse_scenario
 
@@ -103,6 +103,28 @@ class TestMain:
         assert code == 0
         doc = json.loads((tmp_path / "dwell_table.json").read_text())
         assert doc["eps"] == 0.1
+
+
+def test_subcommands_write_the_bytes_of_run(tmp_path, example1_run):
+    # each subcommand's files are the same-named files of a full run, byte for byte
+    runs = {"example1": example1_run[1], "example2": tmp_path / "example2_run"}
+    args = ["--scenario", scenario_path("example2.scenario"), "--out", str(runs["example2"])]
+    assert main(["run"] + args) == 0
+    for name, full in runs.items():
+        for command in sorted(_SUBCOMMAND_FLAGS.keys() - {"run"}):
+            out = tmp_path / f"{name}_{command}"
+            args = ["--scenario", scenario_path(f"{name}.scenario"), "--out", str(out)]
+            code = main([command] + args)
+            if (name, command) == ("example1", "triangle"):  # example1 has no triangle_modes
+                assert code == 3 and not out.exists()
+                continue
+            assert code == 0
+            written = {q.relative_to(out) for q in out.rglob("*") if q.is_file()}
+            shared = {rel for rel in written if (full / rel).is_file()} - {Path("manifest.json")}
+            # example2's run checks no certificates: its certify shares no file
+            assert bool(shared) != ((name, command) == ("example2", "certify"))
+            for rel in shared:
+                assert (out / rel).read_bytes() == (full / rel).read_bytes(), rel
 
 
 EXAMPLE2 = (resources.files("switchdwell") / "scenarios" / "example2.scenario").read_text()
@@ -339,35 +361,45 @@ step = 0.01
 """
 
 
+HUGE_X0 = EXAMPLE1.replace("x0 = 0 1", "x0 = 1e300 1e300")
+
+
 @pytest.mark.parametrize(
-    "command, text, message",
+    "command, text, message, existing",
     [
-        ("run", OVERFLOWING_MU_TILDE, "non-finite value in convergence_report.json"),
-        (
-            "verify",
-            EXAMPLE1.replace("x0 = 0 1", "x0 = 1e300 1e300"),
-            "non-finite value in trapping_report.json",
-        ),
+        ("run", OVERFLOWING_MU_TILDE, "non-finite value in convergence_report.json", False),
+        # V overflows along the trajectory: caught at the simulate stage, before trapping
+        ("verify", HUGE_X0, "non-finite value in trajectory_signal_0.csv", True),
+        ("run", HUGE_X0, "non-finite value in trajectory_signal_0.csv", False),
         (
             "certify",
             EXAMPLE1.replace("samples = 10000", "samples = 200").replace(
                 "plot_data = true", "plot_data = true\nbox = -1e200 1e200"
             ),
             "non-finite V, bound or derivative sampled for mode 1",
+            False,
         ),
     ],
-    ids=["mu_tilde", "v_at_switches", "certificate_samples"],
+    ids=["mu_tilde", "v_at_switches", "v_active", "certificate_samples"],
 )
-def test_nonfinite_values_are_numeric_failures(tmp_path, capsys, command, text, message):
+def test_nonfinite_values_are_numeric_failures(tmp_path, capsys, command, text, message, existing):
     p = tmp_path / "huge.scenario"
     p.write_text(text)
+    out = tmp_path / "o"
+    if existing:
+        out.mkdir()
+        (out / "sentinel").write_bytes(b"kept\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings would be more stderr lines
-        code = main([command, "--scenario", str(p), "--out", str(tmp_path / "o")])
+        code = main([command, "--scenario", str(p), "--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
-    for written in (tmp_path / "o").rglob("*.json"):
-        json.loads(written.read_text(), parse_constant=pytest.fail)
+    # nothing is written before every stage has run
+    if existing:
+        assert [q.name for q in out.iterdir()] == ["sentinel"]
+        assert (out / "sentinel").read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
 
 
 def test_eps0_without_threshold_is_a_warning(tmp_path):

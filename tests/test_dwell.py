@@ -173,3 +173,41 @@ class TestEpsilon0Search:
             epsilon0_search(0.0, 0.5, alpha, beta, 2.0)
         with pytest.raises(ValueError):
             epsilon0_search(1.0, 0.5, alpha, beta, 0.0)
+
+
+_K = ClassKFn(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda s: global_dwell(0.05, math.nan, 2.0), InvalidMu),
+        (lambda s: global_dwell(0.05, 2.0, math.nan), ValueError),
+        (lambda s: epsilon0_search(math.nan, 0.5, _K, _K, 2.0), ValueError),
+        (lambda s: epsilon0_search(1.0, math.nan, _K, _K, 2.0), ValueError),
+        (lambda s: epsilon0_search(1.0, 0.5, _K, _K, math.nan), ValueError),
+        (lambda s: mu_bound(0.05, s, mode="sampled", n_samples=0), ValueError),
+        (lambda s: mu_bound(0.05, s, mode="sampled", radius=math.nan), ValueError),
+        (lambda s: mu_bound(0.05, s, mode="sampled", radius=math.inf), ValueError),
+        (lambda s: mu_bound(0.05, s, mode="sampled", radius=-1.0), ValueError),
+        (lambda s: pairwise_dwell(math.inf, s[1], s[0]), InvalidEpsilon),
+        (lambda s: local_dwell(math.inf, s, [(1, 0)]), InvalidEpsilon),
+    ],
+    ids=[
+        "global_nan_mu",
+        "global_nan_k_min",
+        "eps0_nan_d",
+        "eps0_nan_r",
+        "eps0_nan_k",
+        "mu_no_samples",
+        "mu_nan_radius",
+        "mu_inf_radius",
+        "mu_negative_radius",
+        "pairwise_inf_eps",
+        "local_inf_eps",
+    ],
+)
+def test_out_of_domain_numbers_are_rejected(system, call, error):
+    # each returned a number before: nan, 1e6, 1.0, 53.5 or 0.0
+    with pytest.raises(error):
+        call(system)

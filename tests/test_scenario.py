@@ -1,4 +1,8 @@
+import hashlib
+import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchdwell import region_boundary_points
-from switchdwell.cli import _SUBCOMMAND_FLAGS
+from switchdwell.cli import _SUBCOMMAND_FLAGS, main
 from switchdwell.errors import ParseError, SwitchDwellError, ValidationError
 from switchdwell.scenario import Scenario, parse_scenario
 
@@ -205,9 +209,15 @@ _SIGNAL_KEYS = st.sampled_from(["period", "times", "modes", "t0"])
 
 
 @st.composite
-def _scenario_text(draw):
-    """A bundled scenario with a few values replaced or emptied and keys added."""
+def _scenario_text(draw, samples=None):
+    """A bundled scenario with a few values replaced or emptied and keys added.
+
+    With ``samples``, that is the scenario's ``[numeric] samples`` before any change.
+    """
     lines = bundled(draw(st.sampled_from(["example1.scenario", "example2.scenario"])))
+    if samples is not None:
+        lines = lines.replace("samples = 10000\n", "")
+        lines = lines.replace("[numeric]\n", f"[numeric]\nsamples = {samples}\n")
     lines = lines.splitlines()
     keyed = [i for i, line in enumerate(lines) if "=" in line]
     for i in draw(st.lists(st.sampled_from(keyed), max_size=3)):
@@ -239,3 +249,37 @@ def test_any_text_is_a_scenario_or_an_input_error(text, step, eps, seed, analyse
     except SwitchDwellError:
         return
     assert isinstance(s, Scenario)
+
+
+@given(
+    text=_scenario_text(samples=64),
+    command=st.sampled_from(list(_SUBCOMMAND_FLAGS)),
+    eps=st.none() | st.floats(1e-300, 1e300),  # out-of-range overrides: the parse property
+    # a start far enough out overflows V or a later report
+    x0=st.sampled_from(["0 1", "1e150 1e150", "1e154 1e154", "1e300 1e300"]),
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_any_text_ends_in_a_whole_tree_or_none(text, command, eps, x0):
+    # a coarse step keeps each run to a few hundred RK4 samples per start
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "s.scenario", Path(tmp) / "o"
+        path.write_text(text.replace("x0 = 0 1\n", f"x0 = {x0}\n", 1))
+        args = [command, "--scenario", str(path), "--out", str(out), "--step=2.5e-2"]
+        code = main(args + ([] if eps is None else [f"--eps={eps!r}"]))
+        assert code in (0, 2, 3, 4)
+        if code in (3, 4):
+            assert not out.exists()
+            return
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == code
+        listed = {e["path"]: e["sha256"] for e in manifest["files"]}
+        on_disk = {str(q.relative_to(out)): q for q in out.rglob("*") if q.is_file()}
+        assert set(on_disk) == set(listed) | {"manifest.json"}
+        for rel, q in on_disk.items():
+            data = q.read_bytes()
+            if rel != "manifest.json":
+                assert hashlib.sha256(data).hexdigest() == listed[rel]
+            if rel.endswith(".json"):
+                json.loads(data, parse_constant=pytest.fail)
+            else:
+                assert not {b"inf", b"-inf", b"nan"} & set(data.replace(b"\n", b",").split(b","))
