@@ -93,10 +93,11 @@ class Subsystem:
     ``affine`` carries (A, b) when the mode is x' = Ax + b (integrated by the
     exact RK4 map in ``kernels``); ``quadratic`` marks V_u(x) = ||x - x_u||^2.
 
-    ``v_batch`` and ``grad_batch`` are the single evaluation path for V_u and
-    its gradient over rows of states: ``quadratic`` selects the closed forms
-    ``||d||^2`` (``_sq_dist``) and ``2d`` with ``d = x - x_u``; any other mode
-    loops over ``lyapunov``, with central differences for the gradient.
+    ``v_batch`` and ``lie_batch`` are the single evaluation path for V_u and
+    its derivative along a field over rows of states: ``quadratic`` selects
+    the closed forms ``||d||^2`` (``_sq_dist``) and ``2d . F`` with
+    ``d = x - x_u``; any other mode loops over ``lyapunov``, with one central
+    difference along ``F`` for the derivative.
     """
 
     label: Label
@@ -142,21 +143,24 @@ class Subsystem:
             return _sq_dist(np.asarray(X), self.equilibrium)
         return np.fromiter(map(self.lyapunov, X), dtype=float, count=len(X))
 
-    def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of V_u at each row of ``X``.
+    def lie_batch(self, X: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Derivative of V_u along ``F`` at each row of ``X``: grad V(x) . F(x).
 
-        Central differences for non-quadratic V, with step
-        ``h = 1e-6 * (1 + ||x||)`` per row along each axis.
+        Quadratic V: ``2 (x - x_u) . F``.  Any other V: one central
+        difference along ``F``, ``(V(x + s) - V(x - s)) / (2h) * |F|`` with
+        ``s = h F / |F|`` and ``h = 1e-6 * (1 + ||x||)`` per row, so two V
+        calls per row in any dimension.  ``|F|`` is taken after dividing the
+        row by its largest ``|F_j|``, so it cannot overflow; a zero row gets
+        a zero step and a derivative of 0.  ``F`` must be finite.
         """
         if self.quadratic:
-            return 2.0 * (X - self.equilibrium)
+            return np.vecdot(2.0 * (X - self.equilibrium), F)
+        top = np.abs(F).max(axis=1)
+        U = F / np.where(top > 0, top, 1.0)[:, None]
+        u = np.sqrt(np.vecdot(U, U))
         h = 1e-6 * (1.0 + np.sqrt(np.vecdot(X, X)))
-        G = np.empty_like(X)
-        for j in range(X.shape[1]):
-            step = np.zeros_like(X)
-            step[:, j] = h
-            G[:, j] = (self.v_batch(X + step) - self.v_batch(X - step)) / (2.0 * h)
-        return G
+        S = U * (h / np.where(u > 0, u, 1.0))[:, None]
+        return (self.v_batch(X + S) - self.v_batch(X - S)) / (2.0 * h) * (u * top)
 
     def check_dimension(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

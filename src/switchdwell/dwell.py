@@ -133,7 +133,8 @@ def mu_bound(
     (1 + D/sqrt(eps))^2 with D the largest pairwise equilibrium distance,
     the exact supremum.  ``sampled`` maximizes the ratio over seeded random
     points outside the region within ``radius`` of each x_b; it approaches the
-    closed form from below.
+    closed form from below.  A radius that leaves no sample of some mode
+    outside its region (one at most alpha^{-1}(eps)) raises ``ValueError``.
     """
     _check_eps(eps)
     subs = system.subsystems
@@ -171,7 +172,10 @@ def mu_bound(
         vb = b.v_batch(pts)
         outside = vb > eps
         if not outside.any():
-            continue
+            raise ValueError(
+                f"no sample of mode {b.label!r} lies outside its region within radius "
+                f"{r_out} (alpha^-1(eps) = {r_in})"
+            )
         for a in subs:
             if a is not b:
                 best = max(best, float((a.v_batch(pts)[outside] / vb[outside]).max()))

@@ -1,7 +1,8 @@
 """Lyapunov certificate evaluation, sampled validation, and trapping regions.
 
 The trapping region of mode u at level eps is N^eps_u = {x : V_u(x) <= eps}.
-V_u and its gradient come from ``Subsystem.v_batch``/``grad_batch``.
+V_u and its derivative along the field come from ``Subsystem.v_batch`` and
+``Subsystem.lie_batch``.
 Certificate checks are sample-based: they can falsify the sandwich and decay
 conditions on a box but never prove them; callers should treat a clean report
 as "not falsified on the sampled set".  The samples are an Owen-scrambled
@@ -132,10 +133,13 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
     as ``scipy.stats.qmc.Halton(scramble=True)`` under ``qmc.scale``.
 
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
-    grad V(x) . f(x) <= -k V(x) + 1e-9, with V and its gradient from
-    ``Subsystem.v_batch``/``grad_batch``.  Violation lists are ordered by
-    sample index.  A non-finite V, bound or derivative at any point raises
-    ``NonfiniteState``: no comparison with it could find a violation.
+    grad V(x) . f(x) <= -k V(x) + 1e-9, with V from ``Subsystem.v_batch``
+    and grad V . f from ``Subsystem.lie_batch``: for a callable V, one
+    field call and three V calls per point in any dimension.  Violation
+    lists are ordered by sample index.  A non-finite V, field, bound or
+    derivative at any point raises ``NonfiniteState``: no comparison with it
+    could find a violation.  A non-finite field raises before V is
+    evaluated off the sample points.
     """
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
@@ -153,12 +157,13 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
         f = pts @ A.T + b
     else:
         f = np.fromiter(map(sub.field, pts), dtype=(float, sub.dimension), count=n_samples)
-    deriv = np.vecdot(sub.grad_batch(pts), f)
+    # a non-finite field makes every derivative NaN, and V is not evaluated off the samples
+    deriv = sub.lie_batch(pts, f) if np.isfinite(f).all() else np.full(n_samples, np.nan)
     slack = deriv + sub.decay_rate * v
     if not all(np.isfinite(a).all() for a in (v, lo, hi, slack)):
         raise NonfiniteState(f"non-finite V, bound or derivative sampled for mode {sub.label!r}")
-    # a finite-difference gradient carries a relative error, so off the closed
-    # form the tolerance scales with the derivative magnitude
+    # a finite difference carries a relative error, so off the closed form
+    # the tolerance scales with the derivative magnitude
     tol = DECAY_TOL if sub.quadratic else DECAY_TOL * (1.0 + np.abs(deriv))
     report = CertificateReport(label=sub.label, samples_tested=n_samples)
     report.max_decay_slack = float(slack.max())
@@ -175,7 +180,9 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
     Quadratic V in 2-D: equally spaced angles on the circle of radius
     sqrt(eps); quadratic V in other dimensions: deterministic directions on
     the sphere.  Non-quadratic V is supported in 2-D only, by radial
-    bisection per angle, which stops once the bracket cannot shrink.
+    bisection per angle, which stops once the bracket cannot shrink; a NaN
+    V on a ray, or a V that stays below eps until the radius overflows,
+    raises ``NonfiniteState`` (a V of +inf counts as at least eps).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -200,15 +207,25 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
     pts = np.empty((count, 2))
     for i, th in enumerate(theta):
         d = np.array([np.cos(th), np.sin(th)])
+        ray = f"for mode {sub.label!r} on the ray at angle {float(th)!r}"
+
+        def below(r: float) -> bool:
+            v = float(sub.lyapunov(sub.equilibrium + r * d))
+            if math.isnan(v):
+                raise NonfiniteState(f"V is NaN {ray}")
+            return v < eps
+
         hi = sub.alpha.inverse(eps) * 2.0 + 1.0
-        while sub.lyapunov(sub.equilibrium + hi * d) < eps:
+        while below(hi):
             hi *= 2.0
+            if hi == math.inf:
+                raise NonfiniteState(f"V stays below eps = {eps!r} {ray}")
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break  # lo and hi are adjacent floats: neither can move again
-            if sub.lyapunov(sub.equilibrium + mid * d) < eps:
+            if below(mid):
                 lo = mid
             else:
                 hi = mid

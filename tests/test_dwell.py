@@ -211,3 +211,14 @@ def test_out_of_domain_numbers_are_rejected(system, call, error):
     # each returned a number before: nan, 1e6, 1.0, 53.5 or 0.0
     with pytest.raises(error):
         call(system)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.2, 0.23])
+def test_sampled_mu_needs_samples_outside_every_region(system, eps, radius):
+    # alpha^-1(0.05) = 0.2236: a smaller radius leaves every sample of a mode
+    # inside its region, and the bound read 1.0 as if that mode had no ratio
+    if radius < math.sqrt(eps):
+        with pytest.raises(ValueError, match=r"mode 1 .*alpha\^-1\(eps\) = 0\.2236"):
+            mu_bound(eps, system, mode="sampled", n_samples=2000, radius=radius)
+    else:
+        assert mu_bound(eps, system, mode="sampled", n_samples=2000, radius=radius) == 53.63600591268791

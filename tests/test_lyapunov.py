@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -42,8 +43,10 @@ def random_affine_subsystem(rng, n):
 def per_point_certificate(sub, pts):
     """Reference: the sandwich and decay tests one sample at a time.
 
-    V from ``lyapunov``, the gradient by central differences with step
-    1e-6 * (1 + ||x||), the decay tolerance scaled by |dV/dt|.
+    V from ``lyapunov``, dV/dt by one central difference along f with step
+    h = 1e-6 * (1 + ||x||): s = h f/|f|, with |f| taken after dividing f by
+    its largest |f_j| (a zero f gives a zero step); the decay tolerance
+    scaled by |dV/dt|.
     """
     sandwich, decay, max_slack = [], [], float("-inf")
     for x in pts:
@@ -55,13 +58,12 @@ def per_point_certificate(sub, pts):
         if v < lo - MEMBERSHIP_TOL or v > hi + MEMBERSHIP_TOL:
             sandwich.append((x, v, lo, hi))
         h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        g = np.empty_like(x)
-        for j in range(x.shape[0]):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            g[j] = (sub.lyapunov(xp) - sub.lyapunov(xm)) / (2.0 * h)
-        deriv = float(g @ np.asarray(sub.field(x), dtype=float))
+        f = np.asarray(sub.field(x), dtype=float)
+        top = float(np.abs(f).max())
+        u = f / top if top > 0 else f
+        norm_u = float(np.linalg.norm(u))
+        s = u * (h / norm_u) if norm_u > 0 else u
+        deriv = (sub.lyapunov(x + s) - sub.lyapunov(x - s)) / (2.0 * h) * (norm_u * top)
         slack = deriv + sub.decay_rate * v
         max_slack = max(max_slack, slack)
         if slack > DECAY_TOL * (1.0 + abs(deriv)):
@@ -96,12 +98,93 @@ class TestBatchEvaluation:
         rows = (X - sub.equilibrium).tolist()
         ref = [functools.reduce(lambda acc, d: acc + d * d, row, 0.0) for row in rows]
         assert v.tolist() == ref
-        np.testing.assert_array_equal(sub.grad_batch(X), 2.0 * (X - sub.equilibrium))
+        F = rng.standard_normal((500, n))
+        assert sub.lie_batch(X, F).tobytes() == np.vecdot(2.0 * (X - sub.equilibrium), F).tobytes()
 
     def test_callable_gradient_is_central_difference(self, system):
         sub = dataclasses.replace(system[0], quadratic=False, affine=None)
-        X = np.random.default_rng(3).standard_normal((50, 2))
-        np.testing.assert_allclose(sub.grad_batch(X), 2.0 * (X - sub.equilibrium), atol=1e-8)
+        rng = np.random.default_rng(3)
+        X, F = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+        expected = np.vecdot(2.0 * (X - sub.equilibrium), F)
+        np.testing.assert_allclose(sub.lie_batch(X, F), expected, atol=1e-8)
+        # a zero field row gets a zero step and a derivative of exactly 0
+        F[7] = 0.0
+        assert sub.lie_batch(X, F)[7] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["weighted_quadratic", "quartic"])
+    def test_callable_lie_derivative_is_accurate(self, n, kind):
+        rng = np.random.default_rng(10 * n)
+        x_u = rng.standard_normal(n)
+        g = rng.standard_normal((n, n))
+        P = g @ g.T + n * np.eye(n)  # SPD, not a multiple of the identity
+        if kind == "weighted_quadratic":
+            def lyapunov(x):
+                d = x - x_u
+                return float(d @ P @ d)
+
+            def grad(d):
+                return 2.0 * d @ P
+        else:
+            def lyapunov(x):
+                dd = float((x - x_u) @ (x - x_u))
+                return dd + dd * dd
+
+            def grad(d):
+                return (2.0 + 4.0 * np.vecdot(d, d))[:, None] * d
+        sub = Subsystem(
+            label=kind, field=lambda x: -(x - x_u), equilibrium=x_u, decay_rate=1.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        X = x_u + rng.uniform(-3.0, 3.0, (200, n))
+        S = g - g.T  # a rotation part, so F is not parallel to x - x_u
+        F = -(X - x_u) + 0.3 * (X - x_u) @ S.T
+        expected = np.vecdot(grad(X - x_u), F)
+        assert np.all(expected < 0)  # bounded away from 0, so relative error is meaningful
+        np.testing.assert_allclose(sub.lie_batch(X, F), expected, rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_callable_certificate_calls_v_three_times_per_sample(self, n):
+        calls = {"V": 0, "f": 0}
+
+        def lyapunov(x):
+            calls["V"] += 1
+            return float(x @ x)
+
+        def field(x):
+            calls["f"] += 1
+            return -x
+
+        sub = Subsystem(
+            label="counted", field=field, equilibrium=np.zeros(n), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        calls.update(V=0, f=0)
+        report = check_certificate(sub, (np.full(n, -2.0), np.full(n, 2.0)), 300, seed=4)
+        assert report.passed
+        assert calls == {"V": 3 * 300, "f": 300}  # 2n + 1 V calls per sample before
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nonfinite_field_raises_before_v_leaves_the_samples(self, n):
+        box = (np.full(n, -2.0), np.full(n, 2.0))
+        bad = _halton(n, 100, 6)[37] * 4.0 - 2.0
+        seen = []
+
+        def lyapunov(x):
+            seen.append(np.isfinite(x).all())
+            return float(x @ x)
+
+        def field(x):
+            return np.full(n, np.nan) if np.array_equal(x, bad) else -x
+
+        sub = Subsystem(
+            label="leaky", field=field, equilibrium=np.zeros(n), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        seen.clear()
+        with pytest.raises(NonfiniteState, match="non-finite V, bound or derivative sampled for mode 'leaky'"):
+            check_certificate(sub, box, 100, seed=6)
+        assert len(seen) == 100 and all(seen)  # V ran on the samples only
 
     @pytest.mark.parametrize(
         "make",
@@ -295,6 +378,45 @@ class TestBoundaryPoints:
             ref[i] = sub.equilibrium + 0.5 * (lo + hi) * d
         assert pts.tobytes() == ref.tobytes()
         assert len(calls) <= 16 * 60
+
+    def test_v_below_eps_on_every_radius_is_a_numeric_failure(self):
+        calls = []
+
+        def lyapunov(x):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise RuntimeError("the radial search did not end")
+            with np.errstate(over="ignore"):  # |x|^2 overflows before the radius does
+                return 1.0 - math.exp(-float(x @ x))
+
+        sub = Subsystem(
+            label="bounded", field=lambda x: -x, equilibrium=np.zeros(2), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        with pytest.raises(NonfiniteState, match="V stays below eps = 2.0 for mode 'bounded' on the ray at angle 0.0"):
+            region_boundary_points(sub, 2.0, 8)
+
+    def test_nan_v_is_a_numeric_failure(self):
+        def lyapunov(x):
+            v = float(x @ x)
+            return v if v < 0.5 else math.nan
+
+        sub = Subsystem(
+            label="partial", field=lambda x: -x, equilibrium=np.zeros(2), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        # it returned points at radius 0.7071, where V is NaN
+        with pytest.raises(NonfiniteState, match="V is NaN for mode 'partial' on the ray at angle 0.0"):
+            region_boundary_points(sub, 0.8, 8)
+
+    def test_infinite_v_counts_as_outside(self, eps):
+        sub = dataclasses.replace(
+            scaled_quadratic_subsystem(2.0),
+            lyapunov=lambda x: 2.0 * float(x @ x) if x @ x < 1.0 else math.inf,
+        )
+        pts = region_boundary_points(sub, eps, 16)
+        for p in pts:
+            assert sub.lyapunov(p) == pytest.approx(eps, rel=1e-9)
 
     def test_quadratic_high_dimension_on_sphere(self):
         sub = Subsystem(
