@@ -151,7 +151,9 @@ class Subsystem:
         ``s = h F / |F|`` and ``h = 1e-6 * (1 + ||x||)`` per row, so two V
         calls per row in any dimension.  ``|F|`` is taken after dividing the
         row by its largest ``|F_j|``, so it cannot overflow; a zero row gets
-        a zero step and a derivative of 0.  ``F`` must be finite.
+        a zero step and a derivative of 0.  A row whose ``h`` is not finite
+        (``||x||`` past about 1e154) gets a NaN derivative, and V is not
+        called there.  ``F`` must be finite.
         """
         if self.quadratic:
             return np.vecdot(2.0 * (X - self.equilibrium), F)
@@ -159,8 +161,12 @@ class Subsystem:
         U = F / np.where(top > 0, top, 1.0)[:, None]
         u = np.sqrt(np.vecdot(U, U))
         h = 1e-6 * (1.0 + np.sqrt(np.vecdot(X, X)))
+        ok = np.isfinite(h)
+        X, U, u, top, h = X[ok], U[ok], u[ok], top[ok], h[ok]
         S = U * (h / np.where(u > 0, u, 1.0))[:, None]
-        return (self.v_batch(X + S) - self.v_batch(X - S)) / (2.0 * h) * (u * top)
+        out = np.full(len(ok), np.nan)
+        out[ok] = (self.v_batch(X + S) - self.v_batch(X - S)) / (2.0 * h) * (u * top)
+        return out
 
     def check_dimension(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -73,13 +73,22 @@ class TriangleAnalysis:
         }
 
 
+# global_dwell's relative margin above the bound ln(mu)/k_min
+GLOBAL_DWELL_MARGIN = 0.01
+
+
 def _check_eps(eps: float) -> None:
     if not 0 < eps < math.inf:  # NaN too
         raise InvalidEpsilon(f"eps must be positive and finite, got {eps}")
 
 
+def _equilibrium_distance(a: Subsystem, b: Subsystem) -> float:
+    """``||x_b - x_a||``, the distance between the equilibria of two modes."""
+    return float(np.linalg.norm(b.equilibrium - a.equilibrium))
+
+
 def _pairwise_raw(eps: float, from_sub: Subsystem, to_sub: Subsystem) -> float:
-    dist = float(np.linalg.norm(to_sub.equilibrium - from_sub.equilibrium))
+    dist = _equilibrium_distance(from_sub, to_sub)
     delta = to_sub.beta.eval(dist + from_sub.alpha.inverse(eps))
     if delta <= 0:
         raise InvalidEpsilon("beta(||x2 - x1|| + alpha^{-1}(eps)) must be positive")
@@ -124,7 +133,6 @@ def mu_bound(
     system: SwitchedSystem,
     mode: str = "closed_form",
     n_samples: int = 100_000,
-    radius: Optional[float] = None,
     seed: int = 42,
 ) -> float:
     """Uniform bound on V_a(x)/V_b(x) outside N^eps_b, over all ordered mode pairs.
@@ -132,9 +140,11 @@ def mu_bound(
     ``closed_form`` (identity-quadratic certificates only) returns
     (1 + D/sqrt(eps))^2 with D the largest pairwise equilibrium distance,
     the exact supremum.  ``sampled`` maximizes the ratio over seeded random
-    points outside the region within ``radius`` of each x_b; it approaches the
-    closed form from below.  A radius that leaves no sample of some mode
-    outside its region (one at most alpha^{-1}(eps)) raises ``ValueError``.
+    points outside the region, at distances from x_b between
+    alpha^{-1}(eps) and 2 (d + alpha^{-1}(eps)) + 1, with d the largest
+    distance from x_b to another equilibrium; it approaches the closed form
+    from below.  A V_b that leaves no sample outside its region (one below
+    alpha there) raises ``ValueError``.
     """
     _check_eps(eps)
     subs = system.subsystems
@@ -146,25 +156,18 @@ def mu_bound(
         d_max = 0.0
         for a in subs:
             for b in subs:
-                d_max = max(d_max, float(np.linalg.norm(a.equilibrium - b.equilibrium)))
+                d_max = max(d_max, _equilibrium_distance(b, a))
         return pair_mu(eps, d_max)
     if mode != "sampled":
         raise ValueError(f"mode must be 'closed_form' or 'sampled', got {mode!r}")
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if radius is not None and not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     n = system.dimension
     best = 1.0
     for b in subs:
         r_in = b.alpha.inverse(eps)
-        r_out = radius
-        if r_out is None:
-            d_max = max(
-                float(np.linalg.norm(a.equilibrium - b.equilibrium)) for a in subs
-            )
-            r_out = 2.0 * (d_max + r_in) + 1.0
+        r_out = 2.0 * (max(_equilibrium_distance(b, a) for a in subs) + r_in) + 1.0
         dirs = rng.standard_normal((n_samples, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = r_in * (1 + 1e-12) + rng.random(n_samples) * (r_out - r_in)
@@ -182,8 +185,8 @@ def mu_bound(
     return best
 
 
-def global_dwell(eps: float, mu: float, k_min: float, margin: float = 0.01) -> float:
-    """Dwell time strictly above the global-attraction bound ln(mu)/k_min by ``margin``."""
+def global_dwell(eps: float, mu: float, k_min: float) -> float:
+    """``1 + GLOBAL_DWELL_MARGIN`` times the global-attraction bound ln(mu)/k_min."""
     _check_eps(eps)
     if not mu >= 1.0:  # NaN too
         raise InvalidMu(f"mu must be >= 1, got {mu}")
@@ -191,7 +194,7 @@ def global_dwell(eps: float, mu: float, k_min: float, margin: float = 0.01) -> f
         raise ValueError("k_min must be positive")
     if mu == 1.0:
         return 0.0
-    return (1.0 + margin) * math.log(mu) / k_min
+    return (1.0 + GLOBAL_DWELL_MARGIN) * math.log(mu) / k_min
 
 
 def _shared_certificate(subs: Sequence[Subsystem]) -> tuple[ClassKFn, ClassKFn, float]:
@@ -221,9 +224,9 @@ def triangle_gap(eps: float, u0: Subsystem, v: Subsystem, u1: Subsystem) -> Tria
         - _pairwise_raw(eps, v, u1)
     )
     ai = alpha.inverse(eps)
-    d01 = float(np.linalg.norm(u1.equilibrium - u0.equilibrium))
-    d0v = float(np.linalg.norm(v.equilibrium - u0.equilibrium))
-    dv1 = float(np.linalg.norm(u1.equilibrium - v.equilibrium))
+    d01 = _equilibrium_distance(u0, u1)
+    d0v = _equilibrium_distance(u0, v)
+    dv1 = _equilibrium_distance(v, u1)
     K = (beta.eval(dv1 + ai) / beta.eval(d01 + ai)) ** (1.0 / k) * beta.eval(d0v + ai) ** (
         1.0 / k
     )

@@ -11,22 +11,26 @@ Everything that does not depend on the start state is planned once per
 used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
 and signal objects: the unrolled switches, the interval grids and row offsets,
 one read-only ``times`` array shared by every trajectory built from the plan,
-the segments, each switch's exited equilibrium for quadratic V, W's factors
-``exp(k (t - t_lo))`` and the record columns.  A plan holds only such derived
-data, never a state or a verdict: about ``16 N`` bytes for N samples once W
-has been checked, the ``times`` and W's factor.  One plan is kept: a sweep
-runs the starts of one signal back to back, and a larger cache would only
-keep plans alive after their sweep.  For the same reason
-``_convergence_terms``, a pure function of a plan, ``eps`` and ``i_max``,
-keeps only its last result.  The checks read the plan a trajectory was
+the segments, W's factors ``exp(k (t - t_lo))`` and the record columns.  A
+plan holds only such derived data, never a state or a verdict: about ``16 N``
+bytes for N samples once W has been checked, the ``times`` and W's factor.
+One plan is kept: a sweep runs the starts of one signal back to back, and a
+larger cache would only keep plans alive after their sweep.  For the same
+reason ``_convergence_terms``, a pure function of a plan, ``eps`` and
+``i_max``, keeps only its last result.  The checks read the plan a trajectory was
 simulated from while the trajectory is unchanged (same system and signal
 objects, ``times`` the plan's, the very event objects); any other trajectory
 gets an uncached plan built from its own times and events.
 
-Per-switch and per-interval work costs array operations: the records are
-named tuples built from ``tolist()`` columns, the exited mode's V at the
-switches (``_v_exit``) is computed once per trajectory and system, and the
-convergence terms once per distinct mode pair.
+V is read through one routine, ``_v_rows``: the active mode's V at every
+sample (``_v_active``) and the exited mode's V at each switch state
+(``_v_exit``) are each one ``_sq_dist`` pass with every row's own equilibrium
+when all the modes involved are quadratic, and one ``v_batch`` call per run
+otherwise.  ``simulate_switched`` attaches ``[plan, events, V at the
+switches]`` to the trajectory; the first check that reads the plan fills in
+the V, which then serves exactly as long as the plan does.  The records are
+named tuples built from ``tolist()`` columns, and the convergence terms are
+computed once per distinct mode pair.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal, _sq_dist
-from .dwell import pair_mu
+from .dwell import _equilibrium_distance, pair_mu
 from .errors import (
     InsufficientSwitches,
     NonfiniteState,
@@ -80,11 +84,10 @@ class Trajectory:
     initial_mode: Label
     switch_events: list[SwitchEvent]
     step: float
-    # (plan, events) that simulate_switched built this trajectory from;
+    # [plan, events, V at the switches] that simulate_switched built this
+    # trajectory from, V filled by the first _v_exit that reads the plan;
     # dataclasses.replace leaves it None, see _plan_of
-    _plan: Optional[tuple] = field(default=None, init=False, repr=False)
-    # (system, events, v) of the last _v_exit; dataclasses.replace leaves it None
-    _v_exit_cache: Optional[tuple] = field(default=None, init=False, repr=False)
+    _plan: Optional[list] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -212,10 +215,10 @@ def simulate_switched(
     ``integrate``: an affine interval is written in place by its mode's
     ``kernels._path_filler`` (the fill behind ``affine_rk4_path``, with the
     seed block looked up once per mode and trajectory), a callable one is
-    generic RK4 copied in.  States are checked for finiteness once at the
-    end and before each callable interval, so a callable is never given a
-    non-finite start; a non-finite state names the first interval that has
-    one.
+    generic RK4 copied in.  The whole buffer is checked for finiteness once
+    at the end, and each callable interval's start row before it runs, so a
+    callable is never given a non-finite start; either check names the first
+    interval that holds a non-finite state.
     """
     _check_finite_args(horizon=horizon, step=step)
     if horizon <= signal.t0:
@@ -227,7 +230,6 @@ def simulate_switched(
     segments = plan.segments
     states = np.empty((len(plan.times), x0.shape[0]))
     states[0] = x0
-    checked = 0  # the intervals before this one are known to be finite
     fills = {}  # one kernels._path_filler per affine mode
     for i, ((lo, hi, mode), (n_full, rem)) in enumerate(zip(segments, plan.grids)):
         run = states[lo : hi + 1]  # up to the next interval's first sample
@@ -235,13 +237,13 @@ def simulate_switched(
         if fill is None:
             sub = system[mode]
             if sub.affine is None:
-                _check_runs(states, segments[checked:i])
-                checked = i
+                if not np.isfinite(run[0]).all():
+                    _check_runs(states, segments[:i])
                 run[:] = _generic_rk4_path(sub.field, run[0], step, n_full, rem)
                 continue
             fill = fills[mode] = kernels._path_filler(*sub.affine, step)
         fill(run, rem)
-    _check_runs(states, segments[checked:])
+    _check_runs(states, segments)
     rows = plan.los[1:]
     switch_states = states[rows]
     switch_states.setflags(write=False)
@@ -249,12 +251,15 @@ def simulate_switched(
         map(SwitchEvent, plan.switch_t, plan.exit_modes, plan.modes[1:], switch_states, rows)
     )
     traj = Trajectory(plan.times, states, signal.initial_mode, events, step)
-    traj._plan = (plan, tuple(events))
+    traj._plan = [plan, tuple(events), None]
     return traj
 
 
 def _check_runs(states: np.ndarray, segments: list) -> None:
-    """``_check_finite`` on each segment and its closing sample, in one pass when all are finite."""
+    """``_check_finite`` on each segment and its closing sample, in one pass when all are finite.
+
+    A non-finite state raises naming the first segment that holds one.
+    """
     if segments and not np.isfinite(states[segments[0][0] : segments[-1][1] + 1]).all():
         for lo, hi, mode in segments:
             _check_finite(states[lo : hi + 1], mode)
@@ -266,11 +271,9 @@ class _Plan:
     ``segments`` are ``Trajectory.segments``, and ``modes``, ``los`` and
     ``lens`` their columns; ``switch_t`` and ``exit_modes`` are the record
     columns of the switches, and ``grids`` the (full steps, partial step) of
-    each interval, for a plan that ``simulate_switched`` fills from.
-    The arrays are built on first use and never written after: each
-    switch's exited equilibrium when V is quadratic (``exit_centres``) and
-    W's factors (``w_terms``).  ``signal`` is the one the switches were
-    matched to, or None.
+    each interval, for a plan that ``simulate_switched`` fills from.  W's
+    factors (``w_terms``) are built on first use and never written after.
+    ``signal`` is the one the switches were matched to, or None.
     """
 
     def __init__(self, system, signal, times, segments, switches, grids=None):
@@ -281,18 +284,6 @@ class _Plan:
         self.modes = [mode for _, _, mode in segments]
         self.switch_t = [t for t, _, _ in switches]
         self.exit_modes = [prev for _, prev, _ in switches]
-
-    def _equilibria(self, modes: list) -> Optional[np.ndarray]:
-        """The equilibria of ``modes`` as the columns of an array, when every V is quadratic."""
-        subs = [self.system[mode] for mode in modes]
-        if all(sub.quadratic for sub in subs):
-            shape = (len(subs), self.system.dimension)
-            return np.array([sub.equilibrium for sub in subs]).reshape(shape).T
-
-    @cached_property
-    def exit_centres(self) -> Optional[np.ndarray]:
-        """Each switch's exited equilibrium, an (n, switches) array, when all are quadratic."""
-        return self._equilibria(self.exit_modes)
 
     @cached_property
     def w_terms(self) -> Optional[tuple]:
@@ -354,7 +345,7 @@ def _plan_of(traj: Trajectory, system: SwitchedSystem, signal=None) -> _Plan:
     built.  Otherwise the events are matched to ``signal`` (when given) and
     an uncached plan is built from the trajectory's own times and events.
     """
-    plan, events = traj._plan or (None, ())
+    plan, events, _ = traj._plan or (None, (), None)
     if plan and plan.system is system and (signal is None or plan.signal is signal):
         if traj.times is plan.times and traj.initial_mode is plan.modes[0]:
             if _same_objects(events, traj.switch_events):
@@ -476,47 +467,47 @@ def w_monitor(
     return _w_verdicts(traj, system, _v_exit(traj, system, plan), plan)
 
 
+def _v_rows(system: SwitchedSystem, X: np.ndarray, modes: list, counts: list) -> np.ndarray:
+    """V of ``modes[j]`` at each of the next ``counts[j]`` rows of ``X``.
+
+    When every mode is quadratic this is one ``_sq_dist`` pass with each
+    row's own equilibrium; otherwise it is one ``v_batch`` call per run.
+    Either way the result is bit-equal to one ``v_batch`` per run.  The
+    per-row equilibria are gathered on every call, not kept: on a plan they
+    would add n N doubles to what a sweep holds.
+    """
+    subs = [system[mode] for mode in modes]
+    if all(sub.quadratic for sub in subs):
+        centres = np.array([sub.equilibrium for sub in subs]).reshape(len(subs), X.shape[1])
+        return _sq_dist(X, centres.T.repeat(counts, axis=1))
+    los = accumulate(counts, initial=0)
+    return np.concatenate([sub.v_batch(X[lo : lo + n]) for sub, lo, n in zip(subs, los, counts)])
+
+
 def _v_exit(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
     """The exited mode's V at each switch event's state, read-only.
 
-    Quadratic modes share one ``_sq_dist`` pass with the plan's
-    ``exit_centres``; otherwise each switch costs one ``v_batch`` call on its
-    one state, never a pass over the trajectory.  The states are the events'
-    own, not rows of ``states``.  Bit-equal to ``v_eval(system[ev.prev_mode],
-    ev.state)`` per event.  The array is kept on the trajectory and reused
-    while ``system`` and the event objects are the very ones it was computed
-    for.
+    ``_v_rows`` at the events' own states, not rows of ``states``, so
+    bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.  When
+    the plan is the one ``simulate_switched`` attached to ``traj`` (see
+    ``_plan_of``) the array is kept in that attachment; any other trajectory
+    computes it per call.
     """
-    events = traj.switch_events
-    cache = traj._v_exit_cache
-    if cache and cache[0] is system and _same_objects(cache[1], events):
-        return cache[2]
     plan = plan or _plan_of(traj, system)
-    X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
-    if plan.exit_centres is not None:
-        v = _sq_dist(X, plan.exit_centres)
-    else:
-        v = np.array([system[m].v_batch(x[None])[0] for m, x in zip(plan.exit_modes, X)])
-    v.setflags(write=False)
-    traj._v_exit_cache = (system, tuple(events), v)
-    return v
+    # the attachment while its plan is the one read, else a slot for this call
+    slot = traj._plan if traj._plan and traj._plan[0] is plan else [plan, None, None]
+    if slot[2] is None:
+        events = traj.switch_events
+        X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
+        slot[2] = _v_rows(system, X, plan.exit_modes, [1] * len(events))
+        slot[2].setflags(write=False)
+    return slot[2]
 
 
 def _v_active(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
-    """The active mode's V at every sample, bit-equal to one ``v_batch`` per segment.
-
-    When every run's mode is quadratic this is one ``_sq_dist`` pass over the
-    whole trajectory with each sample's equilibrium, repeated from the
-    segments' on every call (kept on the plan, they would add n N doubles to
-    what a sweep holds); otherwise it is one ``v_batch`` per segment.
-    """
+    """The active mode's V at every sample: ``_v_rows`` over the segments."""
     plan = plan or _plan_of(traj, system)
-    columns = plan._equilibria(plan.modes)
-    if columns is not None:
-        return _sq_dist(traj.states, columns.repeat(plan.lens, axis=1))
-    return np.concatenate(
-        [system[mode].v_batch(traj.states[lo:hi]) for lo, hi, mode in plan.segments]
-    )
+    return _v_rows(system, traj.states, plan.modes, plan.lens)
 
 
 def _w_verdicts(
@@ -612,7 +603,7 @@ def convergence_product(
 def _pair_terms(system: SwitchedSystem, eps: float, u: Label, v: Label) -> tuple:
     """(mu, log mu, k_v - k_u, k_u) of a switch from mode u to mode v, mu from ``pair_mu``."""
     a, b = system[u], system[v]
-    mu = pair_mu(eps, float(np.linalg.norm(b.equilibrium - a.equilibrium)))
+    mu = pair_mu(eps, _equilibrium_distance(a, b))
     return mu, math.log(mu), b.decay_rate - a.decay_rate, a.decay_rate
 
 

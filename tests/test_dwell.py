@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from switchdwell import (
     pairwise_dwell,
     triangle_gap,
 )
+from switchdwell.core import SwitchedSystem
 from switchdwell.errors import (
     EmptyConfiguration,
     HeterogeneousCertificates,
@@ -91,10 +93,6 @@ class TestMuBound:
         assert a == b
 
     def test_closed_form_needs_quadratic(self, eps):
-        import dataclasses
-
-        from switchdwell.core import SwitchedSystem
-
         subs = tuple(
             dataclasses.replace(demo_subsystem(u), quadratic=False) for u in (1, 0)
         )
@@ -187,9 +185,6 @@ _K = ClassKFn(1.0, 2.0)
         (lambda s: epsilon0_search(1.0, math.nan, _K, _K, 2.0), ValueError),
         (lambda s: epsilon0_search(1.0, 0.5, _K, _K, math.nan), ValueError),
         (lambda s: mu_bound(0.05, s, mode="sampled", n_samples=0), ValueError),
-        (lambda s: mu_bound(0.05, s, mode="sampled", radius=math.nan), ValueError),
-        (lambda s: mu_bound(0.05, s, mode="sampled", radius=math.inf), ValueError),
-        (lambda s: mu_bound(0.05, s, mode="sampled", radius=-1.0), ValueError),
         (lambda s: pairwise_dwell(math.inf, s[1], s[0]), InvalidEpsilon),
         (lambda s: local_dwell(math.inf, s, [(1, 0)]), InvalidEpsilon),
     ],
@@ -200,9 +195,6 @@ _K = ClassKFn(1.0, 2.0)
         "eps0_nan_r",
         "eps0_nan_k",
         "mu_no_samples",
-        "mu_nan_radius",
-        "mu_inf_radius",
-        "mu_negative_radius",
         "pairwise_inf_eps",
         "local_inf_eps",
     ],
@@ -213,12 +205,17 @@ def test_out_of_domain_numbers_are_rejected(system, call, error):
         call(system)
 
 
-@pytest.mark.parametrize("radius", [0.1, 0.2, 0.23])
+@pytest.mark.parametrize("radius", [0.1, 0.2])
 def test_sampled_mu_needs_samples_outside_every_region(system, eps, radius):
-    # alpha^-1(0.05) = 0.2236: a smaller radius leaves every sample of a mode
-    # inside its region, and the bound read 1.0 as if that mode had no ratio
-    if radius < math.sqrt(eps):
-        with pytest.raises(ValueError, match=r"mode 1 .*alpha\^-1\(eps\) = 0\.2236"):
-            mu_bound(eps, system, mode="sampled", n_samples=2000, radius=radius)
-    else:
-        assert mu_bound(eps, system, mode="sampled", n_samples=2000, radius=radius) == 53.63600591268791
+    # alpha^-1(0.05) = 0.2236: a V of mode 1 that stops growing at a smaller
+    # radius keeps every sample inside its region, and the bound would read
+    # 1.0 as if that mode had no ratio
+    e = system[1].equilibrium
+    flat = dataclasses.replace(
+        system[1],
+        quadratic=False,
+        lyapunov=lambda x: min(float(np.linalg.norm(x - e)), radius) ** 2,
+    )
+    low = SwitchedSystem(subsystems=(flat,) + system.subsystems[1:])
+    with pytest.raises(ValueError, match=r"mode 1 .*alpha\^-1\(eps\) = 0\.2236"):
+        mu_bound(eps, low, mode="sampled", n_samples=2000)

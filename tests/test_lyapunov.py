@@ -186,6 +186,23 @@ class TestBatchEvaluation:
             check_certificate(sub, box, 100, seed=6)
         assert len(seen) == 100 and all(seen)  # V ran on the samples only
 
+    def test_huge_samples_raise_before_v_sees_a_nonfinite_argument(self):
+        # past |x| ~ 1e154 the difference step 1e-6 (1 + |x|) overflows; 100 of
+        # V's 150 calls got an inf or NaN argument before
+        seen = []
+
+        def lyapunov(x):
+            seen.append(bool(np.isfinite(x).all()))
+            return float(x @ x)
+
+        sub = Subsystem(
+            label="huge", field=lambda x: -x, equilibrium=np.zeros(2), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonfiniteState):
+            check_certificate(sub, (np.full(2, -1e160), np.full(2, 1e160)), 50, seed=1)
+        assert seen.count(False) == 0 and len(seen) >= 50
+
     @pytest.mark.parametrize(
         "make",
         [

@@ -223,15 +223,25 @@ def _mixed_system(system, lyapunov=lambda x: float(x @ x)):
     return mixed, signal_from_dwell(1, ["c", 0, "c", -1], dwell, periodic=True)
 
 
+def _v_case(system, case):
+    """(system, signal, horizon, switches at least) of one mix of quadratic and callable V."""
+    if case == "quadratic":
+        return system, signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True), 6.0, 4
+    if case == "no_switch":
+        return system, signal_from_dwell(1, [], None), 1.0, 0
+    mixed, periodic = _mixed_system(system)
+    if case == "with_callable":
+        return mixed, periodic, 6.0, 4
+    # every exited mode quadratic, a callable one active on the tail
+    return mixed, signal_from_dwell(1, [0, "c"], [0.4013, 0.25]), 2.0, 2
+
+
 class TestVPasses:
-    @pytest.mark.parametrize("mixed", [False, True], ids=["quadratic", "with_callable"])
-    def test_v_passes_equal_per_segment_and_per_switch_references(self, system, mixed):
-        if mixed:
-            system, sig = _mixed_system(system)
-        else:
-            sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
-        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
-        assert len(traj.switch_events) >= 4
+    @pytest.mark.parametrize("case", ["quadratic", "with_callable", "no_switch", "callable_tail"])
+    def test_v_passes_equal_per_segment_and_per_switch_references(self, system, case):
+        system, sig, horizon, switches = _v_case(system, case)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
+        assert len(traj.switch_events) >= switches
         per_segment = [system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in traj.segments()]
         assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
         per_switch = [v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events]
@@ -255,9 +265,10 @@ class TestVExitCache:
     def test_reused_for_the_same_system_and_events(self, system, eps):
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+        assert traj._plan[2] is None  # filled on first use
         v = _v_exit(traj, system)
         assert not v.flags.writeable
-        assert _v_exit(traj, system) is v
+        assert traj._plan[2] is v and _v_exit(traj, system) is v
         verify_trapping(traj, system, sig, eps)
         convergence_product(system, sig, traj, eps, i_max=3)
         assert _v_exit(traj, system) is v
@@ -266,23 +277,32 @@ class TestVExitCache:
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
         first = _v_exit(traj, system)
+        # a replaced trajectory has no attachment: a new array on every call
+        fresh = dataclasses.replace(traj)
+        assert fresh._plan is None
+        again = _v_exit(fresh, system)
+        assert again is not first and _v_exit(fresh, system) is not again
+        assert again.tobytes() == first.tobytes()
         ev = traj.switch_events[0]
         moved = dataclasses.replace(ev, state=ev.state + 1e-3)
         replaced = dataclasses.replace(traj, switch_events=[moved] + traj.switch_events[1:])
         v = _v_exit(replaced, system)
         assert v.tobytes() == _v_exit_reference(replaced, system).tobytes()
         assert v[0] != first[0]
-        # the same trajectory with an event swapped in place in its own list
-        traj.switch_events[0] = moved
-        assert _v_exit(traj, system).tobytes() == v.tobytes()
-        # an equal system is another object; a shifted one has other values
+        # an equal system is another object: recomputed, the attachment kept
         same = SwitchedSystem(subsystems=system.subsystems)
-        assert _v_exit(traj, same) is not _v_exit(traj, system)
+        assert _v_exit(traj, same) is not first
+        assert _v_exit(traj, same).tobytes() == first.tobytes()
+        assert _v_exit(traj, system) is first
         shifted = _shifted_demo_system(0.25)
         got = _v_exit(traj, shifted)
         assert got.tobytes() == _v_exit_reference(traj, shifted).tobytes()
-        assert not np.array_equal(got, v)
-        assert _v_exit(traj, system).tobytes() == v.tobytes()
+        assert not np.array_equal(got, first)
+        # the same trajectory with an event swapped in place in its own list
+        traj.switch_events[0] = moved
+        swapped = _v_exit(traj, system)
+        assert swapped is not first and swapped.tobytes() == v.tobytes()
+        assert _v_exit(traj, system) is not swapped
 
 
 class TestRecords:
