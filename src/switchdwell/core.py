@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyTransitions,
+    InvalidEpsilon,
     NonpositiveDwell,
     NotContracting,
     SingularMatrix,
@@ -62,6 +63,12 @@ def _frozen_vector(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite, got {v}")
     v.setflags(write=False)
     return v
+
+
+def _check_eps(eps: float) -> None:
+    """Raise ``InvalidEpsilon`` unless the region level ``eps`` is positive and finite."""
+    if not 0 < eps < math.inf:  # NaN too
+        raise InvalidEpsilon(f"eps must be positive and finite, got {eps}")
 
 
 def _sq_dist(X: np.ndarray, E) -> np.ndarray:

@@ -17,13 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassKFn, Label, Subsystem, SwitchedSystem
+from .core import ClassKFn, Label, Subsystem, SwitchedSystem, _check_eps
 from .errors import (
     EmptyConfiguration,
     HeterogeneousCertificates,
     InvalidEpsilon,
     InvalidMu,
     NoThreshold,
+    NonfiniteState,
     UnsupportedCertificate,
 )
 
@@ -75,11 +76,6 @@ class TriangleAnalysis:
 
 # global_dwell's relative margin above the bound ln(mu)/k_min
 GLOBAL_DWELL_MARGIN = 0.01
-
-
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:  # NaN too
-        raise InvalidEpsilon(f"eps must be positive and finite, got {eps}")
 
 
 def _equilibrium_distance(a: Subsystem, b: Subsystem) -> float:
@@ -144,7 +140,10 @@ def mu_bound(
     alpha^{-1}(eps) and 2 (d + alpha^{-1}(eps)) + 1, with d the largest
     distance from x_b to another equilibrium; it approaches the closed form
     from below.  A V_b that leaves no sample outside its region (one below
-    alpha there) raises ``ValueError``.
+    alpha there) raises ``ValueError``, and a NaN sampled V_b or ratio (a NaN
+    V_a, or inf / inf) raises ``NonfiniteState``: dropping it could lower the
+    bound, and so the global dwell time.  A ratio of +inf is returned, a
+    safe bound.
     """
     _check_eps(eps)
     subs = system.subsystems
@@ -173,6 +172,8 @@ def mu_bound(
         radii = r_in * (1 + 1e-12) + rng.random(n_samples) * (r_out - r_in)
         pts = b.equilibrium + radii[:, None] * dirs
         vb = b.v_batch(pts)
+        if np.isnan(vb).any():
+            raise NonfiniteState(f"NaN V sampled for mode {b.label!r}")
         outside = vb > eps
         if not outside.any():
             raise ValueError(
@@ -181,7 +182,10 @@ def mu_bound(
             )
         for a in subs:
             if a is not b:
-                best = max(best, float((a.v_batch(pts)[outside] / vb[outside]).max()))
+                ratio = float((a.v_batch(pts)[outside] / vb[outside]).max())  # NaN if any is
+                if math.isnan(ratio):
+                    raise NonfiniteState(f"NaN V_a/V_b sampled, a = {a.label!r}, b = {b.label!r}")
+                best = max(best, ratio)
     return best
 
 

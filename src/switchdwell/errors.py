@@ -31,11 +31,11 @@ class NonpositiveDwell(SwitchDwellError):
     """Dwell values must be strictly positive."""
 
 
+class InvalidEpsilon(SwitchDwellError, ValueError):
+    """Region level eps must be positive and finite."""
+
+
 # -- dwell ------------------------------------------------------------------
-
-class InvalidEpsilon(SwitchDwellError):
-    """Region level eps must be strictly positive."""
-
 
 class InvalidMu(SwitchDwellError):
     """mu must be >= 1."""

@@ -26,7 +26,9 @@ the partial step last, so an interval shorter than B steps costs one product
 plus the partial step.  The fill is ``_path_filler(A, b, h)``, which writes
 into a caller's rows in place: ``sim.simulate_switched`` keeps one per affine
 mode, so each interval writes straight into the trajectory's buffer and the
-cache is searched for the seed block once per mode and trajectory.  B is
+cache is searched for the seed block once per mode and trajectory.
+``affine_rk4_path`` is the kernel's public entry for one path; nothing in the
+package calls it (``sim.integrate`` goes through ``simulate_switched``).  B is
 ``SEED_BLOCK_STEPS``, halved for large n until one block fits in
 ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
 ``affine_rk4_batch_final`` needs only one power per batch and multiplies the

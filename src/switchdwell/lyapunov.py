@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import scipy  # noqa: F401  cheap; perfbench/run.py reads its version after import
 
-from .core import Label, Subsystem
+from .core import Label, Subsystem, _check_eps
 from .errors import NonfiniteState, UnsupportedDimension
 
 MEMBERSHIP_TOL = 1e-9
@@ -38,8 +38,7 @@ def in_region(sub: Subsystem, eps: float, x, strict: bool = False) -> bool:
 
     ``strict=True`` tests exact mathematical membership V(x) <= eps instead.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     v = v_eval(sub, x)
     return v <= eps if strict else v <= eps + MEMBERSHIP_TOL
 
@@ -184,8 +183,7 @@ def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray
     V on a ray, or a V that stays below eps until the radius overflows,
     raises ``NonfiniteState`` (a V of +inf counts as at least eps).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if count < 3:
         raise ValueError("count must be >= 3")
     n = sub.dimension

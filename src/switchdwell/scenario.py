@@ -32,14 +32,15 @@ is written; ``cli.analyse`` only executes what it returns.
 Every number must be finite, and out-of-range values (a nonpositive step or
 eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,
 boundary_points of 1 or 2, tube_boundary_count < 3, an empty box or one
-whose width hi - lo overflows, decreasing or negative tube_times) are
-rejected.  Defaults are resolved per signal: its starts are its own ``x0``,
-else ``[analysis] x0``, followed for the primary ``[signal]`` by the
-``boundary_points`` starts on the boundary of ``start_region``'s region; its
-horizon is its own, else ``[analysis] horizon``.  A periodic pattern must
-switch; it unrolls by the rule in ``core.SwitchingSignal``.  Without
-``transitions``, the dwell table takes the primary signal's switches over
-one period, the wrap included.
+whose width hi - lo overflows, decreasing or negative tube_times, a step of
+at most 8 units in the last place of a simulated signal's t0 or horizon,
+whichever is larger in magnitude) are rejected.  Defaults are resolved per
+signal: its starts are its own ``x0``, else ``[analysis] x0``, followed for
+the primary ``[signal]`` by the ``boundary_points`` starts on the boundary
+of ``start_region``'s region; its horizon is its own, else ``[analysis]
+horizon``.  A periodic pattern must switch; it unrolls by the rule in
+``core.SwitchingSignal``.  Without ``transitions``, the dwell table takes
+the primary signal's switches over one period, the wrap included.
 Companion rules:
 
 * simulate, trapping, convergence and plot_data need a signal, and every
@@ -500,6 +501,11 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
                 f"{samples:.3g} RK4 samples over all trajectories, "
                 f"over the budget of {MAX_SAMPLES}"
             )
+        for name, spec in scenario.signals.items():
+            # with sim._grid's remainder rule, this keeps the plan's times increasing
+            finest = 8.0 * math.ulp(max(abs(spec.signal.t0), abs(spec.horizon)))
+            if not scenario.step > finest:
+                raise ValidationError(f"signal {name!r}: times this large need step > {finest:.3g}")
     if flags.get("convergence"):
         if primary is None:
             raise ValidationError("convergence needs the primary [signal]")

@@ -6,6 +6,13 @@ region of the mode being exited: with a dwell-compliant signal the state has
 been flowing toward that mode's equilibrium for the whole preceding interval,
 which is what the dwell-time guarantee certifies.
 
+There is one integration path: ``integrate`` over ``[t0, t1]`` is
+``simulate_switched`` of the one-mode system and the signal that holds that
+mode from ``t0``, to the horizon ``t1``.  Its trajectory has the plan's
+read-only ``times`` and the plan attached, so the checks read it as they
+read any simulated one; and, like any other call, it takes the plan cache's
+one slot.
+
 Everything that does not depend on the start state is planned once per
 ``(system, signal, horizon, step)``, in a ``_Plan`` kept in a least recently
 used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
@@ -45,7 +52,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal, _sq_dist
+from .core import Label, Subsystem, SwitchedSystem, SwitchingSignal, _check_eps, _sq_dist
 from .dwell import _equilibrium_distance, pair_mu
 from .errors import (
     InsufficientSwitches,
@@ -119,11 +126,16 @@ class Trajectory:
 
 
 def _grid(t0: float, t1: float, step: float) -> tuple[int, float]:
-    """Number of full steps and the final partial step covering [t0, t1]."""
+    """Number of full steps and the final partial step covering [t0, t1].
+
+    A remainder of at most 1e-9 steps is no step, and neither is one whose
+    first sample, ``t0 + n_full * step`` as the plan's ``times`` compute it,
+    rounds onto t1.
+    """
     span = t1 - t0
     n_full = int(math.floor(span / step + 1e-9))
     rem = span - n_full * step
-    if rem <= step * 1e-9:
+    if rem <= step * 1e-9 or t0 + n_full * step >= t1:
         rem = 0.0
     return n_full, rem
 
@@ -133,39 +145,26 @@ def _check_finite(states: np.ndarray, label: Label) -> None:
         raise NonfiniteState(f"non-finite state while integrating mode {label!r}")
 
 
-def _check_finite_args(**values) -> None:
-    """One-line ``ValueError`` for the first argument that is not a finite number."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _check_step(step: float) -> None:
+    if not 0 < step < math.inf:  # NaN too
+        raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
 def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 over [t0, t1]; the last step shrinks to land on t1.
 
-    A zero-length span gives the single start sample.
+    One interval of ``simulate_switched``: the signal that holds ``sub`` from
+    ``t0`` on, simulated to the horizon ``t1``, so the trajectory has that
+    plan's read-only ``times`` and the plan attached, and its ``t1`` must be
+    finite and after ``t0``.  A zero-length span (``t1 == t0``) gives the
+    single start sample, a copy of ``x0``.
     """
-    _check_finite_args(t0=t0, t1=t1, step=step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    n_full, rem = _grid(t0, t1, step)
-    x0 = _start_state(sub, x0)
-    if sub.affine is not None:
-        states = kernels.affine_rk4_path(*sub.affine, x0, step, n_full, rem)
-    else:
-        states = _generic_rk4_path(sub.field, x0, step, n_full, rem)
-    _check_finite(states, sub.label)
-    times = t0 + step * np.arange(len(states))
-    times[-1] = t1
-    return Trajectory(
-        times=times,
-        states=states,
-        initial_mode=sub.label,
-        switch_events=[],
-        step=step,
-    )
+    signal = SwitchingSignal(t0, sub.label)  # which rejects a t0 that is not finite
+    if t1 != t0:
+        return simulate_switched(SwitchedSystem((sub,)), signal, x0, t1, step)
+    _check_step(step)
+    states = np.array([_start_state(sub, x0)])  # a copy: the caller may write into x0
+    return Trajectory(np.array([t1], dtype=float), states, sub.label, [], step)
 
 
 def _start_state(sub: Subsystem, x0) -> np.ndarray:
@@ -211,20 +210,19 @@ def simulate_switched(
     the plan of ``(system, signal, horizon, step)`` (``_signal_plan``), so a
     sweep of starts through one signal plans once and shares one ``times``;
     ``states`` is allocated once, and each interval fills its rows from the
-    row the previous one ended on.  Each run is the same fixed-step RK4 as
-    ``integrate``: an affine interval is written in place by its mode's
-    ``kernels._path_filler`` (the fill behind ``affine_rk4_path``, with the
-    seed block looked up once per mode and trajectory), a callable one is
-    generic RK4 copied in.  The whole buffer is checked for finiteness once
-    at the end, and each callable interval's start row before it runs, so a
-    callable is never given a non-finite start; either check names the first
-    interval that holds a non-finite state.
+    row the previous one ended on.  Each run is fixed-step RK4 (``integrate``
+    is this function on one interval): an affine interval is written in
+    place by its mode's ``kernels._path_filler`` (the fill behind
+    ``affine_rk4_path``, with the seed block looked up once per mode and
+    trajectory), a callable one is generic RK4 copied in.  The whole buffer
+    is checked for finiteness once at the end, and each callable interval's
+    start row before it runs, so a callable is never given a non-finite
+    start; either check names the first interval that holds a non-finite
+    state.
     """
-    _check_finite_args(horizon=horizon, step=step)
-    if horizon <= signal.t0:
-        raise ValueError("horizon must exceed the signal start time")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not signal.t0 < horizon < math.inf:  # NaN too
+        raise ValueError(f"horizon must be finite and > t0 = {signal.t0!r}, got {horizon!r}")
+    _check_step(step)
     x0 = _start_state(system[signal.initial_mode], x0)
     plan = _signal_plan(system, signal, float(horizon), float(step))
     segments = plan.segments
@@ -423,8 +421,7 @@ def verify_trapping(
     alongside.  V is ``_v_exit``, evaluated at the switch states only, and
     the records are built from its columns and the plan's.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     plan = _plan_of(traj, system, signal)
     vs = _v_exit(traj, system, plan)
     member = vs <= eps + MEMBERSHIP_TOL
@@ -577,8 +574,7 @@ def convergence_product(
     of the last ``(plan, eps, i_max)``; a mu-tilde that overflows is inf.
     ``i_max`` must be nonnegative.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     plan = _plan_of(traj, system, signal)
@@ -655,8 +651,7 @@ def tube_sample(
     (exact in the boundary-count limit for 2-D quadratic regions, where the
     smooth flow maps boundaries to boundaries).
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    _check_step(step)
     t_grid = [float(t) for t in t_grid]
     finite = all(0 <= t < math.inf for t in t_grid)  # written to fail on NaN too
     if not finite or any(b <= a for a, b in zip(t_grid, t_grid[1:])):

@@ -246,6 +246,12 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         (EXAMPLE2, "times =\n", "times =\nT = 5\n", "T does not apply to kind = explicit"),
         (EXAMPLE2, "times =\n", "times =\ndwell = 7\n", "dwell does not"),
         (EXAMPLE1, "T = 1.43\nx0 = 0 1", "T = 1.43\ndwell = 0.1\nx0 = 0 1", "T or dwell, not both"),
+        (
+            EXAMPLE1,
+            "T = 1.43\nx0 = 0 1\nhorizon = 2.86",
+            "T = 20\nt0 = 1e13\nx0 = 0 1\nhorizon = 10000000000040",
+            "signal 'signal': times this large need step > 0.0156",
+        ),
     ],
     ids=[
         "tube_without_times",
@@ -275,6 +281,7 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "T_of_explicit_signal",
         "dwell_of_explicit_signal",
         "T_and_dwell",
+        "step_below_the_time_resolution",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):

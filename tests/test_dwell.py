@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from switchdwell import (
     ClassKFn,
+    Subsystem,
     epsilon0_search,
     global_dwell,
     local_dwell,
@@ -21,6 +22,7 @@ from switchdwell.errors import (
     HeterogeneousCertificates,
     InvalidEpsilon,
     InvalidMu,
+    NonfiniteState,
     UnsupportedCertificate,
 )
 from switchdwell.prebuilt import demo_subsystem
@@ -102,6 +104,33 @@ class TestMuBound:
     def test_unknown_mode_rejected(self, system, eps):
         with pytest.raises(ValueError):
             mu_bound(eps, system, mode="exact")
+
+    def test_sampled_nan_ratio_raises(self, eps):
+        # V_u = c_u |x - x_u|^2, and ``hole`` where ``inside(x)``; dropping mode 1's
+        # NaN samples read 26.17, not 56.48, and a shorter global dwell with it
+        def mode(label, centre, c, hole=None, inside=lambda x: x @ x < 0.2):
+            x_u = np.array(centre)
+
+            def lyapunov(x):
+                return hole if hole is not None and inside(x) else c * float((x - x_u) @ (x - x_u))
+
+            return Subsystem(
+                label=label, field=lambda x: x_u - x, equilibrium=x_u, decay_rate=2.0,
+                alpha=ClassKFn(c, 2.0), beta=ClassKFn(c, 2.0), lyapunov=lyapunov,
+            )
+
+        def mu(*modes):
+            return mu_bound(eps, SwitchedSystem(subsystems=modes), mode="sampled", n_samples=2000)
+
+        assert mu(mode(0, [0, 0], 1.0), mode(1, [1, 0], 2.0)) == pytest.approx(56.48, abs=0.01)
+        assert mu(mode(0, [0, 0], 1.0), mode(1, [1, 0], 2.0, math.inf)) == math.inf
+        with pytest.raises(NonfiniteState, match="a = 1, b = 0"):
+            mu(mode(0, [0, 0], 1.0), mode(1, [1, 0], 2.0, math.nan))
+        with pytest.raises(NonfiniteState, match="NaN V sampled for mode 1"):
+            mu(mode(1, [1, 0], 2.0, math.nan), mode(0, [0, 0], 1.0))
+        above = lambda x: x[1] > 1.0  # noqa: E731  holds neither equilibrium; inf / inf there
+        with np.errstate(invalid="ignore"), pytest.raises(NonfiniteState, match="a = 1, b = 0"):
+            mu(mode(0, [0, 0], 1.0, math.inf, above), mode(1, [1, 0], 2.0, math.inf, above))
 
 
 class TestGlobalDwell:

@@ -14,7 +14,7 @@ from switchdwell import (
     region_boundary_points,
     v_eval,
 )
-from switchdwell.errors import NonfiniteState, UnsupportedDimension
+from switchdwell.errors import InvalidEpsilon, NonfiniteState, UnsupportedDimension
 from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
@@ -297,8 +297,10 @@ class TestEvaluation:
             in_region(system[1], 0.0, [0.0, 1.0])
 
     def test_in_region_rejects_nan_eps(self, system):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            in_region(system[1], float("nan"), [0.0, 1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be positive") as info:
+                in_region(system[1], bad, [0.0, 1.0])
+            assert info.type is InvalidEpsilon
 
 
 class TestCheckCertificate:
@@ -352,8 +354,11 @@ class TestCheckCertificate:
 
 class TestBoundaryPoints:
     def test_nan_eps_is_rejected(self, system):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            region_boundary_points(system[0], float("nan"), 32)
+        for sub in (system[0], dataclasses.replace(system[0], quadratic=False)):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="eps must be positive") as info:
+                    region_boundary_points(sub, bad, 32)
+                assert info.type is InvalidEpsilon
 
     def test_quadratic_circle(self, system, eps):
         pts = region_boundary_points(system[0], eps, 32)

@@ -20,6 +20,7 @@ from switchdwell import (
 )
 from switchdwell.errors import (
     InsufficientSwitches,
+    InvalidEpsilon,
     NonfiniteState,
     SignalMismatch,
 )
@@ -57,9 +58,12 @@ class TestIntegrate:
         assert np.all(np.diff(traj.times) > 0)
 
     def test_zero_length_interval(self, system):
-        traj = integrate(system[0], np.array([1.0, 1.0]), 2.0, 2.0, STEP)
+        x0 = np.array([1.0, 1.0])
+        traj = integrate(system[0], x0, 2.0, 2.0, STEP)
         assert len(traj.times) == 1
         assert traj.times[0] == 2.0
+        x0[:] = 5.0  # the sample is a copy, not a view of the caller's array
+        np.testing.assert_array_equal(traj.states, [[1.0, 1.0]])
 
     def test_index_and_state_lookup(self, system):
         traj = integrate(system[0], np.array([1.0, 1.0]), 0.0, 1.0, STEP)
@@ -138,6 +142,16 @@ class TestSimulateSwitched:
         np.testing.assert_allclose(
             traj.final_state, exact_state(system[0], mid, 1.0), atol=1e-10
         )
+
+    def test_a_remainder_below_the_time_axis_resolution_is_no_step(self, system):
+        # the switch is 12345 steps and 1.2e-12 s after t0; near t = 2e4, where
+        # doubles are 3.6e-12 apart, a sample before that remainder would round
+        # onto the switch instant
+        t_switch = 20000.0 + STEP * 12345
+        sig = SwitchingSignal(20000.0, 1, ((t_switch, 0),))
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), t_switch + 1.0, STEP)
+        assert (np.diff(traj.times) > 0).all()
+        assert traj.switch_events[0].index == 12345 and traj.times[12345] == t_switch
 
     def test_periodic_signal_unrolls(self, system):
         sig = signal_from_dwell(1, [0], 1.0, periodic=True)
@@ -705,21 +719,29 @@ class TestNonfiniteArguments:
 
 
 class TestNanEps:
+    """A NaN or infinite eps is ``InvalidEpsilon``, which callers can catch as a ``ValueError``."""
+
     def test_verify_trapping(self, system):
         sig = signal_from_dwell(0, [-1], 1.43)
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
-        with pytest.raises(ValueError, match="eps must be positive"):
-            verify_trapping(traj, system, sig, NAN)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match="eps must be positive") as info:
+                verify_trapping(traj, system, sig, bad)
+            assert info.type is InvalidEpsilon
 
     def test_convergence_product(self, system):
         sig = signal_from_dwell(0, [-1], 1.43)
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
-        with pytest.raises(ValueError, match="eps must be positive"):
-            convergence_product(system, sig, traj, NAN, i_max=1)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match="eps must be positive") as info:
+                convergence_product(system, sig, traj, bad, i_max=1)
+            assert info.type is InvalidEpsilon
 
     def test_tube_sample(self, system):
-        with pytest.raises(ValueError, match="eps must be positive"):
-            tube_sample(system, 1, 0, NAN, [0.5], 8, STEP)
+        for bad in (NAN, INF):
+            with pytest.raises(ValueError, match="eps must be positive") as info:
+                tube_sample(system, 1, 0, bad, [0.5], 8, STEP)
+            assert info.type is InvalidEpsilon
 
 
 def _checks(traj, system, sig, i_max=None, eps=0.05):
@@ -738,29 +760,36 @@ def _checks(traj, system, sig, i_max=None, eps=0.05):
 
 
 def _plan_case(system, case):
-    """(system, signal, horizon) of one shape of trajectory."""
+    """(system, signal, trajectory) of one shape of trajectory, from x0 = (0.7, -0.4)."""
+    x0 = np.array([0.7, -0.4])
+    if case == "integrate":  # a negative t0 and a partial last step
+        traj = integrate(system[0], x0, -0.5, 1.2345, STEP)
+        return traj._plan[0].system, traj._plan[0].signal, traj
     if case.startswith("mixed"):
         system, periodic = _mixed_system(system)
         if case == "mixed_periodic":
-            return system, periodic, 6.0
-        sig = signal_from_dwell(1, ["c", 0], [0.4013, 0.25])
-        return system, sig, sig.segments[-1][0]
-    if case == "periodic":
-        return system, signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True), 6.0
-    if case == "no_switch":
-        return system, signal_from_dwell(1, [], None), 1.0
-    sig = signal_from_dwell(1, [0, -1], 1.43)
-    return system, sig, sig.segments[-1][0]  # the last switch on the horizon
+            sig, horizon = periodic, 6.0
+        else:
+            sig = signal_from_dwell(1, ["c", 0], [0.4013, 0.25])
+            horizon = sig.segments[-1][0]
+    elif case == "periodic":
+        sig, horizon = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True), 6.0
+    elif case == "no_switch":
+        sig, horizon = signal_from_dwell(1, [], None), 1.0
+    else:
+        sig = signal_from_dwell(1, [0, -1], 1.43)
+        horizon = sig.segments[-1][0]  # the last switch on the horizon
+    return system, sig, simulate_switched(system, sig, x0, horizon, STEP)
 
 
 class TestPlan:
     @pytest.mark.parametrize("i_max", ["0", "1", "all"])
     @pytest.mark.parametrize(
-        "case", ["periodic", "on_horizon", "no_switch", "mixed_periodic", "mixed_on_horizon"]
+        "case",
+        ["periodic", "on_horizon", "no_switch", "mixed_periodic", "mixed_on_horizon", "integrate"],
     )
     def test_plan_path_equals_the_uncached_plan(self, system, case, i_max):
-        system, sig, horizon = _plan_case(system, case)
-        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
+        system, sig, traj = _plan_case(system, case)
         plan = traj._plan[0]
         assert _plan_of(traj, system, sig) is plan and traj.times is plan.times
         assert not traj.times.flags.writeable

@@ -19,15 +19,15 @@ def _has_git_head() -> bool:
     return done.returncode == 0
 
 
-def _load_ab():
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
-    return ab
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_ab_difference_is_none_only_for_the_same_bits(system, eps):
-    ab = _load_ab()
+    ab = _load_tool("ab")
     sig = signal_from_dwell(1, [0, -1], 1.43)
     traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 4.0, 1e-3)
     result = (traj, verify_trapping(traj, system, sig, eps))
@@ -43,10 +43,32 @@ def test_ab_difference_is_none_only_for_the_same_bits(system, eps):
 
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a HEAD")
 def test_ab_against_head_reads_a_ratio_near_one(capsys):
-    summary = _load_ab().main(
+    summary = _load_tool("ab").main(
         ["--base", "HEAD", "--workload", "callable_modes", "--seed", "3002",
          "--rounds", "9", "--kind", "boundary"]
     )
     assert summary["ops"] == 6
     assert 0.9 <= summary["median"] <= 1.1
     assert "ratio tree/base: median" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a HEAD")
+def test_clidiff_against_head_reads_identical(tmp_path):
+    clidiff = _load_tool("clidiff")
+    base_src = clidiff.extract("HEAD", tmp_path / "base").parent
+    scenario = ROOT / "src" / "switchdwell" / "scenarios" / "example2.scenario"
+    assert clidiff.compare(base_src, scenario, "dwell", tmp_path / "runs") == (0, [])
+
+
+def test_clidiff_flags_one_changed_byte(tmp_path):
+    clidiff = _load_tool("clidiff")
+    for side in ("base", "tree"):
+        (tmp_path / side / "out").mkdir(parents=True)
+        (tmp_path / side / "out" / "dwell_table.json").write_bytes(b'{"eps": 0.05}\n')
+    assert clidiff.tree_differences(tmp_path / "base", tmp_path / "tree") == []
+    (tmp_path / "tree" / "out" / "dwell_table.json").write_bytes(b'{"eps": 0.06}\n')
+    (tmp_path / "tree" / "out" / "extra.csv").write_bytes(b"")
+    assert clidiff.tree_differences(tmp_path / "base", tmp_path / "tree") == [
+        "out/dwell_table.json differs",
+        "out/extra.csv only in tree",
+    ]

@@ -44,17 +44,22 @@ ROOT = Path(__file__).resolve().parents[1]
 BOOTSTRAP = 2000
 
 
-def _import_base(rev: str, where: Path):
-    """``src/switchdwell`` at ``rev``, imported as ``switchdwell_base`` with all its modules."""
+def extract(rev: str, where: Path) -> Path:
+    """``src/switchdwell`` at ``rev`` (``git archive``) extracted under ``where``: its directory."""
     done = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/switchdwell"],
         capture_output=True,
     )
     if done.returncode:
-        raise SystemExit(f"ab: git archive {rev} failed: {done.stderr.decode().strip()}")
+        raise SystemExit(f"git archive {rev} failed: {done.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
         tar.extractall(where)
-    (where / "src" / "switchdwell").rename(where / "switchdwell_base")
+    return where / "src" / "switchdwell"
+
+
+def _import_base(rev: str, where: Path):
+    """``src/switchdwell`` at ``rev``, imported as ``switchdwell_base`` with all its modules."""
+    extract(rev, where).rename(where / "switchdwell_base")
     for name in [m for m in sys.modules if m.split(".")[0] == "switchdwell_base"]:
         del sys.modules[name]  # a base imported by an earlier call
     sys.path.insert(0, str(where))
