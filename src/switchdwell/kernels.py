@@ -23,14 +23,16 @@ the dimension n and h, keep what each step map needs, as read-only arrays:
 ``affine_rk4_path`` fills its rows by chained one-row products: rows
 ``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
 the partial step last, so an interval shorter than B steps costs one product
-plus the partial step.  The fill is ``_path_filler(A, b, h)``, which writes
-into a caller's rows in place: ``sim.simulate_switched`` keeps one per affine
-mode, so each interval writes straight into the trajectory's buffer and the
-cache is searched for the seed block once per mode and trajectory.
+plus the partial step.  The fill is ``_fill(X, block, last)``, which writes
+into a caller's rows in place from two operands that ``_operands`` looks up:
+the seed block, only when there is a full step, and the top n rows of the
+map of the partial step, only when there is one.  ``_fill`` is stateless,
+with a scratch row of its own per call, so threads may share the operands,
+which it never writes.  ``sim``'s plans keep each interval's operands, so a
+simulation from a cached plan searches no cache at all.
 ``affine_rk4_path`` is the kernel's public entry for one path; nothing in the
-package calls it (``sim.integrate`` goes through ``simulate_switched``).  B is
-``SEED_BLOCK_STEPS``, halved for large n until one block fits in
-``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
+package calls it.  B is ``SEED_BLOCK_STEPS``, halved for large n until one
+block fits in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
 ``affine_rk4_batch_final`` needs only one power per batch and multiplies the
 squarings.
 
@@ -38,7 +40,9 @@ Each cache keeps at most ``POWER_CACHE_SIZE`` entries (least recently used go
 first); states are never cached.  Seed blocks take at most
 ``POWER_CACHE_SIZE * SEED_BLOCK_BYTES`` = 32 MiB, and squarings at most
 ``POWER_CACHE_SIZE`` maps of ``8 (n+1)^2`` bytes.  A batch that needs more
-squarings than that recomputes the evicted ones on its next call.
+squarings than that recomputes the evicted ones on its next call.  The plans
+that ``sim`` keeps can hold maps these caches have evicted; ``sim`` states
+that bound.
 
 Rounding contract: a cached path is bit-identical to the same algorithm with
 every map built afresh.  Row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
@@ -125,45 +129,44 @@ def _matrix_power(key, h, n_full):
     return result
 
 
-def _path_filler(A, b, h):
-    """``fill(X, h_last)``: rows ``1 ...`` of X from ``X[0]``, in place, as ``affine_rk4_path``.
+def _operands(key, h, n_full, h_last):
+    """``_fill``'s (block, last) for n_full steps of h, then one of h_last (if > 0).
 
-    X is C-contiguous (a row range of a C-contiguous array is) and has
-    ``n_full + 1 + (h_last > 0)`` rows: n_full steps of h, then one of
-    h_last if it is positive.  The cache key is built once, and the seed
-    block looked up on the first fill with a full step, so one filler serves
-    every interval of one mode in a trajectory.
+    block is the seed block when n_full > 0 and last the top n rows of the
+    map of h_last when h_last > 0; each is None otherwise.
     """
-    key = _mode_key(A, b)
-    n = key[2]
-    block = None
+    block = _seed_block(*key, float(h)) if n_full > 0 else None
+    last = _squaring(*key, float(h_last), 0)[: key[2]] if h_last > 0.0 else None
+    return block, last
+
+
+def _fill(X, block, last):
+    """Rows ``1 ...`` of X from ``X[0]``, in place: full steps by ``block``, then ``last`` if given.
+
+    X is C-contiguous (a row range of a C-contiguous array is) and has one
+    row per full step after row 0, and one more for the partial step.
+    """
+    n = X.shape[1]
+    n_full = len(X) - 1 - (last is not None)
     z = np.empty(n + 1)  # [x_k, 1], the homogeneous row a product starts from
     z[n] = 1.0
-
-    def fill(X, h_last):
-        nonlocal block
-        n_full = len(X) - 1 - (h_last > 0.0)
-        if n_full > 0:
-            if block is None:
-                block = _seed_block(*key, float(h))
-            steps = block.shape[1] // n
-            flat = X.reshape(-1)
-            for k in range(0, n_full, steps):
-                m = min(steps, n_full - k)
-                z[:n] = X[k]
-                np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
-        if h_last > 0.0:
-            z[:n] = X[n_full]
-            np.matmul(_squaring(*key, float(h_last), 0)[:n], z, out=X[-1])
-
-    return fill
+    if n_full > 0:
+        steps = block.shape[1] // n
+        flat = X.reshape(-1)
+        for k in range(0, n_full, steps):
+            m = min(steps, n_full - k)
+            z[:n] = X[k]
+            np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
+    if last is not None:
+        z[:n] = X[n_full]
+        np.matmul(last, z, out=X[-1])
 
 
 def affine_rk4_path(A, b, x0, h, n_full, h_last):
     """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
     X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
     X[0] = x0
-    _path_filler(A, b, h)(X, h_last)
+    _fill(X, *_operands(_mode_key(A, b), h, n_full, h_last))
     return X
 
 

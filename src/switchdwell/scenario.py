@@ -83,6 +83,7 @@ from .core import (
 from .dwell import _shared_certificate
 from .errors import ParseError, ValidationError
 from .lyapunov import region_boundary_points
+from .sim import _time_resolution
 
 # The work budget.  A simulated 2-D trajectory holds about 24 bytes per RK4
 # sample (time and state; modes live in its switch events) and rendering it
@@ -502,9 +503,7 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
                 f"over the budget of {MAX_SAMPLES}"
             )
         for name, spec in scenario.signals.items():
-            # with sim._grid's remainder rule, this keeps the plan's times increasing
-            finest = 8.0 * math.ulp(max(abs(spec.signal.t0), abs(spec.horizon)))
-            if not scenario.step > finest:
+            if not scenario.step > (finest := _time_resolution(spec.signal.t0, spec.horizon)):
                 raise ValidationError(f"signal {name!r}: times this large need step > {finest:.3g}")
     if flags.get("convergence"):
         if primary is None:

@@ -10,21 +10,27 @@ There is one integration path: ``integrate`` over ``[t0, t1]`` is
 ``simulate_switched`` of the one-mode system and the signal that holds that
 mode from ``t0``, to the horizon ``t1``.  Its trajectory has the plan's
 read-only ``times`` and the plan attached, so the checks read it as they
-read any simulated one; and, like any other call, it takes the plan cache's
-one slot.
+read any simulated one.  Each call takes a slot of the plan cache: its
+one-mode system and signal are new objects every time.
 
 Everything that does not depend on the start state is planned once per
 ``(system, signal, horizon, step)``, in a ``_Plan`` kept in a least recently
 used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
 and signal objects: the unrolled switches, the interval grids and row offsets,
 one read-only ``times`` array shared by every trajectory built from the plan,
-the segments, W's factors ``exp(k (t - t_lo))`` and the record columns.  A
-plan holds only such derived data, never a state or a verdict: about ``16 N``
-bytes for N samples once W has been checked, the ``times`` and W's factor.
-One plan is kept: a sweep runs the starts of one signal back to back, and a
-larger cache would only keep plans alive after their sweep.  For the same
-reason ``_convergence_terms``, a pure function of a plan, ``eps`` and
-``i_max``, keeps only its last result.  The checks read the plan a trajectory was
+the segments, each interval's kernel operands, W's factors
+``exp(k (t - t_lo))`` and the record columns.  A plan holds only such derived
+data, never a state or a verdict: about ``16 N`` bytes for N samples once W
+has been checked, the ``times`` and W's factor, and references to its affine
+modes' seed blocks (each at most ``kernels.SEED_BLOCK_BYTES``) and to at most
+one partial-step map of ``8 (n+1)^2`` bytes per interval, which are usually
+the very arrays the kernels' caches hold.  ``PLAN_CACHE_SIZE`` (8) plans are
+kept, so a pass over several systems, or a step and its half, plans each
+signal once and not once per visit; at most 8 plans stay alive after their
+sweep.  ``_convergence_terms``, a pure function of a plan, ``eps`` and
+``i_max``, keeps as many results.  Threads share a cached plan, so nothing
+writes to its ``times`` or its operands (``kernels._fill`` reads them).  The
+checks read the plan a trajectory was
 simulated from while the trajectory is unchanged (same system and signal
 objects, ``times`` the plan's, the very event objects); any other trajectory
 gets an uncached plan built from its own times and events.
@@ -63,7 +69,7 @@ from .errors import (
 from .lyapunov import MEMBERSHIP_TOL, region_boundary_points
 
 W_MONOTONE_TOL = 1e-7
-PLAN_CACHE_SIZE = 1
+PLAN_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,15 @@ def _grid(t0: float, t1: float, step: float) -> tuple[int, float]:
     return n_full, rem
 
 
+def _time_resolution(t0: float, t1: float) -> float:
+    """8 ulps of the larger of ``|t0|`` and ``|t1|``: a step over [t0, t1] must exceed it.
+
+    With ``_grid``'s remainder rule such a step keeps a plan's times
+    strictly increasing.
+    """
+    return 8.0 * math.ulp(max(abs(t0), abs(t1)))
+
+
 def _check_finite(states: np.ndarray, label: Label) -> None:
     if not np.isfinite(states).all():
         raise NonfiniteState(f"non-finite state while integrating mode {label!r}")
@@ -206,15 +221,15 @@ def simulate_switched(
     its end sample, and is that one sample when the last switch lands on the
     horizon.  Periodic signals are unrolled to the horizon.
 
-    The switches, every interval's grid and the read-only ``times`` come from
-    the plan of ``(system, signal, horizon, step)`` (``_signal_plan``), so a
-    sweep of starts through one signal plans once and shares one ``times``;
-    ``states`` is allocated once, and each interval fills its rows from the
-    row the previous one ended on.  Each run is fixed-step RK4 (``integrate``
-    is this function on one interval): an affine interval is written in
-    place by its mode's ``kernels._path_filler`` (the fill behind
-    ``affine_rk4_path``, with the seed block looked up once per mode and
-    trajectory), a callable one is generic RK4 copied in.  The whole buffer
+    The switches, every interval's grid and kernel operands and the read-only
+    ``times`` come from the plan of ``(system, signal, horizon, step)``
+    (``_signal_plan``), so a sweep of starts through one signal plans once
+    and shares one ``times``; ``states`` is allocated once, and each interval
+    fills its rows from the row the previous one ended on.  Each run is
+    fixed-step RK4 (``integrate`` is this function on one interval): an
+    affine interval is written in place by ``kernels._fill`` from the plan's
+    operands, with no cache lookup, and a callable one is generic RK4 copied
+    in.  The whole buffer
     is checked for finiteness once at the end, and each callable interval's
     start row before it runs, so a callable is never given a non-finite
     start; either check names the first interval that holds a non-finite
@@ -228,19 +243,14 @@ def simulate_switched(
     segments = plan.segments
     states = np.empty((len(plan.times), x0.shape[0]))
     states[0] = x0
-    fills = {}  # one kernels._path_filler per affine mode
-    for i, ((lo, hi, mode), (n_full, rem)) in enumerate(zip(segments, plan.grids)):
+    for i, ((lo, hi, mode), (n_full, rem, operands)) in enumerate(zip(segments, plan.intervals)):
         run = states[lo : hi + 1]  # up to the next interval's first sample
-        fill = fills.get(mode)
-        if fill is None:
-            sub = system[mode]
-            if sub.affine is None:
-                if not np.isfinite(run[0]).all():
-                    _check_runs(states, segments[:i])
-                run[:] = _generic_rk4_path(sub.field, run[0], step, n_full, rem)
-                continue
-            fill = fills[mode] = kernels._path_filler(*sub.affine, step)
-        fill(run, rem)
+        if operands is not None:
+            kernels._fill(run, *operands)
+            continue
+        if not np.isfinite(run[0]).all():
+            _check_runs(states, segments[:i])
+        run[:] = _generic_rk4_path(system[mode].field, run[0], step, n_full, rem)
     _check_runs(states, segments)
     rows = plan.los[1:]
     switch_states = states[rows]
@@ -268,14 +278,19 @@ class _Plan:
 
     ``segments`` are ``Trajectory.segments``, and ``modes``, ``los`` and
     ``lens`` their columns; ``switch_t`` and ``exit_modes`` are the record
-    columns of the switches, and ``grids`` the (full steps, partial step) of
-    each interval, for a plan that ``simulate_switched`` fills from.  W's
-    factors (``w_terms``) are built on first use and never written after.
+    columns of the switches.  ``intervals``, for a plan that
+    ``simulate_switched`` fills from, holds (full steps, partial step,
+    operands) per interval: the operands are ``kernels._fill``'s
+    ``(block, last)`` for an affine mode, its seed block when the interval
+    has a full step and the top rows of its partial step's map when it has
+    one, and None for a callable mode.  They are read-only arrays, shared
+    with the kernels' caches and, through the plan, by threads.  W's factors
+    (``w_terms``) are built on first use and never written after.
     ``signal`` is the one the switches were matched to, or None.
     """
 
-    def __init__(self, system, signal, times, segments, switches, grids=None):
-        self.system, self.signal, self.times, self.grids = system, signal, times, grids
+    def __init__(self, system, signal, times, segments, switches, intervals=None):
+        self.system, self.signal, self.times, self.intervals = system, signal, times, intervals
         self.segments = segments
         self.los = [lo for lo, _, _ in segments]
         self.lens = [hi - lo for lo, hi, _ in segments]
@@ -315,8 +330,12 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
 
     Keyed by the identity of ``system`` and ``signal`` (neither compares by
     value), so value-equal signals such as ones labelled ``1`` and ``1.0``
-    keep plans, and labels, of their own.
+    keep plans, and labels, of their own.  A step that the time axis cannot
+    resolve (``_time_resolution``) raises a ``ValueError`` that names it.
     """
+    if not step > (finest := _time_resolution(signal.t0, horizon)):
+        t = max(signal.t0, horizon, key=abs)
+        raise ValueError(f"step {step!r} at t = {t!r}: times this large need step > {finest:.3g}")
     switches = signal.switches_until(horizon)
     t_lo = [signal.t0] + [ts for ts, _, _ in switches]
     t_hi = t_lo[1:] + [horizon]
@@ -331,7 +350,11 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     times.setflags(write=False)
     modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
     segments = list(zip(lo[:-1], lo[1:-1] + [len(times)], modes))
-    return _Plan(system, signal, times, segments, switches, grids)
+    affine = {m: system[m].affine for m in dict.fromkeys(modes)}
+    keys = {m: kernels._mode_key(*ab) for m, ab in affine.items() if ab is not None}
+    intervals = [(*grid, kernels._operands(keys[m], step, *grid) if m in keys else None)
+                 for m, grid in zip(modes, grids)]
+    return _Plan(system, signal, times, segments, switches, intervals)
 
 
 def _plan_of(traj: Trajectory, system: SwitchedSystem, signal=None) -> _Plan:
@@ -571,10 +594,15 @@ def convergence_product(
     first switch at which the state is inside the exited mode's region.
 
     The terms come from ``_convergence_terms`` of the plan, which keeps those
-    of the last ``(plan, eps, i_max)``; a mu-tilde that overflows is inf.
-    ``i_max`` must be nonnegative.
+    of the last ``PLAN_CACHE_SIZE`` ``(plan, eps, i_max)``; a mu-tilde that
+    overflows is inf.  ``i_max`` must be a nonnegative integer
+    (``operator.index``, so numpy integers too).
     """
     _check_eps(eps)
+    try:
+        i_max = operator.index(i_max)
+    except TypeError:
+        raise ValueError(f"i_max must be an integer, got {i_max!r}") from None
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     plan = _plan_of(traj, system, signal)
@@ -603,15 +631,15 @@ def _pair_terms(system: SwitchedSystem, eps: float, u: Label, v: Label) -> tuple
     return mu, math.log(mu), b.decay_rate - a.decay_rate, a.decay_rate
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _convergence_terms(plan: _Plan, eps: float, i_max: int) -> tuple:
     """(mu, mu-tilde, log products) over the first ``i_max`` switches of ``plan``'s signal.
 
     mu, log mu and the decay rates enter once per distinct mode pair
     (``_pair_terms``); what is left per switch is one ``math.exp`` for
     mu-tilde, inf where it overflows, and one multiply-subtract for the log
-    term.  The last key is kept: a sweep checks the starts of one signal
-    back to back.
+    term.  As many keys are kept as plans: a sweep checks the starts of one
+    signal back to back, and a pass visits a few signals in turn.
     """
     modes = [plan.signal.initial_mode] + plan.modes[1 : i_max + 1]
     times = [plan.signal.t0] + plan.switch_t[:i_max]

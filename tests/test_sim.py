@@ -18,6 +18,7 @@ from switchdwell import (
     verify_trapping,
     w_monitor,
 )
+from switchdwell import kernels
 from switchdwell.errors import (
     InsufficientSwitches,
     InvalidEpsilon,
@@ -33,6 +34,7 @@ from switchdwell.sim import (
     W_MONOTONE_TOL,
     TrappingRecord,
     WIntervalVerdict,
+    _convergence_terms,
     _plan_of,
     _signal_plan,
     _v_active,
@@ -152,6 +154,17 @@ class TestSimulateSwitched:
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), t_switch + 1.0, STEP)
         assert (np.diff(traj.times) > 0).all()
         assert traj.switch_events[0].index == 12345 and traj.times[12345] == t_switch
+
+    def test_a_step_the_time_axis_cannot_resolve_is_named(self, system):
+        # near t = 1e13 doubles are 2e-3 apart: a 1e-3 step needs more than 8 of them
+        message = r"step 0\.001 at t = 10000000000000\.5: times this large need step > 0\.0156"
+        x0 = np.array([0.0, 1.0])
+        sig = SwitchingSignal(1e13, 1)
+        for _ in range(2):  # a plan that fails is not cached
+            with pytest.raises(ValueError, match=message):
+                simulate_switched(system, sig, x0, 1e13 + 0.5, STEP)
+        with pytest.raises(ValueError, match=message):
+            integrate(system[1], x0, 1e13, 1e13 + 0.5, STEP)
 
     def test_periodic_signal_unrolls(self, system):
         sig = signal_from_dwell(1, [0], 1.0, periodic=True)
@@ -568,8 +581,10 @@ class TestConvergenceProduct:
     def test_negative_i_max_is_rejected(self, system, eps):
         sig = signal_from_dwell(0, [-1], 1.43)
         traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
-        with pytest.raises(ValueError, match="i_max"):
-            convergence_product(system, sig, traj, eps, i_max=-1)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="i_max"):
+                convergence_product(system, sig, traj, eps, i_max=bad)
+        assert convergence_product(system, sig, traj, eps, i_max=np.int64(1)).mu_values
         empty = convergence_product(system, sig, traj, eps, i_max=0)
         assert (empty.mu_values, empty.log_products, empty.certified) == ((), (), False)
 
@@ -876,6 +891,63 @@ class TestPlan:
             w_monitor(traj, system, sig)
             _trajectory_csv(traj, system)
         assert calls == [6.0]
+        # a pass over 3 signals, 3 times: each signal is planned once
+        signals = [signal_from_dwell(1, [0, -1, 0], 1.5 + 0.1 * j, periodic=True) for j in range(3)]
+        _convergence_terms.cache_clear()
+        for i in range(3):
+            for sig in signals:
+                x0 = np.array([0.7, -0.4]) * (1 + 0.2 * i)
+                traj = simulate_switched(system, sig, x0, 6.0, STEP)
+                convergence_product(system, sig, traj, eps, i_max=3)
+        assert len(calls) == 1 + 3
+        assert _convergence_terms.cache_info().misses == 3
+
+    def test_a_round_robin_over_more_signals_than_plans_replans_every_start(self, system):
+        signals = [
+            signal_from_dwell(1, [0, -1, 0], 1.43 + 1e-3 * i, periodic=True)
+            for i in range(PLAN_CACHE_SIZE + 1)
+        ]
+
+        def start(sig):
+            traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
+            return traj.states.tobytes(), _checks(traj, system, sig)
+
+        fresh = []
+        for sig in signals:
+            _signal_plan.cache_clear()
+            fresh.append(start(sig))
+        _signal_plan.cache_clear()
+        for _ in range(2):
+            assert [start(sig) for sig in signals] == fresh
+        assert _signal_plan.cache_info()[:2] == (0, 2 * len(signals))  # (hits, misses)
+
+    @pytest.mark.parametrize("kind", ["affine", "callable", "mixed"])
+    def test_a_start_on_a_cached_plan_equals_one_planned_afresh(self, system, kind):
+        # every interval ends in a partial step, and mode 0 holds for half a step only
+        sig = signal_from_dwell(1, [0, -1], [0.4013, 5e-4])
+        if kind == "callable":
+            subs = tuple(dataclasses.replace(sub, affine=None) for sub in system.subsystems)
+            system = SwitchedSystem(subs)
+        elif kind == "mixed":
+            system = _mixed_system(system)[0]
+            sig = signal_from_dwell(1, [0, "c", -1], [0.4013, 5e-4, 0.25])
+
+        def start(x0):
+            traj = simulate_switched(system, sig, x0, 1.0, STEP)
+            events = [(ev.t, ev.prev_mode, ev.next_mode, ev.index, ev.state.tobytes())
+                      for ev in traj.switch_events]
+            return traj._plan[0], (traj.states.tobytes(), repr(events), _checks(traj, system, sig))
+
+        _signal_plan.cache_clear()
+        kernels._seed_block.cache_clear()
+        plan, _ = start(np.array([0.7, -0.4]))
+        # a seed block per affine mode with a full step: modes 1 and -1, not 0
+        assert kernels._seed_block.cache_info().misses == (0 if kind == "callable" else 2)
+        cached, warm = start(np.array([-1.2, 0.3]))
+        _signal_plan.cache_clear()
+        replanned, cold = start(np.array([-1.2, 0.3]))
+        assert cached is plan and replanned is not plan
+        assert warm == cold
 
     def test_cache_is_bounded(self, system):
         import tracemalloc

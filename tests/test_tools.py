@@ -45,11 +45,16 @@ def test_ab_difference_is_none_only_for_the_same_bits(system, eps):
 def test_ab_against_head_reads_a_ratio_near_one(capsys):
     summary = _load_tool("ab").main(
         ["--base", "HEAD", "--workload", "callable_modes", "--seed", "3002",
-         "--rounds", "9", "--kind", "boundary"]
+         "--rounds", "25", "--kind", "boundary"]
     )
     assert summary["ops"] == 6
     assert 0.9 <= summary["median"] <= 1.1
-    assert "ratio tree/base: median" in capsys.readouterr().out
+    for key in ("op_p50", "op_p90"):
+        assert 0.9 <= summary[key]["ratio"] <= 1.1
+        lo, hi = summary[key]["interval"]
+        assert lo <= hi and summary[key]["iqr"][0] <= summary[key]["iqr"][1]
+    out = capsys.readouterr().out
+    assert "ratio tree/base: median" in out and "op_p90 of per-op means" in out
 
 
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a HEAD")

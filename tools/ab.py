@@ -21,6 +21,15 @@ absolute difference is reported.  Then each round times one whole pass per
 side, alternating which side runs first, and the report gives the median of
 the per-round time ratios tree/base, their quartiles, a bootstrap 95%
 interval of that median and the rounds the tree won.
+
+Each op is also timed inside those passes, and the report gives the ratios
+tree/base of the p50 and p90 of the per-op means, taken as perfbench's
+``end_to_end`` takes ``op_p50_ms`` and ``op_p90_ms``: the mean latency of
+each op over the rounds, then a linear-interpolated percentile across the
+ops.  Each comes with the quartiles of the same ratio taken round by round
+and a bootstrap 95% interval over resampled rounds.  The two sides are
+separate copies of the package with caches of their own, so a cost that
+recurs in every pass, such as replanning, shows as it does in perfbench.
 """
 
 from __future__ import annotations
@@ -131,10 +140,36 @@ def difference(a, b):
     return worst
 
 
-def _pass(run_op, ops) -> tuple[float, list]:
-    t = perf_counter()
-    results = [run_op(op) for op in ops]
-    return perf_counter() - t, results
+def _pass(run_op, ops) -> tuple[float, list, list]:
+    """(seconds for the pass, the results, seconds for each op)."""
+    results, op_times = [], []
+    start = perf_counter()
+    for op in ops:
+        t = perf_counter()
+        results.append(run_op(op))
+        op_times.append(perf_counter() - t)
+    return perf_counter() - start, results, op_times
+
+
+def _op_percentiles(base, tree, draws) -> dict:
+    """Ratios tree/base of the p50 and p90 of per-op means, from rounds x ops time arrays.
+
+    Per percentile: the ratio over all rounds, the quartiles of the per-round
+    ratios and a bootstrap 95% interval from the resampled rounds ``draws``.
+    """
+    rounds = len(base)
+    weights = np.array([np.bincount(d, minlength=rounds) for d in draws]) / rounds
+    out = {}
+    for q in (50, 90):
+        whole = np.percentile(tree.mean(axis=0), q) / np.percentile(base.mean(axis=0), q)
+        per_round = np.percentile(tree, q, axis=1) / np.percentile(base, q, axis=1)
+        boot = np.percentile(weights @ tree, q, axis=1) / np.percentile(weights @ base, q, axis=1)
+        out[f"op_p{q}"] = {
+            "ratio": float(whole),
+            "iqr": tuple(np.percentile(per_round, [25, 75]).tolist()),
+            "interval": tuple(np.percentile(boot, [2.5, 97.5]).tolist()),
+        }
+    return out
 
 
 def main(argv=None) -> dict:
@@ -164,15 +199,19 @@ def main(argv=None) -> dict:
         first = {name: _pass(run, ops)[1] for name, run in runners.items()}
         diffs = [difference(a, b) for a, b in zip(first["base"], first["tree"])]
         times = {"base": [], "tree": []}
+        op_times = {"base": [], "tree": []}
         for r in range(args.rounds):
             for name in ("base", "tree") if r % 2 == 0 else ("tree", "base"):
-                times[name].append(_pass(runners[name], ops)[0])
+                seconds, _, per_op = _pass(runners[name], ops)
+                times[name].append(seconds)
+                op_times[name].append(per_op)
 
     ratios = np.array(times["tree"]) / np.array(times["base"])
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-    rng = np.random.default_rng(0)
-    medians = np.median(ratios[rng.integers(0, len(ratios), (BOOTSTRAP, len(ratios)))], axis=1)
+    draws = np.random.default_rng(0).integers(0, len(ratios), (BOOTSTRAP, len(ratios)))
+    medians = np.median(ratios[draws], axis=1)
     lo, hi = np.percentile(medians, [2.5, 97.5])
+    percentiles = _op_percentiles(np.array(op_times["base"]), np.array(op_times["tree"]), draws)
     wins = int((ratios < 1.0).sum())
     unequal = [d for d in diffs if d is not None]
     kinds = sorted({op.kind for op in ops})
@@ -187,8 +226,13 @@ def main(argv=None) -> dict:
           f"tree {1e3 * np.median(times['tree']):.3f} ms (medians)")
     print(f"ratio tree/base: median {median:.4f}, IQR {q1:.4f}-{q3:.4f}, "
           f"bootstrap 95% {lo:.4f}-{hi:.4f}, tree faster in {wins}/{args.rounds} rounds")
+    for name, p in percentiles.items():
+        print(f"{name} of per-op means, ratio tree/base: {p['ratio']:.4f}, "
+              f"per-round IQR {p['iqr'][0]:.4f}-{p['iqr'][1]:.4f}, "
+              f"bootstrap 95% {p['interval'][0]:.4f}-{p['interval'][1]:.4f}")
     return {"ops": len(ops), "unequal": len(unequal), "median": float(median),
-            "iqr": (float(q1), float(q3)), "interval": (float(lo), float(hi)), "wins": wins}
+            "iqr": (float(q1), float(q3)), "interval": (float(lo), float(hi)), "wins": wins,
+            **percentiles}
 
 
 if __name__ == "__main__":
