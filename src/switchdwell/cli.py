@@ -31,7 +31,7 @@ from .errors import IoError, NonfiniteState, SwitchDwellError
 from .lyapunov import check_certificate, region_boundary_points
 from .scenario import Scenario, parse_scenario
 from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
-from .sim import _plan_of, _v_active
+from .sim import _v_active
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -52,8 +52,8 @@ def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
     """One row per sample, V_active and the mode column from the trajectory's plan."""
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
-    plan = _plan_of(traj, system)
-    v = _v_active(traj, system, plan)
+    plan = traj._plan
+    v = _v_active(traj, system)
     modes = labels(plan.modes).repeat(plan.lens)
     return csv_bytes(header, np.column_stack([traj.times, traj.states]), modes, v)
 

@@ -8,50 +8,49 @@ which is what the dwell-time guarantee certifies.
 
 There is one integration path: ``integrate`` over ``[t0, t1]`` is
 ``simulate_switched`` of the one-mode system and the signal that holds that
-mode from ``t0``, to the horizon ``t1``.  Its trajectory has the plan's
-read-only ``times`` and the plan attached, so the checks read it as they
-read any simulated one.  Each call takes a slot of the plan cache: its
-one-mode system and signal are new objects every time.
+mode from ``t0``, to the horizon ``t1``.  Each call takes a slot of the plan
+cache: its one-mode system and signal are new objects every time.
 
-Everything that does not depend on the start state is planned once per
-``(system, signal, horizon, step)``, in a ``_Plan`` kept in a least recently
-used cache of ``PLAN_CACHE_SIZE`` entries keyed by the identity of the system
-and signal objects: the unrolled switches, the interval grids and row offsets,
-one read-only ``times`` array shared by every trajectory built from the plan,
-the segments, each interval's kernel operands, W's factors
-``exp(k (t - t_lo))`` and the record columns.  A plan holds only such derived
-data, never a state or a verdict: about ``16 N`` bytes for N samples once W
-has been checked, the ``times`` and W's factor, and references to its affine
-modes' seed blocks (each at most ``kernels.SEED_BLOCK_BYTES``) and to at most
-one partial-step map of ``8 (n+1)^2`` bytes per interval, which are usually
-the very arrays the kernels' caches hold.  ``PLAN_CACHE_SIZE`` (8) plans are
-kept, so a pass over several systems, or a step and its half, plans each
-signal once and not once per visit; at most 8 plans stay alive after their
-sweep.  ``_convergence_terms``, a pure function of a plan, ``eps`` and
-``i_max``, keeps as many results.  Threads share a cached plan, so nothing
-writes to its ``times`` or its operands (``kernels._fill`` reads them).  The
-checks read the plan a trajectory was
-simulated from while the trajectory is unchanged (same system and signal
-objects, ``times`` the plan's, the very event objects); any other trajectory
-gets an uncached plan built from its own times and events.
+A ``Trajectory`` is an immutable value whose time structure, a ``_Plan``, is
+fixed when it is built.  Everything that does not depend on the start state
+is planned once per ``(system, signal, horizon, step)``, in a plan kept in a
+least recently used cache of ``PLAN_CACHE_SIZE`` entries keyed by the
+identity of the system and signal objects: the unrolled switches, the
+interval grids and row offsets, one read-only ``times`` array shared by every
+trajectory built from the plan, the segments, each interval's kernel operands
+and the record columns.  Any other trajectory, one made by hand or with
+``dataclasses.replace``, builds a plan of its own once, from read-only copies
+of its times and states.  A plan holds only such derived data, never a state
+or a verdict: the ``times``, references to its affine modes' seed blocks
+(each at most ``kernels.SEED_BLOCK_BYTES``) and to at most one partial-step
+map of ``8 (n+1)^2`` bytes per interval, which are usually the very arrays
+the kernels' caches hold.  ``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass
+over several systems, or a step and its half, plans each signal once and not
+once per visit; at most 8 plans stay alive after their sweep.  What also
+depends on the system is a pure function of ``(plan, system)`` in an
+``lru_cache`` of as many entries: W's factors ``exp(k (t - t_lo))``
+(``_w_terms``, about ``8 N`` bytes for N samples) and, with ``eps`` and
+``i_max``, the convergence terms (``_convergence_terms``).  Threads share a
+cached plan, so nothing writes to its ``times`` or its operands
+(``kernels._fill`` reads them).  A check matches the plan's switches to its
+signal unless the plan was made from that very signal object (``_plan_of``).
 
 V is read through one routine, ``_v_rows``: the active mode's V at every
-sample (``_v_active``) and the exited mode's V at each switch state
-(``_v_exit``) are each one ``_sq_dist`` pass with every row's own equilibrium
-when all the modes involved are quadratic, and one ``v_batch`` call per run
-otherwise.  ``simulate_switched`` attaches ``[plan, events, V at the
-switches]`` to the trajectory; the first check that reads the plan fills in
-the V, which then serves exactly as long as the plan does.  The records are
-named tuples built from ``tolist()`` columns, and the convergence terms are
-computed once per distinct mode pair.
+sample (``_v_active``) and the exited mode's V at each switch, the switch
+rows of ``states`` (``_v_exit``), are each one ``_sq_dist`` pass with every
+row's own equilibrium when all the modes involved are quadratic, and one
+``v_batch`` call per run otherwise.  V at the switches depends on the states,
+so it is kept on the trajectory for the last system object it was read
+under.  The records are named tuples built from ``tolist()`` columns, and
+the convergence terms are computed once per distinct mode pair.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -83,13 +82,21 @@ class SwitchEvent:
     index: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-stamped states and the switch events that split them into constant-mode runs.
 
-    ``initial_mode`` is active from sample 0 and each event's ``next_mode``
-    from that event's ``index`` on; ``segments`` is the one place that turns
-    the events into sample ranges.
+    An immutable value: ``initial_mode`` is active from sample 0 and each
+    event's ``next_mode`` from that event's ``index`` on, and the plan that
+    turns the events into segments and switch columns is fixed when the
+    trajectory is built.  ``simulate_switched`` passes its cached plan as
+    ``plan``, with the plan's ``times`` and read-only ``states``.  Any other
+    trajectory gets read-only copies of its ``times`` and ``states`` and a
+    plan of its own, built once after checking that the times strictly
+    increase; ``plan`` is an ``InitVar``, which ``dataclasses.replace`` does
+    not copy.  Edit a trajectory through ``dataclasses.replace``, never its
+    ``switch_events`` list in place.  V at a switch reads the switch row of
+    ``states``, not the event's copy of it.
     """
 
     times: np.ndarray
@@ -97,23 +104,28 @@ class Trajectory:
     initial_mode: Label
     switch_events: list[SwitchEvent]
     step: float
-    # [plan, events, V at the switches] that simulate_switched built this
-    # trajectory from, V filled by the first _v_exit that reads the plan;
-    # dataclasses.replace leaves it None, see _plan_of
-    _plan: Optional[list] = field(default=None, init=False, repr=False)
+    plan: InitVar[Optional[_Plan]] = None
+    _v_switch = (None, None)  # not a field: (system, V at the switches) of the last _v_exit
 
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if (np.subtract(self.times[1:], self.times[:-1]) <= 0).any():
-            raise ValueError("sample times must be strictly increasing")
+    def __post_init__(self, plan):
+        if plan is None:
+            times, states = np.array(self.times, dtype=float), np.array(self.states, dtype=float)
+            if len(times) != len(states):
+                raise ValueError("times and states must have equal length")
+            if (np.subtract(times[1:], times[:-1]) <= 0).any():
+                raise ValueError("sample times must be strictly increasing")
+            times.setflags(write=False)
+            states.setflags(write=False)
+            object.__setattr__(self, "times", times)
+            object.__setattr__(self, "states", states)
+            los = [0] + [ev.index for ev in self.switch_events]
+            switches = [(ev.t, ev.prev_mode, ev.next_mode) for ev in self.switch_events]
+            plan = _Plan(None, times, self.initial_mode, los, switches)
+        object.__setattr__(self, "_plan", plan)
 
     def segments(self) -> list[tuple[int, int, Label]]:
         """(lo, hi, mode) per run: samples lo..hi-1 carry mode and hi starts the next run."""
-        los = [0] + [ev.index for ev in self.switch_events]
-        his = los[1:] + [len(self.times)]
-        modes = [self.initial_mode] + [ev.next_mode for ev in self.switch_events]
-        return list(zip(los, his, modes))
+        return list(self._plan.segments)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -170,16 +182,14 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
 
     One interval of ``simulate_switched``: the signal that holds ``sub`` from
     ``t0`` on, simulated to the horizon ``t1``, so the trajectory has that
-    plan's read-only ``times`` and the plan attached, and its ``t1`` must be
-    finite and after ``t0``.  A zero-length span (``t1 == t0``) gives the
-    single start sample, a copy of ``x0``.
+    plan, and its ``t1`` must be finite and after ``t0``.  A zero-length span
+    (``t1 == t0``) gives the single start sample, a copy of ``x0``.
     """
     signal = SwitchingSignal(t0, sub.label)  # which rejects a t0 that is not finite
     if t1 != t0:
         return simulate_switched(SwitchedSystem((sub,)), signal, x0, t1, step)
     _check_step(step)
-    states = np.array([_start_state(sub, x0)])  # a copy: the caller may write into x0
-    return Trajectory(np.array([t1], dtype=float), states, sub.label, [], step)
+    return Trajectory([t1], [_start_state(sub, x0)], sub.label, [], step)
 
 
 def _start_state(sub: Subsystem, x0) -> np.ndarray:
@@ -224,8 +234,9 @@ def simulate_switched(
     The switches, every interval's grid and kernel operands and the read-only
     ``times`` come from the plan of ``(system, signal, horizon, step)``
     (``_signal_plan``), so a sweep of starts through one signal plans once
-    and shares one ``times``; ``states`` is allocated once, and each interval
-    fills its rows from the row the previous one ended on.  Each run is
+    and shares one ``times``; ``states`` is allocated once, each interval
+    fills its rows from the row the previous one ended on, and it is
+    read-only once filled.  Each run is
     fixed-step RK4 (``integrate`` is this function on one interval): an
     affine interval is written in place by ``kernels._fill`` from the plan's
     operands, with no cache lookup, and a callable one is generic RK4 copied
@@ -252,15 +263,14 @@ def simulate_switched(
             _check_runs(states, segments[:i])
         run[:] = _generic_rk4_path(system[mode].field, run[0], step, n_full, rem)
     _check_runs(states, segments)
+    states.setflags(write=False)
     rows = plan.los[1:]
     switch_states = states[rows]
     switch_states.setflags(write=False)
     events = list(
         map(SwitchEvent, plan.switch_t, plan.exit_modes, plan.modes[1:], switch_states, rows)
     )
-    traj = Trajectory(plan.times, states, signal.initial_mode, events, step)
-    traj._plan = [plan, tuple(events), None]
-    return traj
+    return Trajectory(plan.times, states, signal.initial_mode, events, step, plan)
 
 
 def _check_runs(states: np.ndarray, segments: list) -> None:
@@ -274,54 +284,54 @@ def _check_runs(states: np.ndarray, segments: list) -> None:
 
 
 class _Plan:
-    """What the checks of a trajectory need that does not depend on its start state.
+    """A trajectory's time structure: what its checks need that no state and no system changes.
 
-    ``segments`` are ``Trajectory.segments``, and ``modes``, ``los`` and
-    ``lens`` their columns; ``switch_t`` and ``exit_modes`` are the record
-    columns of the switches.  ``intervals``, for a plan that
-    ``simulate_switched`` fills from, holds (full steps, partial step,
-    operands) per interval: the operands are ``kernels._fill``'s
-    ``(block, last)`` for an affine mode, its seed block when the interval
-    has a full step and the top rows of its partial step's map when it has
-    one, and None for a callable mode.  They are read-only arrays, shared
-    with the kernels' caches and, through the plan, by threads.  W's factors
-    (``w_terms``) are built on first use and never written after.
-    ``signal`` is the one the switches were matched to, or None.
+    ``times`` is read-only; ``segments`` are ``Trajectory.segments``, and
+    ``modes``, ``los`` and ``lens`` their columns; ``switch_t`` and
+    ``exit_modes`` are the record columns of the switches.  ``signal`` is
+    the one ``simulate_switched`` planned from, None for a trajectory built
+    any other way.  ``intervals``, for a plan that ``simulate_switched``
+    fills from, holds (full steps, partial step, operands) per interval: the
+    operands are ``kernels._fill``'s ``(block, last)`` for an affine mode,
+    its seed block when the interval has a full step and the top rows of its
+    partial step's map when it has one, and None for a callable mode.  They
+    are read-only arrays, shared with the kernels' caches and, through the
+    plan, by threads.  Nothing is written to a plan after it is built.
     """
 
-    def __init__(self, system, signal, times, segments, switches, intervals=None):
-        self.system, self.signal, self.times, self.intervals = system, signal, times, intervals
-        self.segments = segments
-        self.los = [lo for lo, _, _ in segments]
-        self.lens = [hi - lo for lo, hi, _ in segments]
-        self.modes = [mode for _, _, mode in segments]
+    def __init__(self, signal, times, initial_mode, los, switches, intervals=None):
+        self.signal, self.times, self.los, self.intervals = signal, times, los, intervals
+        self.modes = [initial_mode] + [nxt for _, _, nxt in switches]
+        self.segments = list(zip(los, los[1:] + [len(times)], self.modes))
+        self.lens = [hi - lo for lo, hi, _ in self.segments]
         self.switch_t = [t for t, _, _ in switches]
         self.exit_modes = [prev for _, prev, _ in switches]
 
-    @cached_property
-    def w_terms(self) -> Optional[tuple]:
-        """``_w_verdicts``' inputs that do not depend on the states; None without a run of one step.
 
-        (factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes):
-        ``exp(k (t - t_lo))`` at every sample, the difference rows that close
-        at a switch with their factors and segments, and the columns of the
-        runs with at least one step (segment j, its first sample, times and
-        mode).
-        """
-        t, segs = self.times, self.segments
-        last = len(t) - 1
-        ends = [min(hi, last) for _, hi, _ in segs]
-        runs = [(j, lo, end, m) for j, ((lo, _, m), end) in enumerate(zip(segs, ends)) if end > lo]
-        if not runs:
-            return None
-        js, firsts, lasts, modes = (list(c) for c in zip(*runs))
-        k = np.array([self.system[mode].decay_rate for mode in self.modes]).repeat(self.lens)
-        factor = np.exp(k * (t - t[self.los].repeat(self.lens)))
-        closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
-        j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, firsts, lasts))
-        closing = np.exp(k[lo_end] * (t[hi_end] - t[lo_end]))
-        t_start, t_end = t[firsts].tolist(), t[lasts].tolist()
-        return factor, hi_end - 1, closing, j_end, firsts, js, t_start, t_end, modes
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _w_terms(plan: _Plan, system: SwitchedSystem) -> Optional[tuple]:
+    """``_w_verdicts``' inputs that do not depend on the states; None without a run of one step.
+
+    (factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes):
+    ``exp(k (t - t_lo))`` at every sample, the difference rows that close
+    at a switch with their factors and segments, and the columns of the
+    runs with at least one step (segment j, its first sample, times and
+    mode).  As many ``(plan, system)`` are kept as plans.
+    """
+    t, segs = plan.times, plan.segments
+    last = len(t) - 1
+    ends = [min(hi, last) for _, hi, _ in segs]
+    runs = [(j, lo, end, m) for j, ((lo, _, m), end) in enumerate(zip(segs, ends)) if end > lo]
+    if not runs:
+        return None
+    js, firsts, lasts, modes = (list(c) for c in zip(*runs))
+    k = np.array([system[mode].decay_rate for mode in plan.modes]).repeat(plan.lens)
+    factor = np.exp(k * (t - t[plan.los].repeat(plan.lens)))
+    closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
+    j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, firsts, lasts))
+    closing = np.exp(k[lo_end] * (t[hi_end] - t[lo_end]))
+    t_start, t_end = t[firsts].tolist(), t[lasts].tolist()
+    return factor, hi_end - 1, closing, j_end, firsts, js, t_start, t_end, modes
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -349,49 +359,39 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     times[-1] = horizon
     times.setflags(write=False)
     modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
-    segments = list(zip(lo[:-1], lo[1:-1] + [len(times)], modes))
     affine = {m: system[m].affine for m in dict.fromkeys(modes)}
     keys = {m: kernels._mode_key(*ab) for m, ab in affine.items() if ab is not None}
     intervals = [(*grid, kernels._operands(keys[m], step, *grid) if m in keys else None)
                  for m, grid in zip(modes, grids)]
-    return _Plan(system, signal, times, segments, switches, intervals)
+    return _Plan(signal, times, signal.initial_mode, lo[:-1], switches, intervals)
 
 
-def _plan_of(traj: Trajectory, system: SwitchedSystem, signal=None) -> _Plan:
-    """The plan ``traj`` was simulated from while it still describes ``traj``, else a fresh one.
+def _plan_of(traj: Trajectory, signal: SwitchingSignal) -> _Plan:
+    """``traj``'s plan, its switches matched to ``signal`` unless it was planned from ``signal``."""
+    plan = traj._plan
+    if plan.signal is not signal:
+        _match_signal(plan, signal)
+    return plan
 
-    The simulated plan serves while ``system`` (and ``signal``, when given)
-    are its very objects, ``traj.times`` is its ``times``, ``initial_mode`` is
-    its first mode and the events are the very objects ``simulate_switched``
-    built.  Otherwise the events are matched to ``signal`` (when given) and
-    an uncached plan is built from the trajectory's own times and events.
+
+def _match_signal(plan: _Plan, signal: SwitchingSignal) -> None:
+    """Raise ``SignalMismatch`` unless the plan starts as ``signal`` does and has its switches.
+
+    A switch is (t, exited mode, entered mode), and the start counts as one
+    with no exited mode, at ``t0`` into ``initial_mode``; times agree to
+    1e-9 and modes by ``!=``.
     """
-    plan, events, _ = traj._plan or (None, (), None)
-    if plan and plan.system is system and (signal is None or plan.signal is signal):
-        if traj.times is plan.times and traj.initial_mode is plan.modes[0]:
-            if _same_objects(events, traj.switch_events):
-                return plan
-    if signal is not None:
-        _match_signal(traj, signal)
-    switches = [(ev.t, ev.prev_mode, ev.next_mode) for ev in traj.switch_events]
-    return _Plan(system, signal, traj.times, traj.segments(), switches)
-
-
-def _same_objects(a: Sequence, b: Sequence) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
-
-
-def _match_signal(traj: Trajectory, signal: SwitchingSignal) -> None:
-    """Raise ``SignalMismatch`` unless the events are the switches ``signal`` prescribes."""
-    expected = signal.switches_until(float(traj.times[-1]))
-    if len(expected) != len(traj.switch_events):
+    starts = [float(plan.times[0])] + plan.switch_t
+    got = list(zip(starts, [None] + plan.exit_modes, plan.modes))
+    expected = [(signal.t0, None, signal.initial_mode)]
+    expected += signal.switches_until(float(plan.times[-1]))
+    if len(expected) != len(got):
         raise SignalMismatch(
-            f"trajectory has {len(traj.switch_events)} switch events, "
-            f"signal prescribes {len(expected)}"
+            f"trajectory has {len(got) - 1} switch events, signal prescribes {len(expected) - 1}"
         )
-    for ev, (t, prev, nxt) in zip(traj.switch_events, expected):
-        if abs(ev.t - t) > 1e-9 or ev.prev_mode != prev or ev.next_mode != nxt:
-            raise SignalMismatch(f"switch event {ev} disagrees with signal switch {(t, prev, nxt)}")
+    for (t, prev, nxt), want in zip(got, expected):
+        if abs(t - want[0]) > 1e-9 or prev != want[1] or nxt != want[2]:
+            raise SignalMismatch(f"switch {(t, prev, nxt)} disagrees with the signal's {want}")
 
 
 class TrappingRecord(NamedTuple):
@@ -445,8 +445,8 @@ def verify_trapping(
     the records are built from its columns and the plan's.
     """
     _check_eps(eps)
-    plan = _plan_of(traj, system, signal)
-    vs = _v_exit(traj, system, plan)
+    plan = _plan_of(traj, signal)
+    vs = _v_exit(traj, system)
     member = vs <= eps + MEMBERSHIP_TOL
     columns = vs.tolist(), member.tolist(), (vs <= eps).tolist()
     records = tuple(map(TrappingRecord, range(len(vs)), plan.switch_t, plan.exit_modes, *columns))
@@ -483,8 +483,8 @@ def w_monitor(
     (``_v_exit``); the relative increases come from one pass over the samples
     and each interval's worst from one ``maximum.reduceat``.
     """
-    plan = _plan_of(traj, system, signal)
-    return _w_verdicts(traj, system, _v_exit(traj, system, plan), plan)
+    _plan_of(traj, signal)
+    return _w_verdicts(traj, system)
 
 
 def _v_rows(system: SwitchedSystem, X: np.ndarray, modes: list, counts: list) -> np.ndarray:
@@ -504,49 +504,45 @@ def _v_rows(system: SwitchedSystem, X: np.ndarray, modes: list, counts: list) ->
     return np.concatenate([sub.v_batch(X[lo : lo + n]) for sub, lo, n in zip(subs, los, counts)])
 
 
-def _v_exit(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
-    """The exited mode's V at each switch event's state, read-only.
+def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
+    """The exited mode's V at each switch, read-only: ``_v_rows`` at the switch rows of ``states``.
 
-    ``_v_rows`` at the events' own states, not rows of ``states``, so
-    bit-equal to ``v_eval(system[ev.prev_mode], ev.state)`` per event.  When
-    the plan is the one ``simulate_switched`` attached to ``traj`` (see
-    ``_plan_of``) the array is kept in that attachment; any other trajectory
-    computes it per call.
+    On a simulated trajectory those rows are bit-equal to the events'
+    states, so this is ``v_eval(system[ev.prev_mode], ev.state)`` per event.
+    The array is kept on the trajectory for the last system object it was
+    read under, so ``verify_trapping`` and ``convergence_product`` share one
+    pass.
     """
-    plan = plan or _plan_of(traj, system)
-    # the attachment while its plan is the one read, else a slot for this call
-    slot = traj._plan if traj._plan and traj._plan[0] is plan else [plan, None, None]
-    if slot[2] is None:
-        events = traj.switch_events
-        X = np.array([ev.state for ev in events]).reshape(len(events), system.dimension)
-        slot[2] = _v_rows(system, X, plan.exit_modes, [1] * len(events))
-        slot[2].setflags(write=False)
-    return slot[2]
+    kept, v = traj._v_switch
+    if kept is not system:
+        plan = traj._plan
+        rows = plan.los[1:]
+        v = _v_rows(system, traj.states[rows], plan.exit_modes, [1] * len(rows))
+        v.setflags(write=False)
+        object.__setattr__(traj, "_v_switch", (system, v))
+    return v
 
 
-def _v_active(traj: Trajectory, system: SwitchedSystem, plan: Optional[_Plan] = None) -> np.ndarray:
+def _v_active(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
     """The active mode's V at every sample: ``_v_rows`` over the segments."""
-    plan = plan or _plan_of(traj, system)
+    plan = traj._plan
     return _v_rows(system, traj.states, plan.modes, plan.lens)
 
 
-def _w_verdicts(
-    traj: Trajectory, system: SwitchedSystem, v_exit: np.ndarray, plan: Optional[_Plan] = None
-) -> list[WIntervalVerdict]:
+def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdict]:
     """``w_monitor``'s verdicts for a trajectory already matched to its signal.
 
-    ``v_exit`` is ``_v_exit(traj, system)``: entry j is segment j's V at its
-    closing switch sample.
+    Entry j of ``_v_exit`` is segment j's V at its closing switch sample.
     """
-    plan = plan or _plan_of(traj, system)
-    if plan.w_terms is None:
+    terms = _w_terms(traj._plan, system)
+    if terms is None:
         return []
-    factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes = plan.w_terms
-    w = factor * _v_active(traj, system, plan)
+    factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes = terms
+    w = factor * _v_active(traj, system)
     # w at each difference's later sample; an interval closing at a switch
     # takes the exited mode's W there, its left limit
     later = w[1:].copy()
-    later[close_rows] = closing * v_exit[close_runs]
+    later[close_rows] = closing * _v_exit(traj, system)[close_runs]
     scale = np.maximum(np.abs(w[:-1]), np.abs(later))
     scale[scale == 0.0] = 1.0
     worst = np.maximum.reduceat((later - w[:-1]) / scale, firsts)
@@ -593,8 +589,8 @@ def convergence_product(
     a counterexample (the criterion is sufficient only).  ``entry_index`` is the
     first switch at which the state is inside the exited mode's region.
 
-    The terms come from ``_convergence_terms`` of the plan, which keeps those
-    of the last ``PLAN_CACHE_SIZE`` ``(plan, eps, i_max)``; a mu-tilde that
+    The terms come from ``_convergence_terms``, which keeps those of the
+    last ``PLAN_CACHE_SIZE`` ``(plan, system, eps, i_max)``; a mu-tilde that
     overflows is inf.  ``i_max`` must be a nonnegative integer
     (``operator.index``, so numpy integers too).
     """
@@ -605,7 +601,7 @@ def convergence_product(
         raise ValueError(f"i_max must be an integer, got {i_max!r}") from None
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    plan = _plan_of(traj, system, signal)
+    plan = _plan_of(traj, signal)
     if len(plan.switch_t) < i_max:
         raise InsufficientSwitches(
             f"need {i_max} switches, trajectory has {len(plan.switch_t)}"
@@ -613,12 +609,12 @@ def convergence_product(
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
 
-    mu_values, mu_tilde_values, log_products = _convergence_terms(plan, eps, i_max)
+    mu_values, mu_tilde_values, log_products = _convergence_terms(plan, system, eps, i_max)
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
-    v_exit = _v_exit(traj, system, plan)
+    v_exit = _v_exit(traj, system)
     inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
     entry_index = int(inside[0]) if inside.size else None
-    w_verdicts = tuple(_w_verdicts(traj, system, v_exit, plan))
+    w_verdicts = tuple(_w_verdicts(traj, system))
     return ConvergenceReport(
         eps, mu_values, mu_tilde_values, log_products, certified, entry_index, w_verdicts
     )
@@ -632,8 +628,8 @@ def _pair_terms(system: SwitchedSystem, eps: float, u: Label, v: Label) -> tuple
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _convergence_terms(plan: _Plan, eps: float, i_max: int) -> tuple:
-    """(mu, mu-tilde, log products) over the first ``i_max`` switches of ``plan``'s signal.
+def _convergence_terms(plan: _Plan, system: SwitchedSystem, eps: float, i_max: int) -> tuple:
+    """(mu, mu-tilde, log products) over ``plan``'s first time and its first ``i_max`` switches.
 
     mu, log mu and the decay rates enter once per distinct mode pair
     (``_pair_terms``); what is left per switch is one ``math.exp`` for
@@ -641,10 +637,10 @@ def _convergence_terms(plan: _Plan, eps: float, i_max: int) -> tuple:
     term.  As many keys are kept as plans: a sweep checks the starts of one
     signal back to back, and a pass visits a few signals in turn.
     """
-    modes = [plan.signal.initial_mode] + plan.modes[1 : i_max + 1]
-    times = [plan.signal.t0] + plan.switch_t[:i_max]
+    modes = plan.modes[: i_max + 1]
+    times = [float(plan.times[0])] + plan.switch_t[:i_max]
     pairs = list(zip(modes, modes[1:]))
-    pair_terms = {pair: _pair_terms(plan.system, eps, *pair) for pair in dict.fromkeys(pairs)}
+    pair_terms = {pair: _pair_terms(system, eps, *pair) for pair in dict.fromkeys(pairs)}
     terms = [pair_terms[pair] for pair in pairs]
     log_products = tuple(
         accumulate(

@@ -33,7 +33,7 @@ switches = [(1000, 0, 1), (2500, 1, 2), (3100, 2, 0)]
 events = [SwitchEvent(times[i], a, b, X[i], i) for i, a, b in switches]
 traj = Trajectory(times=times, states=X, initial_mode=0, switch_events=events, step=1e-3)
 v_exit = _v_exit(traj, system)
-w = [v.max_relative_increase for v in _w_verdicts(traj, system, v_exit)]
+w = [v.max_relative_increase for v in _w_verdicts(traj, system)]
 h = hashlib.sha256()
 for part in (system[0].v_batch(X), _v_active(traj, system), v_exit, np.array(w)):
     h.update(part.tobytes())

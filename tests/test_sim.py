@@ -32,6 +32,7 @@ from switchdwell.prebuilt import DEMO_A
 from switchdwell.sim import (
     PLAN_CACHE_SIZE,
     W_MONOTONE_TOL,
+    Trajectory,
     TrappingRecord,
     WIntervalVerdict,
     _convergence_terms,
@@ -229,6 +230,40 @@ class TestSimulateSwitched:
         assert all(seen)
 
 
+class TestTrajectoryValue:
+    """A trajectory is immutable: frozen fields, read-only arrays and a plan fixed when built."""
+
+    def test_hand_built_times_must_strictly_increase(self):
+        for times in ([0.0, 0.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(ValueError, match="sample times must be strictly increasing"):
+                Trajectory(np.array(times), np.zeros((3, 2)), 0, [], STEP)
+        with pytest.raises(ValueError, match="times and states must have equal length"):
+            Trajectory(np.arange(3.0), np.zeros((2, 2)), 0, [], STEP)
+
+    def test_fields_and_arrays_cannot_be_written(self, system):
+        sig = signal_from_dwell(0, [-1], 1.43)
+        times, states = np.arange(3.0), np.zeros((3, 2))
+        hand = Trajectory(times, states, 0, [], STEP)
+        times[0], states[0] = -1.0, 1.0  # the trajectory holds copies
+        assert hand.times[0] == 0.0 and not hand.states.any()
+        for traj in (simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP), hand):
+            for name, value in (("times", times), ("states", states), ("initial_mode", 1),
+                                ("switch_events", []), ("step", 1.0)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(traj, name, value)
+            for array in (traj.times, traj.states):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 5.0
+
+    def test_segments_returns_a_new_list(self, system):
+        sig = signal_from_dwell(0, [-1], 1.43)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 2.86, STEP)
+        segments = traj.segments()
+        assert traj.segments() is not segments
+        segments.clear()
+        assert len(traj.segments()) == 2
+
+
 def _callable_mode(label, field, lyapunov=lambda x: float(x @ x)):
     """A 2-D mode given only by its vector field."""
     return Subsystem(
@@ -292,10 +327,9 @@ class TestVExitCache:
     def test_reused_for_the_same_system_and_events(self, system, eps):
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
-        assert traj._plan[2] is None  # filled on first use
         v = _v_exit(traj, system)
         assert not v.flags.writeable
-        assert traj._plan[2] is v and _v_exit(traj, system) is v
+        assert _v_exit(traj, system) is v
         verify_trapping(traj, system, sig, eps)
         convergence_product(system, sig, traj, eps, i_max=3)
         assert _v_exit(traj, system) is v
@@ -304,32 +338,33 @@ class TestVExitCache:
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
         first = _v_exit(traj, system)
-        # a replaced trajectory has no attachment: a new array on every call
+        # a replaced trajectory is another value: V of its own, then kept
         fresh = dataclasses.replace(traj)
-        assert fresh._plan is None
         again = _v_exit(fresh, system)
-        assert again is not first and _v_exit(fresh, system) is not again
+        assert again is not first and _v_exit(fresh, system) is again
         assert again.tobytes() == first.tobytes()
+        # V at a switch reads the switch row of states, not the event's copy
         ev = traj.switch_events[0]
         moved = dataclasses.replace(ev, state=ev.state + 1e-3)
-        replaced = dataclasses.replace(traj, switch_events=[moved] + traj.switch_events[1:])
+        swapped = dataclasses.replace(traj, switch_events=[moved] + traj.switch_events[1:])
+        assert _v_exit(swapped, system).tobytes() == first.tobytes()
+        states = traj.states.copy()
+        states[ev.index] = moved.state
+        replaced = dataclasses.replace(swapped, states=states)
         v = _v_exit(replaced, system)
         assert v.tobytes() == _v_exit_reference(replaced, system).tobytes()
-        assert v[0] != first[0]
-        # an equal system is another object: recomputed, the attachment kept
+        assert v[0] != first[0] and v[1:].tobytes() == first[1:].tobytes()
+        # an equal system is another object: recomputed, and kept in place of the first
         same = SwitchedSystem(subsystems=system.subsystems)
-        assert _v_exit(traj, same) is not first
-        assert _v_exit(traj, same).tobytes() == first.tobytes()
-        assert _v_exit(traj, system) is first
+        kept = _v_exit(traj, same)
+        assert kept is not first and kept.tobytes() == first.tobytes()
+        assert _v_exit(traj, same) is kept
+        back = _v_exit(traj, system)
+        assert back is not first and back.tobytes() == first.tobytes()
         shifted = _shifted_demo_system(0.25)
         got = _v_exit(traj, shifted)
         assert got.tobytes() == _v_exit_reference(traj, shifted).tobytes()
         assert not np.array_equal(got, first)
-        # the same trajectory with an event swapped in place in its own list
-        traj.switch_events[0] = moved
-        swapped = _v_exit(traj, system)
-        assert swapped is not first and swapped.tobytes() == v.tobytes()
-        assert _v_exit(traj, system) is not swapped
 
 
 class TestRecords:
@@ -542,22 +577,29 @@ def test_wrong_signal_is_a_mismatch(system, check, other):
 )
 def test_edited_trajectory_is_matched_again(system, check):
     sig = signal_from_dwell(0, [-1, 0], 1.43)
-    traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 4.0, STEP)
+    x0 = np.array([0.0, 1.0])
+    traj = simulate_switched(system, sig, x0, 4.0, STEP)
     check(traj, system, sig)
     # the same event objects, but the trajectory now ends before the second switch
     cut = traj.index_at(2.0)
     short = dataclasses.replace(traj, times=traj.times[:cut], states=traj.states[:cut])
     with pytest.raises(SignalMismatch):
         check(short, system, sig)
-    traj.times, traj.states = short.times, short.states
-    with pytest.raises(SignalMismatch):
-        check(traj, system, sig)
-    # an event replaced in place in a simulated trajectory's own list
-    traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 4.0, STEP)
+    # one event moved in time
     ev = traj.switch_events[0]
-    traj.switch_events[0] = dataclasses.replace(ev, t=ev.t + 0.01)
+    late = dataclasses.replace(ev, t=ev.t + 0.01)
     with pytest.raises(SignalMismatch):
-        check(traj, system, sig)
+        check(dataclasses.replace(traj, switch_events=[late] + traj.switch_events[1:]), system, sig)
+    # the same switches, but the signal starts at another time
+    switches = ((1.43, 0), (2.86, -1))
+    traj = simulate_switched(system, SwitchingSignal(0.0, 1, switches), x0, 4.0, STEP)
+    check(traj, system, SwitchingSignal(0.0, 1, switches))
+    with pytest.raises(SignalMismatch, match=r"\(0\.0, None, 1\) disagrees .* \(-1\.0, None, 1\)"):
+        check(traj, system, SwitchingSignal(-1.0, 1, switches))
+    # no switches, but the signal holds another mode
+    still = simulate_switched(system, SwitchingSignal(0.0, 1), x0, 1.0, STEP)
+    with pytest.raises(SignalMismatch, match=r"\(0\.0, None, 1\) disagrees .* \(0\.0, None, 0\)"):
+        check(still, system, SwitchingSignal(0.0, 0))
 
 
 class TestConvergenceProduct:
@@ -779,7 +821,7 @@ def _plan_case(system, case):
     x0 = np.array([0.7, -0.4])
     if case == "integrate":  # a negative t0 and a partial last step
         traj = integrate(system[0], x0, -0.5, 1.2345, STEP)
-        return traj._plan[0].system, traj._plan[0].signal, traj
+        return SwitchedSystem((system[0],)), traj._plan.signal, traj
     if case.startswith("mixed"):
         system, periodic = _mixed_system(system)
         if case == "mixed_periodic":
@@ -805,11 +847,14 @@ class TestPlan:
     )
     def test_plan_path_equals_the_uncached_plan(self, system, case, i_max):
         system, sig, traj = _plan_case(system, case)
-        plan = traj._plan[0]
-        assert _plan_of(traj, system, sig) is plan and traj.times is plan.times
-        assert not traj.times.flags.writeable
+        plan = traj._plan
+        assert _plan_of(traj, sig) is plan and traj.times is plan.times
+        # a replaced trajectory has read-only copies and a plan of its own
         fresh = dataclasses.replace(traj)
-        assert _plan_of(fresh, system, sig) is not plan
+        for new, old in ((fresh.times, traj.times), (fresh.states, traj.states)):
+            assert not old.flags.writeable and not new.flags.writeable
+            assert new is not old and new.tobytes() == old.tobytes()
+        assert _plan_of(fresh, sig) is fresh._plan is not plan
         n = {"0": 0, "1": 1, "all": len(traj.switch_events)}[i_max]
         n = min(n, len(traj.switch_events))
         assert _checks(traj, system, sig, n) == _checks(fresh, system, sig, n)
@@ -821,32 +866,27 @@ class TestPlan:
     def test_changed_trajectories_and_other_objects_fall_back(self, system):
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 6.0, STEP)
-        plan = traj._plan[0]
         expected = _checks(dataclasses.replace(traj), system, sig)
         assert _checks(traj, system, sig) == expected
         # an equal system is another object
         same = SwitchedSystem(subsystems=system.subsystems)
-        assert _plan_of(traj, same, sig) is not plan
         assert _checks(traj, same, sig) == expected
-        # states written in place: V_active follows them, _v_exit keeps the events' states
-        traj.states[1:] += 1e-3
-        assert _plan_of(traj, system, sig) is plan
-        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
-        assert _v_exit(traj, system).tobytes() == _v_exit_reference(traj, system).tobytes()
-        per_segment = [system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in traj.segments()]
-        assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
-        # another, value-equal initial mode
-        traj.initial_mode = 1.0
-        assert _plan_of(traj, system, sig) is not plan
-        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
-        traj.initial_mode = sig.initial_mode
-        assert _plan_of(traj, system, sig) is plan
-        # an event swapped in place in the trajectory's own list
-        ev = traj.switch_events[0]
-        traj.switch_events[0] = dataclasses.replace(ev, state=ev.state + 1e-3)
-        assert _plan_of(traj, system, sig) is not plan
-        assert _checks(traj, system, sig) == _checks(dataclasses.replace(traj), system, sig)
-        assert _v_exit(traj, system)[0] == v_eval(system[ev.prev_mode], ev.state + 1e-3)
+        # other states: V at every sample and at the switches follows them
+        moved = dataclasses.replace(traj, states=traj.states + 1e-3)
+        assert _checks(moved, system, sig) != expected
+        per_segment = [system[m].v_batch(moved.states[lo:hi]) for lo, hi, m in moved.segments()]
+        assert _v_active(moved, system).tobytes() == np.concatenate(per_segment).tobytes()
+        rows = [(e.prev_mode, e.index) for e in moved.switch_events]
+        per_switch = [v_eval(system[mode], moved.states[i]) for mode, i in rows]
+        assert _v_exit(moved, system).tobytes() == np.array(per_switch).tobytes()
+        # another, value-equal initial mode: matched to the signal, and its own label
+        relabelled = dataclasses.replace(traj, initial_mode=1.0)
+        assert _plan_of(relabelled, sig) is relabelled._plan is not traj._plan
+        assert [type(m) for _, _, m in relabelled.segments()[:2]] == [float, int]
+        assert repr(w_monitor(relabelled, system, sig)[0].mode) == "1.0"
+        assert repr(verify_trapping(relabelled, system, sig, 0.05)) == repr(
+            verify_trapping(traj, system, sig, 0.05)
+        )
 
     def test_kept_convergence_terms_follow_eps_and_i_max(self, system):
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
@@ -863,7 +903,7 @@ class TestPlan:
         x0 = np.array([0.7, -0.4])
         t_int = simulate_switched(system, as_int, x0, 6.0, STEP)
         t_float = simulate_switched(system, as_float, x0, 6.0, STEP)
-        assert t_int._plan[0] is not t_float._plan[0]
+        assert t_int._plan is not t_float._plan
         r_int = verify_trapping(t_int, system, as_int, eps)
         r_float = verify_trapping(t_float, system, as_float, eps)
         assert {type(r.mode) for r in r_int.records} == {int}
@@ -936,7 +976,7 @@ class TestPlan:
             traj = simulate_switched(system, sig, x0, 1.0, STEP)
             events = [(ev.t, ev.prev_mode, ev.next_mode, ev.index, ev.state.tobytes())
                       for ev in traj.switch_events]
-            return traj._plan[0], (traj.states.tobytes(), repr(events), _checks(traj, system, sig))
+            return traj._plan, (traj.states.tobytes(), repr(events), _checks(traj, system, sig))
 
         _signal_plan.cache_clear()
         kernels._seed_block.cache_clear()

@@ -41,6 +41,17 @@ def test_ab_difference_is_none_only_for_the_same_bits(system, eps):
     assert ab.difference(result, (relabelled, result[1])) == float("inf")
 
 
+def test_perfbench_gate_self_test_catches_a_flipped_verdict_and_a_moved_state(monkeypatch):
+    # the self-test edits a trajectory with dataclasses.replace of its events
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    inproc = importlib.import_module("inproc")
+    loop = inproc.Loop(gen.trap_sweep(903))
+    loop.run_for(0)
+    assert loop.attempted == len(loop.ops) and loop.failed == 0, loop.reasons
+    assert inproc.gate_self_test(loop) == []
+
+
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a HEAD")
 def test_ab_against_head_reads_a_ratio_near_one(capsys):
     summary = _load_tool("ab").main(
@@ -53,8 +64,11 @@ def test_ab_against_head_reads_a_ratio_near_one(capsys):
         assert 0.9 <= summary[key]["ratio"] <= 1.1
         lo, hi = summary[key]["interval"]
         assert lo <= hi and summary[key]["iqr"][0] <= summary[key]["iqr"][1]
+    lo, hi = summary["per_op"]["interval"]
+    assert 0.9 <= summary["per_op"]["median"] <= 1.1 and lo <= hi
     out = capsys.readouterr().out
     assert "ratio tree/base: median" in out and "op_p90 of per-op means" in out
+    assert "per-op paired ratio tree/base" in out
 
 
 @pytest.mark.skipif(not _has_git_head(), reason="needs git and a repository with a HEAD")

@@ -30,6 +30,13 @@ ops.  Each comes with the quartiles of the same ratio taken round by round
 and a bootstrap 95% interval over resampled rounds.  The two sides are
 separate copies of the package with caches of their own, so a cost that
 recurs in every pass, such as replanning, shows as it does in perfbench.
+
+Last, the per-op paired ratio: each op's median over the rounds of its
+tree/base time ratio, and the median of those over the ops, with a bootstrap
+95% interval over resampled rounds.  A stretch of a pass that ran at
+another machine speed moves that round's pass ratio, but only the ratios of
+the ops it overlapped, and each op's median drops it; so this ratio is meant
+for workloads of long passes, such as ``callable_modes``.
 """
 
 from __future__ import annotations
@@ -172,6 +179,18 @@ def _op_percentiles(base, tree, draws) -> dict:
     return out
 
 
+def _per_op_ratio(base, tree, draws) -> dict:
+    """Median over ops of each op's median tree/base ratio across rounds, and its bootstrap 95%."""
+    ratios = tree / base  # rounds x ops
+
+    def statistic(rows):
+        return np.median(np.median(rows, axis=0))
+
+    boot = [statistic(ratios[d]) for d in draws]
+    return {"median": float(statistic(ratios)),
+            "interval": tuple(np.percentile(boot, [2.5, 97.5]).tolist())}
+
+
 def main(argv=None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, metavar="REV")
@@ -211,7 +230,9 @@ def main(argv=None) -> dict:
     draws = np.random.default_rng(0).integers(0, len(ratios), (BOOTSTRAP, len(ratios)))
     medians = np.median(ratios[draws], axis=1)
     lo, hi = np.percentile(medians, [2.5, 97.5])
-    percentiles = _op_percentiles(np.array(op_times["base"]), np.array(op_times["tree"]), draws)
+    base_ops, tree_ops = np.array(op_times["base"]), np.array(op_times["tree"])
+    percentiles = _op_percentiles(base_ops, tree_ops, draws)
+    per_op = _per_op_ratio(base_ops, tree_ops, draws)
     wins = int((ratios < 1.0).sum())
     unequal = [d for d in diffs if d is not None]
     kinds = sorted({op.kind for op in ops})
@@ -230,9 +251,12 @@ def main(argv=None) -> dict:
         print(f"{name} of per-op means, ratio tree/base: {p['ratio']:.4f}, "
               f"per-round IQR {p['iqr'][0]:.4f}-{p['iqr'][1]:.4f}, "
               f"bootstrap 95% {p['interval'][0]:.4f}-{p['interval'][1]:.4f}")
+    print(f"per-op paired ratio tree/base (median over ops of each op's median): "
+          f"{per_op['median']:.4f}, bootstrap 95% "
+          f"{per_op['interval'][0]:.4f}-{per_op['interval'][1]:.4f}")
     return {"ops": len(ops), "unequal": len(unequal), "median": float(median),
             "iqr": (float(q1), float(q3)), "interval": (float(lo), float(hi)), "wins": wins,
-            **percentiles}
+            **percentiles, "per_op": per_op}
 
 
 if __name__ == "__main__":
