@@ -1,4 +1,4 @@
-"""CSV bytes with every float cell exactly as ``'%.17g' % v`` renders it, computed in numpy.
+"""CSV files, streamed in blocks, with every float cell exactly as ``'%.17g' % v`` renders it.
 
 Algorithm.  For ``a = |v|`` the 17 significant digits are the integer
 ``n`` in ``[10**16, 10**17)`` nearest to ``a * 10**(16 - X)``, where ``X`` is
@@ -26,11 +26,17 @@ out per exponent group by slice assignment, the groups come from a stable
 sort on ``X``, and a CSV block is the ``hstack`` of its cells with the comma
 and newline columns.  Dropping every NUL leaves the text, so no label may
 contain NUL, which ``scenario`` guarantees.
+
+Streaming.  ``csv_blocks`` yields a file as its encoded header and then one
+encoded block per ``_BLOCK`` rows, so rendering holds one block at a time
+whatever the file's length; a small file is just a few blocks.  A label
+column given as ``Runs`` is gathered block by block too.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -139,18 +145,19 @@ def _cells(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def csv_bytes(header: str, *columns: np.ndarray) -> bytes:
-    """``header`` then one CSV row per row of ``columns``.
+def csv_blocks(header: str, *columns) -> Iterator[bytes]:
+    """``header`` then one CSV row per row of ``columns``, as encoded blocks of ``_BLOCK`` rows.
 
     Each column is a float array of N rows (or N rows of k floats, k cells)
-    rendered as ``'%.17g'``, or an ``S`` (bytes) array of N labels written
-    as they are.
+    rendered as ``'%.17g'``, or N labels written as they are: an ``S``
+    (bytes) array, or ``Runs``.  The first column is an array.  The blocks
+    joined are the file: the header first, then one block per ``_BLOCK``
+    rows, rendered when it is asked for.
     """
-    cols = [c[:, None] if c.ndim == 1 else c for c in columns]
-    parts = [header.encode()]
-    for lo in range(0, len(cols[0]), _BLOCK):
+    yield header.encode()
+    for lo in range(0, len(columns[0]), _BLOCK):
         cells = []
-        for col in cols:
+        for col in columns:
             blk = col[lo : lo + _BLOCK]
             if blk.dtype.kind == "S":
                 cells.append(blk.view(np.uint8).reshape(len(blk), -1))
@@ -160,10 +167,24 @@ def csv_bytes(header: str, *columns: np.ndarray) -> bytes:
         comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
         newline = np.full_like(comma, ord("\n"))
         B = np.hstack([x for cell in cells for x in (cell, comma)][:-1] + [newline])
-        parts.append(B[B != 0].tobytes())
-    return b"".join(parts)
+        yield B[B != 0].tobytes()
 
 
 def labels(values) -> np.ndarray:
-    """The UTF-8 bytes of ``str(m)`` for each label, as an ``S`` array for ``csv_bytes``."""
+    """The UTF-8 bytes of ``str(m)`` for each label, as an ``S`` array for ``csv_blocks``."""
     return np.array([str(m).encode() for m in values], dtype="S")
+
+
+class Runs:
+    """A label column given by runs: label ``values[j]`` on the next ``lens[j]`` rows.
+
+    A slice of rows gathers its labels' bytes when ``csv_blocks`` renders
+    that block, so a column of long labels is never held for every row.
+    """
+
+    def __init__(self, values, lens):
+        self.table, self.ends = labels(values), np.cumsum(lens)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        i = np.arange(rows.start, min(rows.stop, self.ends[-1]))
+        return self.table[np.searchsorted(self.ends, i, side="right")]

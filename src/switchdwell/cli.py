@@ -2,15 +2,18 @@
 
 A run is ``analyse`` then ``emit``.  ``analyse`` runs every requested stage
 and writes nothing: it returns each output file as its relative paths and
-its content, with every JSON document already encoded and every trajectory
-checked for finite V.  ``emit`` creates ``--out``, writes each content once
-to its paths and the manifest last.  So an input error or a numeric failure
-leaves no file behind, and an existing ``--out`` untouched.
+its content, an iterable of encoded blocks, with every JSON document
+already encoded and every trajectory checked for finite V.  ``emit``
+creates ``--out`` and streams each content once: every block goes to one
+sha256 and to the file's first path, which is then copied to its other
+paths; the manifest is written last.  So emission holds one block at a
+time, an input error or a numeric failure leaves no file behind, and an
+existing ``--out`` stays untouched.
 
 Exit codes: 0 success / all verifications passed, 2 verification failure,
 3 input error, 4 numeric failure (non-finite state, V or JSON value).
 
-Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_bytes``.
+Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_blocks``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
-from functools import partial
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._csv import csv_bytes, labels
+from ._csv import Runs, csv_blocks, labels
 from .core import SwitchedSystem
 from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
 from .errors import IoError, NonfiniteState, SwitchDwellError
@@ -48,14 +52,17 @@ def _json(name: str, obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> bytes:
-    """One row per sample, V_active and the mode column from the trajectory's plan."""
+def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> Iterator[bytes]:
+    """One row per sample, V_active and the mode column from the trajectory's plan, in blocks.
+
+    Nothing is computed until the first block is asked for, so ``analyse``
+    holds no V for the trajectories it has yet to emit.
+    """
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
     plan = traj._plan
     v = _v_active(traj, system)
-    modes = labels(plan.modes).repeat(plan.lens)
-    return csv_bytes(header, np.column_stack([traj.times, traj.states]), modes, v)
+    yield from csv_blocks(header, traj.times, traj.states, Runs(plan.modes, plan.lens), v)
 
 
 def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
@@ -65,8 +72,8 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
     plot data.  ``s`` comes from ``parse_scenario``, which has resolved and
     checked every input, so what can still fail here is numeric
     (``NonfiniteState``).  Returns (exit_status, warnings, files): each file
-    is its relative paths and its content, bytes or a function that renders
-    them (a trajectory CSV, rendered when written).
+    is its relative paths and its content, an iterable of encoded blocks
+    (a CSV is rendered block by block as it is written).
     """
     files: list[tuple] = []
     warnings: list[str] = []
@@ -75,7 +82,7 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
     system, eps = s.system, s.eps
 
     def report(name: str, obj) -> None:
-        files.append(((name,), _json(name, obj)))
+        files.append(((name,), (_json(name, obj),)))
 
     if flags.get("certify"):
         lower = np.full(system.dimension, s.box[0])
@@ -119,7 +126,7 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
                 paths = (f"trajectory_{name}_{i}.csv",)
                 if flags.get("plot_data"):
                     paths += (f"plot_{name}_{i}/trajectory.csv",)
-                files.append((paths, partial(_trajectory_csv, traj, system)))
+                files.append((paths, _trajectory_csv(traj, system)))
 
     if flags.get("trapping"):
         reports = {}
@@ -175,11 +182,11 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
         # closed 256-point boundary polylines, the same in every plot directory
         for sub in system.subsystems:
             pts = region_boundary_points(sub, eps, 256)
-            body = csv_bytes("x1,x2\n", np.vstack([pts, pts[:1]]))
+            body = csv_blocks("x1,x2\n", np.vstack([pts, pts[:1]]))
             files.append((tuple(f"{plot}/region_{sub.label}.csv" for plot in plots), body))
         for plot, traj in zip(plots, trajs.values()):
             events = traj.switch_events
-            body = csv_bytes(
+            body = csv_blocks(
                 "t,x1,x2,prev_mode,next_mode\n",
                 np.array([(ev.t, *ev.state) for ev in events]).reshape(len(events), 3),
                 labels(ev.prev_mode for ev in events),
@@ -192,10 +199,15 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
 
 
 def emit(status: int, warnings: list[str], files: list[tuple], out_dir) -> dict:
-    """Create ``out_dir`` and write each file's content, hashed once, to its paths.
+    """Create ``out_dir`` and stream each file's content, hashed once, to its paths.
 
-    The manifest, written last and by the same path, lists every file with
-    its sha256.  Returns the manifest.
+    Each block of a content is hashed and written to the first path as it
+    is rendered, and the finished file is copied to the other paths, so
+    emission holds one block, and two open files, at a time: a region CSV
+    has a path in every plot directory, and a scenario may have thousands
+    of those, more than a process may hold open.  The
+    manifest, written last and by the same path, lists every file with its
+    sha256.  Returns the manifest.
     """
     out = Path(out_dir)
     try:
@@ -204,19 +216,25 @@ def emit(status: int, warnings: list[str], files: list[tuple], out_dir) -> dict:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
     sha256: dict[Path, str] = {}
 
-    def write(paths: tuple[str, ...], data: bytes) -> None:
-        digest = hashlib.sha256(data).hexdigest()
-        for rel in paths:
-            path = out / rel
+    def write(paths: tuple[str, ...], blocks: Iterable[bytes]) -> None:
+        digest = hashlib.sha256()
+        first, *others = (out / rel for rel in paths)
+        first.parent.mkdir(parents=True, exist_ok=True)
+        with open(first, "wb") as f:
+            for block in blocks:
+                digest.update(block)
+                f.write(block)
+        for path in others:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-            sha256[Path(rel)] = digest  # a Path key: the manifest sorts by path components
+            shutil.copyfile(first, path)
+        # Path keys: the manifest sorts by path components
+        sha256.update(dict.fromkeys(map(Path, paths), digest.hexdigest()))
 
-    for paths, content in files:
-        write(paths, content() if callable(content) else content)
+    for paths, blocks in files:
+        write(paths, blocks)
     listed = [{"path": str(p), "sha256": h} for p, h in sorted(sha256.items())]
     manifest = {"exit_status": status, "warnings": warnings, "files": listed}
-    write(("manifest.json",), _json("manifest.json", manifest))
+    write(("manifest.json",), (_json("manifest.json", manifest),))
     return manifest
 
 

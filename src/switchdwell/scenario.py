@@ -86,13 +86,15 @@ from .lyapunov import region_boundary_points
 from .sim import _time_resolution
 
 # The work budget.  A simulated 2-D trajectory holds about 24 bytes per RK4
-# sample (time and state; modes live in its switch events) and rendering it
-# to CSV peaks near 220 bytes per sample (tracemalloc, numpy 2), so
-# MAX_SAMPLES caps the held trajectories near 0.24 GB and one CSV rendering
-# near 2.2 GB.  A switch costs a few hundred bytes per trajectory (its tuple,
-# event and state copy).  A certificate check holds about 160 bytes per 2-D
-# sample, and a tube point about 150 bytes as JSON, so MAX_POINTS caps
-# either near 0.2 GB.
+# sample (time and state; modes live in its switch events), so MAX_SAMPLES
+# caps the held trajectories near 0.24 GB.  Its CSV, about 80 bytes per
+# sample, is streamed in blocks of 2048 rows: rendering holds V (8 bytes
+# per sample) and the block, and the V pass peaks near 32 bytes per sample
+# (6.4 MB for 200 001 demo-system samples, tracemalloc, numpy 2), near
+# 0.32 GB at MAX_SAMPLES.  A switch costs a few hundred bytes
+# per trajectory (its tuple, event and state copy).  A certificate check
+# holds about 160 bytes per 2-D sample, and a tube point about 150 bytes as
+# JSON, so MAX_POINTS caps either near 0.2 GB.
 MAX_SWITCHES = 10**6
 MAX_SAMPLES = 10**7
 MAX_POINTS = 10**6

@@ -82,6 +82,25 @@ class SwitchEvent:
     index: int
 
 
+class _Events(list):
+    """A trajectory's switch events: a list that refuses every in-place edit.
+
+    Reading, slicing and ``+`` work as on a list and give plain lists, so
+    ``dataclasses.replace(traj, switch_events=[moved] + traj.switch_events[1:])``
+    builds an edited trajectory.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a trajectory's switch events cannot be edited in place; "
+                        "use dataclasses.replace")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return _Events, (list(self),)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-stamped states and the switch events that split them into constant-mode runs.
@@ -94,9 +113,10 @@ class Trajectory:
     trajectory gets read-only copies of its ``times`` and ``states`` and a
     plan of its own, built once after checking that the times strictly
     increase; ``plan`` is an ``InitVar``, which ``dataclasses.replace`` does
-    not copy.  Edit a trajectory through ``dataclasses.replace``, never its
-    ``switch_events`` list in place.  V at a switch reads the switch row of
-    ``states``, not the event's copy of it.
+    not copy.  ``switch_events`` is kept as a list that refuses in-place
+    edits (``TypeError``): edit a trajectory through ``dataclasses.replace``.
+    V at a switch reads the switch row of ``states``, not the event's copy
+    of it.
     """
 
     times: np.ndarray
@@ -108,6 +128,7 @@ class Trajectory:
     _v_switch = (None, None)  # not a field: (system, V at the switches) of the last _v_exit
 
     def __post_init__(self, plan):
+        object.__setattr__(self, "switch_events", _Events(self.switch_events))
         if plan is None:
             times, states = np.array(self.times, dtype=float), np.array(self.states, dtype=float)
             if len(times) != len(states):

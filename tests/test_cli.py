@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from switchdwell import signal_from_dwell, simulate_switched
 from switchdwell import cli
 from switchdwell.cli import _SUBCOMMAND_FLAGS, _trajectory_csv, main, run_scenario
+from switchdwell.core import SwitchedSystem, make_affine_subsystem
 from switchdwell.errors import IoError, ValidationError
 from switchdwell.scenario import parse_scenario
 
@@ -457,6 +459,12 @@ def test_certify_does_not_import_scipy_stats(tmp_path):
     assert cold_run(args, ["scipy.stats"]) == "0 False"
 
 
+def test_run_does_not_import_numpy_random(tmp_path):
+    # certify draws its Halton permutations with lyapunov's own PCG64
+    args = ["run", "--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path)]
+    assert cold_run(args, ["numpy.random"]) == "0 False"
+
+
 def test_run_does_not_import_numpy_ma_or_fractions(tmp_path):
     # numpy.ma loads lazily (np.unique pulls it in) and costs a cold run ~20 ms
     args = ["run", "--scenario", scenario_path("example2.scenario"), "--out", str(tmp_path)]
@@ -545,9 +553,9 @@ class TestManifest:
             made.append(self)
             return mkdir(self, *args, **kwargs)
 
-        def counted_sha256(data):
-            hashed.append(len(data))
-            return sha256(data)
+        def counted_sha256(*data):
+            hashed.append(data)
+            return sha256(*data)
 
         monkeypatch.setattr(Path, "mkdir", counted_mkdir)
         monkeypatch.setattr(cli.hashlib, "sha256", counted_sha256)
@@ -557,9 +565,11 @@ class TestManifest:
         files = json.loads((out / "manifest.json").read_text())["files"]
         dirs = {out} | {(out / e["path"]).parent for e in files}
         assert set(made) == dirs and len(dirs) == 19
-        # the trajectory CSVs and the region CSVs are each one buffer at many
-        # paths; every other buffer has its own content, and the manifest is one more
+        # the trajectory CSVs and the region CSVs are each one content at many
+        # paths, streamed into one hash object; every other content has its
+        # own, and the manifest is one more
         assert len(hashed) == len({e["sha256"] for e in files}) + 1 < len(files)
+        assert set(hashed) == {()}  # each is fed block by block
 
     def test_trapping_report_passes(self, example1_run):
         _, out = example1_run
@@ -608,7 +618,29 @@ class TestPlotData:
             v = d[0] * d[0] + d[1] * d[1]  # V's fixed order: column 1, then column 2
             cells = [t, *x]
             lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(v):.17g}")
-        assert _trajectory_csv(traj, system) == ("\n".join(lines) + "\n").encode()
+        assert b"".join(_trajectory_csv(traj, system)) == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("prefix", ["", "m" * 200], ids=["demo_labels", "201_byte_labels"])
+    def test_a_long_trajectory_csv_streams_in_blocks(self, system, prefix):
+        def label(u):
+            return f"{prefix}{u}" if prefix else u
+
+        system = SwitchedSystem(tuple(
+            make_affine_subsystem(*sub.affine, label(sub.label)) for sub in system.subsystems
+        ))
+        sig = signal_from_dwell(label(1), [label(0), label(-1), label(0)], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.4, -0.3]), 200.0, 1e-3)
+        assert len(traj.times) == 200_001
+        tracemalloc.start()
+        try:
+            size = sum(map(len, _trajectory_csv(traj, system)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # joined whole, rendering the 16 MB file of demo labels peaked near
+        # 39 MB; streamed, it holds V at every row and one block of rows,
+        # whatever the labels
+        assert size > (15e6 if not prefix else 55e6) and peak < 8e6
 
     def test_region_polyline_is_closed(self, example1_run):
         _, out = example1_run

@@ -1,6 +1,10 @@
 import numpy as np
 
-from switchdwell._csv import csv_bytes, labels
+from switchdwell._csv import _BLOCK, Runs, csv_blocks, labels
+
+
+def csv_bytes(header, *columns) -> bytes:
+    return b"".join(csv_blocks(header, *columns))
 
 
 def per_value(values) -> bytes:
@@ -29,3 +33,18 @@ def test_rows_join_floats_and_labels():
     expected = "a,b,m,v\n0,1.5,α,0.25\n-1.9999999999999999e-07,3e+20,-1,0.33333333333333331\n"
     assert body == expected.encode()
     assert csv_bytes("x\n", np.zeros((0, 2)), labels([])) == b"x\n"
+
+
+def test_blocks_are_the_header_then_one_per_block_of_rows():
+    values = np.arange(2 * _BLOCK + 1, dtype=float)
+    blocks = csv_blocks("v\n", values)
+    assert next(blocks) == b"v\n"
+    assert [b.count(b"\n") for b in blocks] == [_BLOCK, _BLOCK, 1]
+    assert list(csv_blocks("x\n", np.zeros((0, 2)))) == [b"x\n"]
+
+
+def test_label_runs_equal_the_repeated_labels():
+    values, lens = ["α", -1, "long" * 20], [_BLOCK - 1, 2, _BLOCK + 3]
+    times = np.arange(sum(lens), dtype=float)
+    repeated = labels(values).repeat(lens)
+    assert csv_bytes("t,m\n", times, Runs(values, lens)) == csv_bytes("t,m\n", times, repeated)

@@ -15,7 +15,7 @@ from switchdwell import (
     v_eval,
 )
 from switchdwell.errors import InvalidEpsilon, NonfiniteState, UnsupportedDimension
-from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _halton
+from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _PCG64, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -255,6 +255,24 @@ def test_halton_is_scipy_scrambled_halton(d, seed, n):
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     expected = qmc.scale(qmc.Halton(d=d, scramble=True, seed=seed).random(n), lo, hi)
     assert (_halton(d, n, seed) * (hi - lo) + lo).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**64 + 3, 2**127, 2**160 + 9])
+def test_pcg_shuffles_as_numpy_default_rng(seed):
+    # one stream for every size in turn, as _halton draws its permutations,
+    # so an odd count of 32-bit draws leaves a high half to the next shuffle;
+    # 2**160 + 9 has entropy words past the seed pool's four
+    rng, pcg = np.random.default_rng(seed), _PCG64(seed)
+    for size in range(2, 14):
+        expected, items = np.arange(size), list(range(size))
+        rng.shuffle(expected)
+        pcg.shuffle(items)
+        assert items == expected.tolist(), size
+
+
+def test_pcg_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        _PCG64(-1)
 
 
 def test_halton_sets_are_shared_read_only_and_bounded():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -254,6 +256,45 @@ class TestTrajectoryValue:
             for array in (traj.times, traj.states):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 5.0
+
+    def test_switch_events_refuse_every_in_place_edit(self, system, eps):
+        sig = signal_from_dwell(0, [-1, 0], 1.43)
+        traj = simulate_switched(system, sig, np.array([0.0, 1.0]), 4.0, STEP)
+        hand = Trajectory(np.arange(3.0), np.zeros((3, 2)), 0, [], STEP)
+        for events in (traj.switch_events, hand.switch_events):
+            before = list(events)
+            edits = [
+                lambda: events.__setitem__(0, None),
+                lambda: events.__setitem__(slice(0, 1), []),
+                lambda: events.__delitem__(0),
+                lambda: events.append(None),
+                lambda: events.extend([None]),
+                lambda: events.insert(0, None),
+                lambda: events.pop(),
+                lambda: events.remove(None),
+                lambda: events.clear(),
+                lambda: events.sort(key=id),
+                lambda: events.reverse(),
+                lambda: events.__iadd__([None]),
+                lambda: events.__imul__(2),
+            ]
+            for edit in edits:
+                with pytest.raises(TypeError, match="cannot be edited in place"):
+                    edit()
+            assert events == before
+        # slices and sums are plain lists, so replace builds an edited trajectory
+        events = traj.switch_events
+        ev = events[0]
+        edited = [dataclasses.replace(ev, t=ev.t + 0.5, state=ev.state + 1.0)] + events[1:]
+        assert type(events[1:]) is list and type(edited) is list and type(events + []) is list
+        moved = dataclasses.replace(traj, switch_events=edited)
+        assert moved.switch_events == edited and traj.switch_events[0] is ev
+        with pytest.raises(SignalMismatch):
+            verify_trapping(moved, system, sig, eps)
+        for twin in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+            assert len(twin.switch_events) == len(events)
+            with pytest.raises(TypeError):
+                twin.switch_events.append(None)
 
     def test_segments_returns_a_new_list(self, system):
         sig = signal_from_dwell(0, [-1], 1.43)
@@ -808,7 +849,7 @@ def _checks(traj, system, sig, i_max=None, eps=0.05):
         w_monitor(traj, system, sig),
         _v_active(traj, system).tobytes(),
         _v_exit(traj, system).tobytes(),
-        _trajectory_csv(traj, system),
+        b"".join(_trajectory_csv(traj, system)),
     ]
     if all(sub.quadratic for sub in system.subsystems):
         n = len(traj.switch_events) if i_max is None else i_max
@@ -929,7 +970,7 @@ class TestPlan:
             verify_trapping(traj, system, sig, eps)
             convergence_product(system, sig, traj, eps, i_max=3)
             w_monitor(traj, system, sig)
-            _trajectory_csv(traj, system)
+            b"".join(_trajectory_csv(traj, system))
         assert calls == [6.0]
         # a pass over 3 signals, 3 times: each signal is planned once
         signals = [signal_from_dwell(1, [0, -1, 0], 1.5 + 0.1 * j, periodic=True) for j in range(3)]

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,31 @@ def test_clidiff_against_head_reads_identical(tmp_path):
     clidiff = _load_tool("clidiff")
     base_src = clidiff.extract("HEAD", tmp_path / "base").parent
     scenario = ROOT / "src" / "switchdwell" / "scenarios" / "example2.scenario"
-    assert clidiff.compare(base_src, scenario, "dwell", tmp_path / "runs") == (0, [])
+    code, diffs, peak_mb = clidiff.compare(base_src, scenario, "dwell", tmp_path / "runs")
+    assert (code, diffs) == (0, [])
+    # a cold run imports numpy: tens of MB, read from each child's own rusage
+    assert all(10 < mb < 1000 for mb in peak_mb)
+
+
+def test_clidiff_prints_peak_rss_and_exits_on_bytes_only(tmp_path, monkeypatch, capsys):
+    clidiff = _load_tool("clidiff")
+    monkeypatch.setattr(clidiff, "extract", lambda rev, dest: dest / "src" / "switchdwell")
+    scenario = tmp_path / "s.scenario"
+    for diffs, status in (([], 0), (["stdout"], 1)):
+        result = (0, diffs, (45.94, 40.0))
+        monkeypatch.setattr(clidiff, "compare", lambda *args, result=result: result)
+        assert clidiff.main(["--base", "HEAD", "--scenario", str(scenario)]) == status
+        lines = capsys.readouterr().out.splitlines()
+        verdict = "differs: stdout" if diffs else "identical (exit 0)"
+        assert lines[0] == f"s.scenario run: {verdict}; peak RSS 45.9 -> 40.0 MB"
+        assert len(lines) == 8 and lines[-1] == f"{7 * status} of 7 runs differ"
+
+
+def test_clidiff_loads_no_numpy():
+    # a child's ru_maxrss starts from its parent's resident set
+    code = "import sys; sys.path.insert(0, 'tools'); import clidiff; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
+    assert done.stdout == "False\n", done.stderr
 
 
 def test_clidiff_flags_one_changed_byte(tmp_path):

@@ -45,32 +45,20 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
-import io
 import math
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+HERE = Path(__file__).resolve().parent
+if str(HERE) not in sys.path:  # loaded by path, as the tests do
+    sys.path.insert(0, str(HERE))
+from checkout import ROOT, extract  # noqa: E402
+
 BOOTSTRAP = 2000
-
-
-def extract(rev: str, where: Path) -> Path:
-    """``src/switchdwell`` at ``rev`` (``git archive``) extracted under ``where``: its directory."""
-    done = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/switchdwell"],
-        capture_output=True,
-    )
-    if done.returncode:
-        raise SystemExit(f"git archive {rev} failed: {done.stderr.decode().strip()}")
-    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
-        tar.extractall(where)
-    return where / "src" / "switchdwell"
 
 
 def _import_base(rev: str, where: Path):

@@ -10,8 +10,11 @@ each scenario (by default the bundled ``src/switchdwell/scenarios/*.scenario``)
 in a fresh interpreter, once with the base package and once with the working
 tree's, each in an empty directory of its own with ``--out out``.  The exit
 codes, stdout, stderr, the files written and their bytes are compared.  One
-line per (scenario, subcommand) says ``identical`` or what differs, and the
-exit status is 1 when anything differs.
+line per (scenario, subcommand) says ``identical`` or what differs, and then
+each run's peak resident set size, base -> tree, as ``os.wait4`` reports it.
+The exit status is 1 when any bytes differ; the sizes do not count.  This
+script imports nothing that loads numpy (see ``tools/checkout.py``), so the
+sizes are the runs' own.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 if str(HERE) not in sys.path:  # loaded by path, as the tests do
     sys.path.insert(0, str(HERE))
-from ab import ROOT, extract  # noqa: E402
+from checkout import ROOT, extract  # noqa: E402
 
 TREE = ROOT / "src"
 
@@ -48,27 +51,47 @@ def tree_differences(base: Path, tree: Path) -> list[str]:
     return out
 
 
-def _run(src: Path, scenario: Path, command: str, cwd: Path) -> subprocess.CompletedProcess:
+def _run(
+    src: Path, scenario: Path, command: str, cwd: Path
+) -> tuple[subprocess.CompletedProcess, float]:
+    """The run of ``command`` and its peak resident set size in MB, from ``os.wait4``."""
     cwd.mkdir(parents=True)
-    return subprocess.run(
-        [sys.executable, "-m", "switchdwell.cli", command, "--scenario", str(scenario),
-         "--out", "out"],
-        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-    )
+    args = [sys.executable, "-m", "switchdwell.cli", command, "--scenario", str(scenario),
+            "--out", "out"]
+    # output goes to files, not pipes, so the child cannot block while wait4 waits
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(args, cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)),
+                                stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(args, proc.returncode, out.read(), err.read())
+    return done, usage.ru_maxrss / 1024  # kB on Linux
 
 
-def compare(base_src: Path, scenario: Path, command: str, work: Path) -> tuple[int, list[str]]:
-    """The base's exit code and what differs between the base's and the tree's run of ``command``.
+def compare(
+    base_src: Path, scenario: Path, command: str, work: Path
+) -> tuple[int, list[str], tuple[float, float]]:
+    """The base's exit code, what differs between its run of ``command`` and the tree's, and
+    the two runs' peak resident set sizes in MB, base first.
 
     ``base_src`` holds the base's ``switchdwell``; the runs write under
     ``work``, which must not exist.  The list is empty when the exit codes,
     stdout, stderr and output trees are the same bytes.
     """
-    base = _run(base_src, scenario, command, work / "base")
-    tree = _run(TREE, scenario, command, work / "tree")
+    base, base_mb = _run(base_src, scenario, command, work / "base")
+    tree, tree_mb = _run(TREE, scenario, command, work / "tree")
     diffs = [f"exit {base.returncode} vs {tree.returncode}"] * (base.returncode != tree.returncode)
     diffs += [name for name in ("stdout", "stderr") if getattr(base, name) != getattr(tree, name)]
-    return base.returncode, diffs + tree_differences(work / "base", work / "tree")
+    diffs += tree_differences(work / "base", work / "tree")
+    return base.returncode, diffs, (base_mb, tree_mb)
+
+
+def verdict(code: int, diffs: list[str], peak_mb: tuple[float, float]) -> str:
+    """A report line's verdict: what differs, or ``identical``, then peak RSS, base -> tree."""
+    text = "differs: " + "; ".join(diffs) if diffs else f"identical (exit {code})"
+    return text + "; peak RSS {:.1f} -> {:.1f} MB".format(*peak_mb)
 
 
 def main(argv=None) -> int:
@@ -80,19 +103,22 @@ def main(argv=None) -> int:
     scenarios = [p.resolve() for p in args.scenario or ()] or sorted(
         (TREE / "switchdwell" / "scenarios").glob("*.scenario")
     )
-    sys.path.insert(0, str(TREE))
-    from switchdwell.cli import _SUBCOMMAND_FLAGS
+    commands = subprocess.run(
+        [sys.executable, "-c", "from switchdwell.cli import _SUBCOMMAND_FLAGS as c; print(*c)"],
+        env=dict(os.environ, PYTHONPATH=str(TREE)), capture_output=True, text=True, check=True,
+    ).stdout.split()
 
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         base_src = extract(args.base, Path(tmp)).parent
         for i, scenario in enumerate(scenarios):
-            for command in _SUBCOMMAND_FLAGS:
-                code, diffs = compare(base_src, scenario, command, Path(tmp) / f"{i}" / command)
+            for command in commands:
+                code, diffs, peak_mb = compare(
+                    base_src, scenario, command, Path(tmp) / f"{i}" / command
+                )
                 differ += bool(diffs)
-                verdict = "differs: " + "; ".join(diffs) if diffs else f"identical (exit {code})"
-                print(f"{scenario.name} {command}: {verdict}")
-    print(f"{differ} of {len(scenarios) * len(_SUBCOMMAND_FLAGS)} runs differ")
+                print(f"{scenario.name} {command}: {verdict(code, diffs, peak_mb)}")
+    print(f"{differ} of {len(scenarios) * len(commands)} runs differ")
     return int(differ > 0)
 
 
