@@ -55,13 +55,19 @@ class ClassKFn:
         return (y / self.c) ** (1.0 / self.p)
 
 
+def _frozen(x) -> np.ndarray:
+    """A read-only float copy of ``x``, in C order."""
+    v = np.array(x, dtype=float, order="C")
+    v.setflags(write=False)
+    return v
+
+
 def _frozen_vector(x, name: str) -> np.ndarray:
-    v = np.array(x, dtype=float)
+    v = _frozen(x)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite, got {v}")
-    v.setflags(write=False)
     return v
 
 
@@ -98,7 +104,8 @@ class Subsystem:
     ``lyapunov`` is V_u, sandwiched between ``alpha(||x - x_u||)`` and
     ``beta(||x - x_u||)`` and decaying at rate ``decay_rate`` along ``field``.
     ``affine`` carries (A, b) when the mode is x' = Ax + b (integrated by the
-    exact RK4 map in ``kernels``); ``quadratic`` marks V_u(x) = ||x - x_u||^2.
+    exact RK4 map in ``kernels``), kept as read-only float copies like
+    ``equilibrium``; ``quadratic`` marks V_u(x) = ||x - x_u||^2.
 
     ``v_batch`` and ``lie_batch`` are the single evaluation path for V_u and
     its derivative along a field over rows of states: ``quadratic`` selects
@@ -121,6 +128,8 @@ class Subsystem:
         # each check is written to fail on NaN too
         eq = _frozen_vector(self.equilibrium, f"equilibrium of mode {self.label!r}")
         object.__setattr__(self, "equilibrium", eq)
+        if self.affine is not None:  # copies, so a caller's edit reaches no cached plan
+            object.__setattr__(self, "affine", tuple(map(_frozen, self.affine)))
         if not self.decay_rate > 0:
             raise ValueError("decay_rate must be positive")
         residual = np.linalg.norm(np.asarray(self.field(self.equilibrium), dtype=float))
@@ -346,8 +355,6 @@ def make_affine_subsystem(A, b, label: Label) -> Subsystem:
         equilibrium = np.linalg.solve(A, -b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"A of mode {label!r} is not invertible") from exc
-    A.setflags(write=False)
-    b.setflags(write=False)
     x_u = equilibrium.copy()
 
     def field(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""RK4 kernels for affine subsystems.
+"""RK4 kernels for affine subsystems: pure functions that keep nothing between calls.
 
 One classical RK4 step of size h on ``x' = A x + b`` is exactly the affine map
 ``x -> M x + c`` with ``M = I + hA P``, ``c = h P b`` and
@@ -6,59 +6,42 @@ One classical RK4 step of size h on ``x' = A x + b`` is exactly the affine map
 Hairer, Norsett & Wanner, *Solving ODEs I*).  ``_rk4_map`` builds it as one
 homogeneous ``(n+1) x (n+1)`` matrix G, so k steps are the matrix power G^k.
 
-A switched trajectory runs the same few modes at the same step over and over,
-so two ``lru_cache`` functions of ``(A, b, h)``, keyed by the bytes of A and b,
-the dimension n and h, keep what each step map needs, as read-only arrays:
-
-* ``_squaring(..., i)``, the power ``G^(2^i)``: i = 0 is ``_rk4_map`` and
-  i > 0 squares i - 1.  Callers ask for i = 0, 1, ... in order, so each
-  squaring finds the one before it cached;
-* ``_seed_block``, the top n rows of ``G^1 ... G^B``, transposed and laid
-  side by side, an ``(n+1) x B n`` matrix.  The last row of every G^j is the
-  constant ``(0 ... 0 1)``, so it is left out: a product of ``[x_k, 1]``
-  with the block gives the states ``x_(k+1) ... x_(k+B)`` and no constant
-  column.  It is built by doubling over a stack of the G^j, from the
-  squarings ``G, G^2, ..., G^(B/2)``.
-
 ``affine_rk4_path`` fills its rows by chained one-row products: rows
 ``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
 the partial step last, so an interval shorter than B steps costs one product
 plus the partial step.  The fill is ``_fill(X, block, last)``, which writes
-into a caller's rows in place from two operands that ``_operands`` looks up:
-the seed block, only when there is a full step, and the top n rows of the
-map of the partial step, only when there is one.  ``_fill`` is stateless,
-with a scratch row of its own per call, so threads may share the operands,
-which it never writes.  ``sim``'s plans keep each interval's operands, so a
-simulation from a cached plan searches no cache at all.
-``affine_rk4_path`` is the kernel's public entry for one path; nothing in the
-package calls it.  B is ``SEED_BLOCK_STEPS``, halved for large n until one
-block fits in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).
-``affine_rk4_batch_final`` needs only one power per batch and multiplies the
-squarings.
+into a caller's rows in place from two operands: the seed block
+(``_seed_block``), only when there is a full step, and the top n rows of the
+map of the partial step (``_last_rows``), only when there is one.  The seed
+block is the top n rows of ``G^1 ... G^B``, transposed and laid side by side,
+an ``(n+1) x B n`` matrix: the last row of every G^j is the constant
+``(0 ... 0 1)``, so it is left out, and a product of ``[x_k, 1]`` with the
+block gives the states ``x_(k+1) ... x_(k+B)``.  It is built by doubling over
+a stack of the G^j with the squarings ``G, G^2, ..., G^(B/2)``, about 0.1 ms
+at n = 2.  B is ``SEED_BLOCK_STEPS``, halved for large n until one block fits
+in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).  ``_fill`` has a scratch row
+of its own per call and never writes its operands, so threads may share
+them.  ``sim``'s plans build each interval's operands once and keep them:
+they are the only place where step maps are kept, and ``sim`` states that
+bound.  ``affine_rk4_path`` is the kernel's public entry for one path, and
+builds its operands on every call; nothing in the package calls it.
 
-Each cache keeps at most ``POWER_CACHE_SIZE`` entries (least recently used go
-first); states are never cached.  Seed blocks take at most
-``POWER_CACHE_SIZE * SEED_BLOCK_BYTES`` = 32 MiB, and squarings at most
-``POWER_CACHE_SIZE`` maps of ``8 (n+1)^2`` bytes.  A batch that needs more
-squarings than that recomputes the evicted ones on its next call.  The plans
-that ``sim`` keeps can hold maps these caches have evicted; ``sim`` states
-that bound.
+``affine_rk4_batch_final`` maps a batch of rows by one power of the step
+map, ``_final_map``: ``np.linalg.matrix_power`` of G, times the partial
+step's map, applied by ``_map_rows``.  ``sim.tube_sample`` keeps these maps
+in its plans of tube grids.
 
-Rounding contract: a cached path is bit-identical to the same algorithm with
-every map built afresh.  Row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
+Rounding contract: row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
 matrix-vector product, so its rounding differs from stepping one G at a time
 by about 1e-15 over a few thousand steps.  These products go through BLAS,
 whose kernel (``OPENBLAS_CORETYPE``) can change their last bits; V and W
 (``core._sq_dist``) do not.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = ["affine_rk4_path", "affine_rk4_batch_final"]
 
-POWER_CACHE_SIZE = 256
 SEED_BLOCK_STEPS = 256
 SEED_BLOCK_BYTES = 128 * 1024
 
@@ -81,63 +64,27 @@ def _seed_steps(n):
     return min(SEED_BLOCK_STEPS, 1 << max(fit.bit_length() - 1, 0))
 
 
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _squaring(A_bytes: bytes, b_bytes: bytes, n: int, h: float, i: int) -> np.ndarray:
-    """G^(2^i) of the step map of size h, read-only: i = 0 is ``_rk4_map``, i > 0 squares i - 1."""
-    if i == 0:
-        G = _rk4_map(np.frombuffer(A_bytes).reshape(n, n), np.frombuffer(b_bytes), h)
-    else:
-        G = _squaring(A_bytes, b_bytes, n, h, i - 1)
-        G = G @ G
-    G.setflags(write=False)
-    return G
-
-
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _seed_block(A_bytes: bytes, b_bytes: bytes, n: int, h: float) -> np.ndarray:
+def _seed_block(A, b, h):
     """Top rows of ``G^1 ... G^B``, transposed side by side, read-only; B is ``_seed_steps(n)``."""
+    n = A.shape[0]
     steps = _seed_steps(n)
     stack = np.empty((steps, n + 1, n + 1))
-    stack[0] = _squaring(A_bytes, b_bytes, n, h, 0)
+    stack[0] = Gk = _rk4_map(A, b, h)
     k = 1
-    for i in range(steps.bit_length() - 1):  # G^(k+1) ... G^(2k) from G^1 ... G^k
-        stack[k : 2 * k] = stack[:k] @ _squaring(A_bytes, b_bytes, n, h, i)
+    while k < steps:  # G^(k+1) ... G^(2k) from G^1 ... G^k and Gk = G^k
+        stack[k : 2 * k] = stack[:k] @ Gk
+        Gk = Gk @ Gk
         k *= 2
     block = stack[:, :n].transpose(2, 0, 1).reshape(n + 1, steps * n)
     block.setflags(write=False)
     return block
 
 
-def _mode_key(A, b):
-    """Cache key of x' = Ax + b without the step: the bytes of A and b, and n."""
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    return A.tobytes(), b.tobytes(), A.shape[0]
-
-
-def _matrix_power(key, h, n_full):
-    """G^n_full of the step map of size h, multiplied in ``np.linalg.matrix_power``'s order."""
-    if n_full == 0:
-        return np.eye(key[2] + 1)
-    if n_full == 3:  # its shortcut (G G) G, not the bit loop's G (G G)
-        return _squaring(*key, h, 1) @ _squaring(*key, h, 0)
-    result = None
-    for i in range(n_full.bit_length()):  # in order, so each squaring finds the last cached
-        G = _squaring(*key, h, i)
-        if n_full >> i & 1:
-            result = G if result is None else result @ G
-    return result
-
-
-def _operands(key, h, n_full, h_last):
-    """``_fill``'s (block, last) for n_full steps of h, then one of h_last (if > 0).
-
-    block is the seed block when n_full > 0 and last the top n rows of the
-    map of h_last when h_last > 0; each is None otherwise.
-    """
-    block = _seed_block(*key, float(h)) if n_full > 0 else None
-    last = _squaring(*key, float(h_last), 0)[: key[2]] if h_last > 0.0 else None
-    return block, last
+def _last_rows(A, b, h):
+    """Top n rows of the map of one step of h, read-only: ``_fill``'s partial step."""
+    last = _rk4_map(A, b, h)[: A.shape[0]]
+    last.setflags(write=False)
+    return last
 
 
 def _fill(X, block, last):
@@ -164,17 +111,31 @@ def _fill(X, block, last):
 
 def affine_rk4_path(A, b, x0, h, n_full, h_last):
     """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
+    A, b = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(b, dtype=float)
     X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
     X[0] = x0
-    _fill(X, *_operands(_mode_key(A, b), h, n_full, h_last))
+    block = _seed_block(A, b, float(h)) if n_full > 0 else None
+    last = _last_rows(A, b, float(h_last)) if h_last > 0.0 else None
+    _fill(X, block, last)
     return X
+
+
+def _final_map(A, b, h, n_full, h_last):
+    """Homogeneous map of n_full steps of h, then one of h_last (if > 0), read-only."""
+    G = np.linalg.matrix_power(_rk4_map(A, b, h), n_full)
+    if h_last > 0.0:
+        G = _rk4_map(A, b, h_last) @ G
+    G.setflags(write=False)
+    return G
+
+
+def _map_rows(G, X0):
+    """The rows of X0 mapped by the homogeneous map G."""
+    n = X0.shape[1]
+    return X0 @ G[:n, :n].T + G[:n, n]
 
 
 def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):
     """Final states for a batch of initial conditions X0 (rows)."""
-    n = X0.shape[1]
-    key = _mode_key(A, b)
-    G = _matrix_power(key, float(h), int(n_full))
-    if h_last > 0.0:
-        G = _squaring(*key, float(h_last), 0) @ G
-    return X0 @ G[:n, :n].T + G[:n, n]
+    A, b = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return _map_rows(_final_map(A, b, float(h), int(n_full), float(h_last)), X0)

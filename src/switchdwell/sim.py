@@ -8,8 +8,9 @@ which is what the dwell-time guarantee certifies.
 
 There is one integration path: ``integrate`` over ``[t0, t1]`` is
 ``simulate_switched`` of the one-mode system and the signal that holds that
-mode from ``t0``, to the horizon ``t1``.  Each call takes a slot of the plan
-cache: its one-mode system and signal are new objects every time.
+mode from ``t0``, to the horizon ``t1``.  Its one-mode system and signal are
+new objects every time, so its plan is built uncached and takes no slot of
+the plan cache.
 
 A ``Trajectory`` is an immutable value whose time structure, a ``_Plan``, is
 fixed when it is built.  Everything that does not depend on the start state
@@ -21,16 +22,21 @@ trajectory built from the plan, the segments, each interval's kernel operands
 and the record columns.  Any other trajectory, one made by hand or with
 ``dataclasses.replace``, builds a plan of its own once, from read-only copies
 of its times and states.  A plan holds only such derived data, never a state
-or a verdict: the ``times``, references to its affine modes' seed blocks
-(each at most ``kernels.SEED_BLOCK_BYTES``) and to at most one partial-step
-map of ``8 (n+1)^2`` bytes per interval, which are usually the very arrays
-the kernels' caches hold.  ``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass
-over several systems, or a step and its half, plans each signal once and not
-once per visit; at most 8 plans stay alive after their sweep.  What also
-depends on the system is a pure function of ``(plan, system)`` in an
-``lru_cache`` of as many entries: W's factors ``exp(k (t - t_lo))``
-(``_w_terms``, about ``8 N`` bytes for N samples) and, with ``eps`` and
-``i_max``, the convergence terms (``_convergence_terms``).  Threads share a
+or a verdict: the ``times`` and the kernel operands it builds, one seed block
+per affine mode with a full step (each at most ``kernels.SEED_BLOCK_BYTES``,
+about 0.1 ms to build at n = 2) and one partial-step map of ``8 n (n+1)``
+bytes per distinct (mode, partial step).  Plans are the only place where
+step maps are kept: ``kernels`` keeps nothing between calls.
+``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass over several systems, or a
+step and its half, plans each signal once and not once per visit; at most 8
+plans stay alive after their sweep.  What also depends on the system is a
+pure function of ``(plan, system)`` in an ``lru_cache`` of as many entries:
+W's factors ``exp(k (t - t_lo))`` (``_w_terms``, about ``8 N`` bytes for N
+samples) and, with ``eps`` and ``i_max``, the convergence terms
+(``_convergence_terms``).  ``tube_sample`` plans its affine maps the same
+way: one read-only map per time of its grid, in an ``lru_cache`` of as many
+``(subsystem, step, grid)`` keys (``_tube_maps``).  Every cache is keyed by
+the identity of its system, signal or subsystem objects.  Threads share a
 cached plan, so nothing writes to its ``times`` or its operands
 (``kernels._fill`` reads them).  A check matches the plan's switches to its
 signal unless the plan was made from that very signal object (``_plan_of``).
@@ -203,12 +209,13 @@ def integrate(sub: Subsystem, x0, t0: float, t1: float, step: float) -> Trajecto
 
     One interval of ``simulate_switched``: the signal that holds ``sub`` from
     ``t0`` on, simulated to the horizon ``t1``, so the trajectory has that
-    plan, and its ``t1`` must be finite and after ``t0``.  A zero-length span
-    (``t1 == t0``) gives the single start sample, a copy of ``x0``.
+    plan, built without the plan cache, and its ``t1`` must be finite and
+    after ``t0``.  A zero-length span (``t1 == t0``) gives the single start
+    sample, a copy of ``x0``.
     """
     signal = SwitchingSignal(t0, sub.label)  # which rejects a t0 that is not finite
-    if t1 != t0:
-        return simulate_switched(SwitchedSystem((sub,)), signal, x0, t1, step)
+    if t1 != t0:  # planned uncached: no later call asks for these new objects' plan
+        return _simulate(_signal_plan.__wrapped__, SwitchedSystem((sub,)), signal, x0, t1, step)
     _check_step(step)
     return Trajectory([t1], [_start_state(sub, x0)], sub.label, [], step)
 
@@ -267,11 +274,16 @@ def simulate_switched(
     start; either check names the first interval that holds a non-finite
     state.
     """
+    return _simulate(_signal_plan, system, signal, x0, horizon, step)
+
+
+def _simulate(planner, system, signal, x0, horizon, step) -> Trajectory:
+    """``simulate_switched`` on the plan from ``planner``, ``_signal_plan`` or its uncached form."""
     if not signal.t0 < horizon < math.inf:  # NaN too
         raise ValueError(f"horizon must be finite and > t0 = {signal.t0!r}, got {horizon!r}")
     _check_step(step)
     x0 = _start_state(system[signal.initial_mode], x0)
-    plan = _signal_plan(system, signal, float(horizon), float(step))
+    plan = planner(system, signal, float(horizon), float(step))
     segments = plan.segments
     states = np.empty((len(plan.times), x0.shape[0]))
     states[0] = x0
@@ -314,10 +326,11 @@ class _Plan:
     any other way.  ``intervals``, for a plan that ``simulate_switched``
     fills from, holds (full steps, partial step, operands) per interval: the
     operands are ``kernels._fill``'s ``(block, last)`` for an affine mode,
-    its seed block when the interval has a full step and the top rows of its
-    partial step's map when it has one, and None for a callable mode.  They
-    are read-only arrays, shared with the kernels' caches and, through the
-    plan, by threads.  Nothing is written to a plan after it is built.
+    its mode's seed block (None when no interval of the mode has a full
+    step) and the top rows of its partial step's map (None without one), and
+    None for a callable mode.  They are read-only arrays that the plan
+    built, shared by its intervals and, through the plan, by threads.
+    Nothing is written to a plan after it is built.
     """
 
     def __init__(self, signal, times, initial_mode, los, switches, intervals=None):
@@ -380,10 +393,14 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     times[-1] = horizon
     times.setflags(write=False)
     modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
-    affine = {m: system[m].affine for m in dict.fromkeys(modes)}
-    keys = {m: kernels._mode_key(*ab) for m, ab in affine.items() if ab is not None}
-    intervals = [(*grid, kernels._operands(keys[m], step, *grid) if m in keys else None)
-                 for m, grid in zip(modes, grids)]
+    affine = {m: ab for m in dict.fromkeys(modes) if (ab := system[m].affine) is not None}
+    # one seed block per affine mode with a full step, one map per (mode, partial step)
+    full = {m for m, (n_full, _) in zip(modes, grids) if n_full > 0}
+    blocks = {m: kernels._seed_block(*ab, step) for m, ab in affine.items() if m in full}
+    parts = dict.fromkeys((m, rem) for m, (_, rem) in zip(modes, grids) if rem > 0.0)
+    lasts = {(m, rem): kernels._last_rows(*affine[m], rem) for m, rem in parts if m in affine}
+    intervals = [(n_full, rem, (blocks.get(m), lasts.get((m, rem))) if m in affine else None)
+                 for m, (n_full, rem) in zip(modes, grids)]
     return _Plan(signal, times, signal.initial_mode, lo[:-1], switches, intervals)
 
 
@@ -694,7 +711,9 @@ def tube_sample(
 
     Returns (t, points) pairs sampling the reachable tube's outer boundary
     (exact in the boundary-count limit for 2-D quadratic regions, where the
-    smooth flow maps boundaries to boundaries).
+    smooth flow maps boundaries to boundaries).  An affine 'to' mode maps
+    the points by the planned maps of ``_tube_maps``; a callable one
+    integrates each point (``integrate``).  Each snapshot is a new array.
     """
     _check_step(step)
     t_grid = [float(t) for t in t_grid]
@@ -704,15 +723,14 @@ def tube_sample(
     from_sub = system[from_label]
     to_sub = system[to_label]
     pts = region_boundary_points(from_sub, eps, boundary_count)
+    maps = _tube_maps(to_sub, float(step), tuple(t_grid)) if to_sub.affine is not None else None
     out = []
-    for t in t_grid:
+    for i, t in enumerate(t_grid):
         if t == 0.0:
             out.append((t, pts.copy()))
             continue
-        n_full, rem = _grid(0.0, t, step)
-        if to_sub.affine is not None:
-            A, b = to_sub.affine
-            img = kernels.affine_rk4_batch_final(A, b, pts, step, n_full, rem)
+        if maps is not None:
+            img = kernels._map_rows(maps[i], pts)
         else:
             img = np.vstack(
                 [integrate(to_sub, p, 0.0, t, step).final_state for p in pts]
@@ -720,3 +738,14 @@ def tube_sample(
         _check_finite(img, to_label)
         out.append((t, img))
     return out
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _tube_maps(sub: Subsystem, step: float, t_grid: tuple) -> tuple:
+    """The read-only map of affine ``sub`` from time 0 to each t of ``t_grid`` (None at t = 0).
+
+    Each is ``kernels._final_map`` over ``_grid(0, t, step)``.  Keyed by the
+    identity of ``sub``, like ``_signal_plan``; as many keys are kept as plans.
+    """
+    return tuple(kernels._final_map(*sub.affine, step, *_grid(0.0, t, step)) if t > 0.0 else None
+                 for t in t_grid)

@@ -782,6 +782,53 @@ class TestTubeSample:
         with pytest.raises(ValueError):
             tube_sample(system, 1, 0, eps, [1.0, 0.5], 8, STEP)
 
+    def test_a_callable_target_integrates_each_point_like_the_affine_maps(self, system, eps):
+        callable_0 = dataclasses.replace(system[0], affine=None)
+        mixed = SwitchedSystem((system[1], callable_0, system[-1]))
+        grid = [0.0, 0.5, 1.43]
+        affine = tube_sample(system, 1, 0, eps, grid, 8, STEP)
+        generic = tube_sample(mixed, 1, 0, eps, grid, 8, STEP)
+        assert [t for t, _ in generic] == grid
+        for (_, a), (_, g) in zip(affine, generic):
+            np.testing.assert_allclose(g, a, rtol=0, atol=1e-12)
+
+    def test_a_second_call_maps_by_the_same_maps_into_new_arrays(self, system, eps):
+        grid = [0.0, 0.5, 1.43]
+        first = tube_sample(system, 1, 0, eps, grid, 8, STEP)
+        second = tube_sample(system, 1, 0, eps, grid, 8, STEP)
+        for (t1, a), (t2, b) in zip(first, second):
+            assert t1 == t2 and a.tobytes() == b.tobytes()
+            assert a is not b and a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b)
+
+    def test_threads_sharing_the_maps_agree_with_a_serial_call(self, system, eps):
+        import sys
+        import threading
+
+        grid = [0.0, 0.25, 0.5, 1.43]
+        serial = [pts.tobytes() for _, pts in tube_sample(system, 1, 0, eps, grid, 8, STEP)]
+        sub = dataclasses.replace(system[0])  # an object of its own, so the threads race to plan
+        shared = SwitchedSystem((system[1], sub, system[-1]))
+        results = []
+
+        def worker():
+            for _ in range(5):
+                snapshots = tube_sample(shared, 1, 0, eps, grid, 8, STEP)
+                results.append([pts.tobytes() for _, pts in snapshots])
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 20
+
 
 class TestNonfiniteArguments:
     """Non-finite times and steps end in one ValueError before any unrolling."""
@@ -1020,10 +1067,12 @@ class TestPlan:
             return traj._plan, (traj.states.tobytes(), repr(events), _checks(traj, system, sig))
 
         _signal_plan.cache_clear()
-        kernels._seed_block.cache_clear()
         plan, _ = start(np.array([0.7, -0.4]))
         # a seed block per affine mode with a full step: modes 1 and -1, not 0
-        assert kernels._seed_block.cache_info().misses == (0 if kind == "callable" else 2)
+        operands = [ops for _, _, ops in plan.intervals if ops is not None]
+        blocks = {id(block) for block, _ in operands if block is not None}
+        assert len(blocks) == (0 if kind == "callable" else 2)
+        assert all(not op.flags.writeable for ops in operands for op in ops if op is not None)
         cached, warm = start(np.array([-1.2, 0.3]))
         _signal_plan.cache_clear()
         replanned, cold = start(np.array([-1.2, 0.3]))
@@ -1045,7 +1094,7 @@ class TestPlan:
                 verify_trapping(traj, system, sig, 0.05)
             return len(traj.times)
 
-        sweep()  # the kernels' maps, partial steps included, are cached from here on
+        sweep()
         assert _signal_plan.cache_info().currsize <= PLAN_CACHE_SIZE
         _signal_plan.cache_clear()
         tracemalloc.start()
@@ -1055,9 +1104,44 @@ class TestPlan:
         finally:
             tracemalloc.stop()
             _signal_plan.cache_clear()
-        # per plan: times and W's factor, 2 N doubles; the rest is per switch
-        full = PLAN_CACHE_SIZE * 8 * N * 2
+        # per plan: times and W's factor, 2 N doubles, and a seed block for
+        # each of its 3 modes; the partial-step maps and the rest are per switch
+        block = 8 * 3 * 2 * kernels._seed_steps(2)
+        full = PLAN_CACHE_SIZE * (8 * N * 2 + 3 * block)
         assert full <= held <= full + PLAN_CACHE_SIZE * 8 * 1024
+
+    def test_integrate_takes_no_slot_of_the_plan_cache(self, system):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        x0 = np.array([0.7, -0.4])
+        first = simulate_switched(system, sig, x0, 6.0, STEP)
+        size = _signal_plan.cache_info().currsize
+        for i in range(PLAN_CACHE_SIZE + 1):
+            traj = integrate(system[0], x0, 0.0, 0.5 + 0.1 * i, STEP)
+            assert traj._plan.signal is not sig
+        assert _signal_plan.cache_info().currsize == size
+        assert simulate_switched(system, sig, x0 * 2, 6.0, STEP)._plan is first._plan
+
+    def test_a_callers_edit_of_A_reaches_no_plan(self):
+        A_w = np.array([[-1.0, 0.5], [-0.5, -1.0]])
+        b = np.zeros(2)
+        sub = Subsystem(
+            label="w", field=lambda x: A_w @ x + b, equilibrium=np.zeros(2), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+            affine=(A_w, b), quadratic=True,
+        )
+        system, sig, x0 = SwitchedSystem((sub,)), SwitchingSignal(0.0, "w"), np.array([1.0, 1.0])
+        before = simulate_switched(system, sig, x0, 0.5, STEP)
+        A_w[0, 0] = -3.0  # the caller's array, edited in place after construction
+        kept_A, kept_b = sub.affine
+        assert kept_A is not A_w and kept_A[0, 0] == -1.0 and kept_b is not b
+        assert not kept_A.flags.writeable and not kept_b.flags.writeable
+        with pytest.raises(ValueError):
+            kept_A[0, 0] = -3.0
+        cached = simulate_switched(system, sig, x0, 0.5, STEP)
+        assert cached._plan is before._plan
+        fresh = simulate_switched(SwitchedSystem((sub,)), sig, x0, 0.5, STEP)
+        assert fresh._plan is not before._plan
+        assert cached.states.tobytes() == fresh.states.tobytes() == before.states.tobytes()
 
     def test_threads_sweeping_one_plan_agree_with_a_serial_run(self, system):
         import sys

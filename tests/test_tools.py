@@ -116,3 +116,19 @@ def test_clidiff_flags_one_changed_byte(tmp_path):
         "out/dwell_table.json differs",
         "out/extra.csv only in tree",
     ]
+
+
+def test_clidiff_default_scenarios_write_every_report(tmp_path, capsys):
+    from switchdwell.cli import main
+
+    clidiff = _load_tool("clidiff")
+    names = [p.name for p in clidiff.DEFAULT_SCENARIOS]
+    assert names == ["example1.scenario", "example2.scenario", "tube_convergence.scenario"]
+    written = set()
+    for i, scenario in enumerate(clidiff.DEFAULT_SCENARIOS):
+        out = tmp_path / str(i)
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+        written |= {p.name for p in out.glob("*.json")}
+    capsys.readouterr()
+    reports = ("certificate", "trapping", "convergence", "triangle", "tube")
+    assert written == {f"{r}_report.json" for r in reports} | {"dwell_table.json", "manifest.json"}

@@ -6,10 +6,13 @@ Usage, from anywhere in the repository:
 
 ``src/switchdwell`` at REV is extracted into a temporary directory, as
 ``tools/ab.py`` does.  Each subcommand of the working tree's CLI then runs on
-each scenario (by default the bundled ``src/switchdwell/scenarios/*.scenario``)
-in a fresh interpreter, once with the base package and once with the working
-tree's, each in an empty directory of its own with ``--out out``.  The exit
-codes, stdout, stderr, the files written and their bytes are compared.  One
+each scenario in a fresh interpreter, once with the base package and once
+with the working tree's, each in an empty directory of its own with
+``--out out``.  By default the scenarios are the bundled
+``src/switchdwell/scenarios/*.scenario`` and ``tools/*.scenario``, which runs
+the analyses the bundled ones leave out (convergence and tube), so every
+kind of output file is compared.  The exit codes, stdout, stderr, the files
+written and their bytes are compared.  One
 line per (scenario, subcommand) says ``identical`` or what differs, and then
 each run's peak resident set size, base -> tree, as ``os.wait4`` reports it.
 The exit status is 1 when any bytes differ; the sizes do not count.  This
@@ -32,6 +35,9 @@ if str(HERE) not in sys.path:  # loaded by path, as the tests do
 from checkout import ROOT, extract  # noqa: E402
 
 TREE = ROOT / "src"
+DEFAULT_SCENARIOS = sorted((TREE / "switchdwell" / "scenarios").glob("*.scenario")) + sorted(
+    HERE.glob("*.scenario")
+)
 
 
 def tree_differences(base: Path, tree: Path) -> list[str]:
@@ -98,11 +104,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, metavar="REV")
     ap.add_argument("--scenario", nargs="+", type=Path, metavar="PATH",
-                    help="scenario files (default: the bundled ones)")
+                    help="scenario files (default: the bundled ones and tools/*.scenario)")
     args = ap.parse_args(argv)
-    scenarios = [p.resolve() for p in args.scenario or ()] or sorted(
-        (TREE / "switchdwell" / "scenarios").glob("*.scenario")
-    )
+    scenarios = [p.resolve() for p in args.scenario or ()] or DEFAULT_SCENARIOS
     commands = subprocess.run(
         [sys.executable, "-c", "from switchdwell.cli import _SUBCOMMAND_FLAGS as c; print(*c)"],
         env=dict(os.environ, PYTHONPATH=str(TREE)), capture_output=True, text=True, check=True,
