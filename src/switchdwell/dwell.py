@@ -119,9 +119,12 @@ def pair_mu(eps: float, dist: float) -> float:
     """Closed-form bound (1 + dist/sqrt(eps))^2 on V_a/V_b outside N^eps_b.
 
     Exact for identity-quadratic certificates whose equilibria lie ``dist``
-    apart; increasing in ``dist``.
+    apart; increasing in ``dist``.  A bound that overflows is inf.
     """
-    return (1.0 + dist / math.sqrt(eps)) ** 2
+    try:
+        return (1.0 + dist / math.sqrt(eps)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def mu_bound(

@@ -6,30 +6,28 @@ One classical RK4 step of size h on ``x' = A x + b`` is exactly the affine map
 Hairer, Norsett & Wanner, *Solving ODEs I*).  ``_rk4_map`` builds it as one
 homogeneous ``(n+1) x (n+1)`` matrix G, so k steps are the matrix power G^k.
 
-``affine_rk4_path`` fills its rows by chained one-row products: rows
-``1 ... B`` from row 0, rows ``B+1 ... 2B`` from row B, and so on, then takes
-the partial step last, so an interval shorter than B steps costs one product
-plus the partial step.  The fill is ``_fill(X, block, last)``, which writes
-into a caller's rows in place from two operands: the seed block
-(``_seed_block``), only when there is a full step, and the top n rows of the
-map of the partial step (``_last_rows``), only when there is one.  The seed
-block is the top n rows of ``G^1 ... G^B``, transposed and laid side by side,
-an ``(n+1) x B n`` matrix: the last row of every G^j is the constant
-``(0 ... 0 1)``, so it is left out, and a product of ``[x_k, 1]`` with the
-block gives the states ``x_(k+1) ... x_(k+B)``.  It is built by doubling over
-a stack of the G^j with the squarings ``G, G^2, ..., G^(B/2)``, about 0.1 ms
-at n = 2.  B is ``SEED_BLOCK_STEPS``, halved for large n until one block fits
-in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).  ``_fill`` has a scratch row
-of its own per call and never writes its operands, so threads may share
-them.  ``sim``'s plans build each interval's operands once and keep them:
-they are the only place where step maps are kept, and ``sim`` states that
-bound.  ``affine_rk4_path`` is the kernel's public entry for one path, and
-builds its operands on every call; nothing in the package calls it.
+``_fill(X, block, last)`` writes the rows of one interval's path into a
+caller's array in place, by chained one-row products: rows ``1 ... B`` from
+row 0, rows ``B+1 ... 2B`` from row B, and so on, then the partial step last,
+so an interval shorter than B steps costs one product plus the partial step.
+Its two operands are the seed block (``_seed_block``), only when there is a
+full step, and the top n rows of the map of the partial step
+(``_last_rows``), only when there is one.  The seed block is the top n rows
+of ``G^1 ... G^B``, transposed and laid side by side, an ``(n+1) x B n``
+matrix: the last row of every G^j is the constant ``(0 ... 0 1)``, so it is
+left out, and a product of ``[x_k, 1]`` with the block gives the states
+``x_(k+1) ... x_(k+B)``.  It is built by doubling over a stack of the G^j
+with the squarings ``G, G^2, ..., G^(B/2)``, about 0.1 ms at n = 2.  B is
+``SEED_BLOCK_STEPS``, halved for large n until one block fits in
+``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).  ``_fill`` has a scratch row of
+its own per call and never writes its operands, so threads may share them.
+``sim``'s plans build each interval's operands once and keep them: they are
+the only place where step maps are kept, and ``sim`` states that bound.
 
-``affine_rk4_batch_final`` maps a batch of rows by one power of the step
-map, ``_final_map``: ``np.linalg.matrix_power`` of G, times the partial
-step's map, applied by ``_map_rows``.  ``sim.tube_sample`` keeps these maps
-in its plans of tube grids.
+``_final_map`` is the map of a whole interval, one power of the step map:
+``np.linalg.matrix_power`` of G, times the partial step's map.
+``_map_rows`` applies it to a batch of rows.  ``sim.tube_sample`` keeps
+these maps in its plans of tube grids.
 
 Rounding contract: row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
 matrix-vector product, so its rounding differs from stepping one G at a time
@@ -39,8 +37,6 @@ whose kernel (``OPENBLAS_CORETYPE``) can change their last bits; V and W
 """
 
 import numpy as np
-
-__all__ = ["affine_rk4_path", "affine_rk4_batch_final"]
 
 SEED_BLOCK_STEPS = 256
 SEED_BLOCK_BYTES = 128 * 1024
@@ -109,17 +105,6 @@ def _fill(X, block, last):
         np.matmul(last, z, out=X[-1])
 
 
-def affine_rk4_path(A, b, x0, h, n_full, h_last):
-    """States of x' = Ax + b from x0: n_full steps of h, then one of h_last (if > 0)."""
-    A, b = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(b, dtype=float)
-    X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
-    X[0] = x0
-    block = _seed_block(A, b, float(h)) if n_full > 0 else None
-    last = _last_rows(A, b, float(h_last)) if h_last > 0.0 else None
-    _fill(X, block, last)
-    return X
-
-
 def _final_map(A, b, h, n_full, h_last):
     """Homogeneous map of n_full steps of h, then one of h_last (if > 0), read-only."""
     G = np.linalg.matrix_power(_rk4_map(A, b, h), n_full)
@@ -133,9 +118,3 @@ def _map_rows(G, X0):
     """The rows of X0 mapped by the homogeneous map G."""
     n = X0.shape[1]
     return X0 @ G[:n, :n].T + G[:n, n]
-
-
-def affine_rk4_batch_final(A, b, X0, h, n_full, h_last):
-    """Final states for a batch of initial conditions X0 (rows)."""
-    A, b = np.ascontiguousarray(A, dtype=float), np.ascontiguousarray(b, dtype=float)
-    return _map_rows(_final_map(A, b, float(h), int(n_full), float(h_last)), X0)

@@ -5,20 +5,19 @@ V_u and its derivative along the field come from ``Subsystem.v_batch`` and
 ``Subsystem.lie_batch``.
 Certificate checks are sample-based: they can falsify the sandwich and decay
 conditions on a box but never prove them; callers should treat a clean report
-as "not falsified on the sampled set".  The samples are an Owen-scrambled
-Halton sequence (A. B. Owen, "A randomized Halton algorithm in R",
-arXiv:1706.02808, 2017), the same points as ``scipy.stats.qmc.Halton`` with
-``scramble=True``, drawn by ``_halton`` without importing ``scipy.stats``.
-Their digit permutations come from ``_PCG64``, a pure-Python copy of
-``np.random.default_rng``'s generator and ``shuffle``, so a run that
-certifies does not import ``numpy.random`` either.
+as "not falsified on the sampled set".  The samples are a Halton sequence
+shifted modulo 1 by a seeded random vector (a Cranley-Patterson rotation,
+R. Cranley & T. N. L. Patterson, SIAM J. Numer. Anal. 13, 1976), drawn by
+``_halton`` with ``random`` from the standard library, so a run that
+certifies imports neither ``scipy.stats`` nor ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy  # noqa: F401  cheap; perfbench/run.py reads its version after import
@@ -28,7 +27,6 @@ from .errors import NonfiniteState, UnsupportedDimension
 
 MEMBERSHIP_TOL = 1e-9
 DECAY_TOL = 1e-9
-HALTON_CACHE_SIZE = 1
 
 
 def v_eval(sub: Subsystem, x) -> float:
@@ -90,136 +88,37 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's 32-bit hash: xor with a running constant, which is then stepped by ``mult``."""
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v ^= h
-        h = h * mult & _M32
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    return hashmix
-
-
-def _seed_words(seed: int) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(8)``: eight 32-bit words.
-
-    The int's 32-bit words, least significant first, are hashed into a pool
-    of four words, the pool is mixed, and any words past the fourth are
-    mixed in; the output hashes the pool words in turn.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    entropy = [seed & _M32]
-    while seed := seed >> 32:
-        entropy.append(seed & _M32)
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    output = _hasher(0x8B51F9DD, 0x58F38DED)
-    return [output(pool[i % 4]) for i in range(8)]
-
-
-class _PCG64:
-    """``np.random.default_rng(seed)``'s stream and ``shuffle``, bit for bit, in pure Python.
-
-    PCG64 (M. E. O'Neill, HMC-CS-2014-0905, 2014): a 128-bit LCG with the
-    XSL-RR output, seeded from ``_seed_words`` as numpy seeds it.  A 32-bit
-    draw is the low half of a fresh 64-bit output, and the next one is its
-    high half.  ``shuffle`` is ``Generator.shuffle`` on a 1-D array:
-    Fisher-Yates from the last item, each index drawn in ``[0, i]`` by
-    masked rejection on 32-bit draws, so lists of up to ``2**32`` items.
-    Drawing here keeps ``numpy.random`` out of a run that only certifies.
-    """
-
-    MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed: int):
-        w = _seed_words(seed)
-        state, seq = (w[k] << 64 | w[k + 1] << 96 | w[k + 2] | w[k + 3] << 32 for k in (0, 4))
-        self.inc = seq << 1 & _M128 | 1
-        self.state = ((self.inc + state) * self.MULT + self.inc) & _M128
-        self.high = None  # the unread high half of the last 64-bit output
-
-    def next32(self) -> int:
-        if self.high is not None:
-            out, self.high = self.high, None
-            return out
-        s = self.state = (self.state * self.MULT + self.inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        x = (x >> rot | x << (64 - rot)) & _M64
-        self.high = x >> 32
-        return x & _M32
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while (j := self.next32() & mask) > i:
-                pass
-            items[i], items[j] = items[j], items[i]
-
-
-@lru_cache(maxsize=HALTON_CACHE_SIZE)
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
-    """First ``n`` points of the scrambled Halton sequence in [0, 1)^d, shape (n, d), read-only.
+    """First ``n`` points of the Halton sequence in [0, 1)^d, shifted by ``seed``, shape (n, d).
 
-    Owen's random digit permutations: dimension j uses base p_j (the j-th
-    prime) and one shuffled ``arange(p_j)`` per digit, for every digit that
-    a double can resolve.  Seeding, shuffle order and the order of the
-    floating-point sums follow ``scipy.stats.qmc.Halton(d, scramble=True,
-    seed=seed).random(n)``, so the points are bit-identical to scipy's; the
-    shuffles are ``_PCG64``'s, bit-identical to ``np.random.default_rng(seed)``'s.
-    The last point set is kept, by ``(d, n, seed)``: the modes of one
-    system share a dimension and a seed, so certifying them in turn draws
-    the set once, and a run that changes seeds holds one set, not many.
-    ``seed`` is a non-negative int.
+    Dimension j holds the radical inverses of ``0 ... n-1`` in base p_j, the
+    j-th prime, shifted modulo 1 by the j-th draw of ``random.Random(seed)``
+    (a Cranley-Patterson rotation).  Only integer divmod and correctly
+    rounded IEEE products, quotients, sums and ``% 1.0`` are used, so the
+    points have the same bits on every platform.  ``seed`` is a
+    non-negative int.
     """
-    rng = _PCG64(seed)
+    rng = random.Random(seed)
     pts = np.empty((n, d))
     for j, base in enumerate(_primes(d)):
-        perms = [list(range(base)) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
-        for perm in perms:
-            rng.shuffle(perm)
-        perms = np.array(perms)
-        q = np.arange(n)
-        top = n - 1  # the largest index; its digits run out last
-        seq = np.zeros(n)
-        b2r = 1.0 / base
-        for perm in perms:
-            if top > 0:
-                q, digit = np.divmod(q, base)
-                seq += perm[digit] * b2r
-                top //= base
-            else:  # every remaining digit is 0
-                seq += perm[0] * b2r
-            b2r /= base
-        pts[:, j] = seq
-    pts.setflags(write=False)
+        q, seq, f = np.arange(n), np.zeros(n), 1.0 / base
+        top = n - 1  # the largest index: one pass per digit of it
+        while top:
+            q, digit = np.divmod(q, base)
+            seq += digit * f
+            f /= base
+            top //= base
+        pts[:, j] = (seq + rng.random()) % 1.0
     return pts
 
 
 def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> CertificateReport:
-    """Sample the box (scrambled Halton, seeded) and test the sandwich and decay conditions.
+    """Sample the box (shifted Halton, seeded) and test the sandwich and decay conditions.
 
     The ``n_samples`` points are ``_halton(dimension, n_samples, seed)``
-    scaled to the box: Owen-scrambled Halton (Owen 2017), the same points
-    as ``scipy.stats.qmc.Halton(scramble=True)`` under ``qmc.scale``.
+    scaled to the box.  ``seed`` is a non-negative integer, taken through
+    ``operator.index`` (so numpy integers too); a negative one raises
+    ``ValueError``.
 
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
     grad V(x) . f(x) <= -k V(x) + 1e-9, with V from ``Subsystem.v_batch``
@@ -233,6 +132,8 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not np.all(upper > lower):
         raise ValueError("box must have positive volume")
     pts = _halton(sub.dimension, n_samples, seed) * (upper - lower) + lower

@@ -371,6 +371,7 @@ step = 0.01
 
 
 HUGE_X0 = EXAMPLE1.replace("x0 = 0 1", "x0 = 1e300 1e300")
+TINY_EPS = EXAMPLE1.replace("eps = 0.05", "eps = 1e-320")
 
 
 @pytest.mark.parametrize(
@@ -388,8 +389,11 @@ HUGE_X0 = EXAMPLE1.replace("x0 = 0 1", "x0 = 1e300 1e300")
             "non-finite V, bound or derivative sampled for mode 1",
             False,
         ),
+        # mu = (1 + d / sqrt(eps))^2 overflows to inf rather than raising
+        ("dwell", TINY_EPS, "non-finite value in dwell_table.json", False),
+        ("run", TINY_EPS, "non-finite value in dwell_table.json", False),
     ],
-    ids=["mu_tilde", "v_at_switches", "v_active", "certificate_samples"],
+    ids=["mu_tilde", "v_at_switches", "v_active", "certificate_samples", "tiny_eps_dwell", "tiny_eps_run"],
 )
 def test_nonfinite_values_are_numeric_failures(tmp_path, capsys, command, text, message, existing):
     p = tmp_path / "huge.scenario"
@@ -460,7 +464,7 @@ def test_certify_does_not_import_scipy_stats(tmp_path):
 
 
 def test_run_does_not_import_numpy_random(tmp_path):
-    # certify draws its Halton permutations with lyapunov's own PCG64
+    # certify shifts its Halton points with the standard library's random
     args = ["run", "--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path)]
     assert cold_run(args, ["numpy.random"]) == "0 False"
 

@@ -17,6 +17,7 @@ from switchdwell import (
     triangle_gap,
 )
 from switchdwell.core import SwitchedSystem
+from switchdwell.dwell import pair_mu
 from switchdwell.errors import (
     EmptyConfiguration,
     HeterogeneousCertificates,
@@ -93,6 +94,10 @@ class TestMuBound:
         a = mu_bound(eps, system, mode="sampled", n_samples=5000, seed=3)
         b = mu_bound(eps, system, mode="sampled", n_samples=5000, seed=3)
         assert a == b
+
+    def test_pair_bound_that_overflows_is_inf(self):
+        assert pair_mu(1e-320, 1.0) == math.inf
+        assert pair_mu(0.05, 1.0) == (1.0 + 1.0 / math.sqrt(0.05)) ** 2
 
     def test_closed_form_needs_quadratic(self, eps):
         subs = tuple(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from switchdwell import kernels
-from switchdwell.sim import _generic_rk4_path
+from switchdwell import integrate, kernels, make_affine_subsystem
+from switchdwell.sim import _generic_rk4_path, _grid
 
 A = np.array([[-1.0, -1.0], [1.0, -1.0]])
 B = np.array([1.0, 1.0])
@@ -22,10 +22,31 @@ def _contracting(n, seed):
     return A, rng.normal(size=n), rng.normal(size=n)
 
 
+def _fill_path(A, b, x0, h, n_full, h_last):
+    """``kernels._fill`` on fresh operands: the rows ``sim`` writes for one affine interval."""
+    X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
+    X[0] = x0
+    block = kernels._seed_block(A, b, h) if n_full > 0 else None
+    last = kernels._last_rows(A, b, h_last) if h_last > 0.0 else None
+    kernels._fill(X, block, last)
+    return X
+
+
+def _integrated(A, b, x0, t1, h):
+    """``integrate``'s states over [0, t1], its grid, and step-by-step RK4 over that grid.
+
+    The states are ``_fill``'s rows on that grid, bit for bit.
+    """
+    n_full, h_last = _grid(0.0, t1, h)
+    path = integrate(make_affine_subsystem(A, b, "a"), x0, 0.0, t1, h).states
+    assert path.tobytes() == _fill_path(A, b, x0, h, n_full, h_last).tobytes()
+    return path, (n_full, h_last), _generic(A, b, x0, h, n_full, h_last)
+
+
 def test_path_matches_generic_rk4_over_100k_steps():
     x0 = np.array([2.0, -3.0])
-    path = kernels.affine_rk4_path(A, B, x0, 1e-3, 100_000, 4e-4)
-    ref = _generic(A, B, x0, 1e-3, 100_000, 4e-4)
+    path, (n_full, h_last), ref = _integrated(A, B, x0, 100.0004, 1e-3)
+    assert n_full == 100_000 and h_last > 0.0
     assert path.shape == ref.shape == (100_002, 2)
     np.testing.assert_allclose(path, ref, rtol=0, atol=1e-12)
 
@@ -33,15 +54,16 @@ def test_path_matches_generic_rk4_over_100k_steps():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_path_matches_generic_rk4_in_higher_dimensions(n):
     A_n, b, x0 = _contracting(n, seed=n)
-    path = kernels.affine_rk4_path(A_n, b, x0, 1e-3, 5_000, 3e-4)
-    ref = _generic(A_n, b, x0, 1e-3, 5_000, 3e-4)
+    path, (n_full, h_last), ref = _integrated(A_n, b, x0, 5.0003, 1e-3)
+    assert n_full == 5_000 and h_last > 0.0
     np.testing.assert_allclose(path, ref, rtol=0, atol=1e-12)
 
 
 def test_path_matches_matrix_exponential():
     x0 = np.array([2.0, -3.0])
     xf = -np.linalg.solve(A, B)
-    path = kernels.affine_rk4_path(A, B, x0, 1e-3, 20_000, 0.0)
+    path, grid, _ = _integrated(A, B, x0, 20.0, 1e-3)
+    assert grid == (20_000, 0.0)
     for k in range(0, 20_001, 1_000):
         exact = xf + expm(A * (k * 1e-3)) @ (x0 - xf)
         np.testing.assert_allclose(path[k], exact, rtol=0, atol=1e-12)
@@ -49,35 +71,39 @@ def test_path_matches_matrix_exponential():
 
 def test_partial_step_only():
     x0 = np.array([2.0, -3.0])
-    path = kernels.affine_rk4_path(A, B, x0, 1e-3, 0, 4e-4)
+    path, grid, ref = _integrated(A, B, x0, 4e-4, 1e-3)
+    assert grid == (0, 4e-4)
     assert path.shape == (2, 2)
-    np.testing.assert_allclose(path, _generic(A, B, x0, 1e-3, 0, 4e-4), rtol=0, atol=1e-15)
-    batch = kernels.affine_rk4_batch_final(A, B, x0[None, :], 1e-3, 0, 4e-4)
+    np.testing.assert_allclose(path, ref, rtol=0, atol=1e-15)
+    batch = kernels._map_rows(kernels._final_map(A, B, 1e-3, *grid), x0[None, :])
     np.testing.assert_allclose(batch[0], path[-1], rtol=0, atol=1e-15)
 
 
 def test_no_trailing_partial_step():
     x0 = np.array([1.0, 0.0])
-    out = kernels.affine_rk4_path(A, B, x0, 1e-2, 100, 0.0)
+    out, grid, ref = _integrated(A, B, x0, 1.0, 1e-2)
+    assert grid == (100, 0.0)
     assert out.shape == (101, 2)
-    np.testing.assert_allclose(out, _generic(A, B, x0, 1e-2, 100, 0.0), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
 
 
 def test_batch_final_matches_per_path_finals():
     for n in (2, 4, 6):
         A_n, b, _ = _contracting(n, seed=10 + n)
         X0 = np.random.default_rng(5).normal(size=(10, n))
-        batch = kernels.affine_rk4_batch_final(A_n, b, X0, 1e-3, 300, 2e-4)
+        grid = _grid(0.0, 0.3002, 1e-3)
+        assert grid[0] == 300 and grid[1] > 0.0
+        batch = kernels._map_rows(kernels._final_map(A_n, b, 1e-3, *grid), X0)
         assert batch.shape == X0.shape
         for i, x0 in enumerate(X0):
-            path = kernels.affine_rk4_path(A_n, b, x0, 1e-3, 300, 2e-4)
+            path, _, _ = _integrated(A_n, b, x0, 0.3002, 1e-3)
             # the two kernels multiply the step maps in different orders, so
             # components near zero agree in absolute, not relative, terms
             np.testing.assert_allclose(batch[i], path[-1], rtol=0, atol=1e-14)
 
 
 def _uncached_path(A, b, x0, h, n_full, h_last):
-    """The chained seed-block path written out step by step: the reference for the kernels' path."""
+    """The chained seed-block path written out step by step: the reference for ``_fill``."""
     n = x0.shape[0]
     n1 = n + 1
     steps = kernels.SEED_BLOCK_STEPS
@@ -105,14 +131,20 @@ def _uncached_path(A, b, x0, h, n_full, h_last):
 
 def test_cached_paths_are_bit_equal_to_fresh_ones():
     A_n, b, x0 = _contracting(4, seed=21)
-    # short, long, short again, interleaved with another mode: each call
-    # builds its own operands, so no call sees what an earlier one left
+    # short, long, short again, interleaved with another mode, all on one set
+    # of operands per (mode, step): _fill writes only its rows, so no call
+    # sees what an earlier one left
     cases = [(1e-3, 5, 3e-4), (1e-3, 1_000, 0.0), (1e-3, 70, 7e-4), (2e-3, 33, 1e-4)]
+    modes = {"n": (A_n, b, x0), "2": (A, B, x0[:2])}
+    blocks = {(m, h): kernels._seed_block(*modes[m][:2], h) for m in modes for h, _, _ in cases}
+    lasts = {(m, hl): kernels._last_rows(*modes[m][:2], hl) for m in modes for _, _, hl in cases if hl}
     for h, n_full, h_last in cases * 2:
-        ref = _uncached_path(A_n, b, x0, h, n_full, h_last)
-        other = kernels.affine_rk4_path(A, B, x0[:2], h, n_full, h_last)
-        assert other.tobytes() == _uncached_path(A, B, x0[:2], h, n_full, h_last).tobytes()
-        assert kernels.affine_rk4_path(A_n, b, x0, h, n_full, h_last).tobytes() == ref.tobytes()
+        for m in ("2", "n"):
+            a, bb, x = modes[m]
+            X = np.empty((n_full + 1 + (h_last > 0.0), x.shape[0]))
+            X[0] = x
+            kernels._fill(X, blocks[m, h], lasts.get((m, h_last)))
+            assert X.tobytes() == _uncached_path(a, bb, x, h, n_full, h_last).tobytes()
 
 
 @pytest.mark.parametrize("h_last", [0.0, 2e-4])
@@ -124,7 +156,7 @@ def test_batch_final_is_bit_equal_to_matrix_power(h_last):
         if h_last > 0.0:
             G = kernels._rk4_map(A_n, b, h_last) @ G
         ref = X0 @ G[:3, :3].T + G[:3, 3]
-        got = kernels.affine_rk4_batch_final(A_n, b, X0, 1e-3, n_full, h_last)
+        got = kernels._map_rows(kernels._final_map(A_n, b, 1e-3, n_full, h_last), X0)
         assert got.tobytes() == ref.tobytes(), n_full
 
 
@@ -140,7 +172,7 @@ def test_batch_final_past_the_squaring_cache_is_bit_equal_to_matrix_power(h_last
         G = kernels._rk4_map(A_n, b, h_last) @ G
     ref = X0 @ G[:3, :3].T + G[:3, 3]
     for _ in range(2):
-        got = kernels.affine_rk4_batch_final(A_n, b, X0, 1e-3, n_full, h_last)
+        got = kernels._map_rows(kernels._final_map(A_n, b, 1e-3, n_full, h_last), X0)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -158,7 +190,7 @@ def test_paths_around_the_seed_block(n, B, h_last):
     h = 2e-4
     xf = -np.linalg.solve(A_n, b)
     for n_full in (0, 1, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 1):
-        path = kernels.affine_rk4_path(A_n, b, x0, h, n_full, h_last)
+        path = _fill_path(A_n, b, x0, h, n_full, h_last)
         assert path.shape == (n_full + 1 + (h_last > 0.0), n)
         assert path.tobytes() == _uncached_path(A_n, b, x0, h, n_full, h_last).tobytes()
         ref = _generic(A_n, b, x0, h, n_full, h_last)

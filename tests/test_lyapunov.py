@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from switchdwell import (
     v_eval,
 )
 from switchdwell.errors import InvalidEpsilon, NonfiniteState, UnsupportedDimension
-from switchdwell.lyapunov import DECAY_TOL, HALTON_CACHE_SIZE, MEMBERSHIP_TOL, _PCG64, _halton
+from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL, _halton
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -72,10 +73,8 @@ def per_point_certificate(sub, pts):
 
 
 def certificate_points(sub, box, n_samples, seed):
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=sub.dimension, scramble=True, seed=seed)
-    return qmc.scale(sampler.random(n_samples), *box)
+    lo, hi = box
+    return _halton(sub.dimension, n_samples, seed) * (hi - lo) + lo
 
 
 def assert_same_violations(got, expected):
@@ -246,55 +245,93 @@ class TestBatchEvaluation:
         assert report.max_decay_slack <= 1e-12
 
 
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@functools.cache
+def radical_inverses(base, n):
+    """Reference: the radical inverses of 0 ... n-1 in ``base``, one index and one digit at a time."""
+    out = []
+    for i in range(n):
+        r, f = 0.0, 1.0 / base
+        while i:
+            i, digit = divmod(i, base)
+            r += digit * f
+            f /= base
+        out.append(r)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10000])
 @pytest.mark.parametrize("seed", [0, 1, 42, 12345, 2**31 - 1, 987654321])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_halton_is_scipy_scrambled_halton(d, seed, n):
+    """scipy's Halton points, randomised by the seed's shift in place of digit scrambling.
+
+    The unscrambled points of ``qmc.Halton`` and the per-point reference are
+    both the same bits as the shift-free sequence.
+    """
     from scipy.stats import qmc
 
-    lo, hi = np.full(d, -3.0), np.full(d, 3.0)
-    expected = qmc.scale(qmc.Halton(d=d, scramble=True, seed=seed).random(n), lo, hi)
-    assert (_halton(d, n, seed) * (hi - lo) + lo).tobytes() == expected.tobytes()
+    rng = random.Random(seed)
+    shifts = [rng.random() for _ in range(d)]
+    expected = (qmc.Halton(d=d, scramble=False).random(n) + shifts) % 1.0
+    cols = [[(r + s) % 1.0 for r in radical_inverses(p, n)] for p, s in zip(PRIMES, shifts)]
+    assert np.array(cols).T.tobytes() == expected.tobytes()
+    assert _halton(d, n, seed).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**64 + 3, 2**127, 2**160 + 9])
-def test_pcg_shuffles_as_numpy_default_rng(seed):
-    # one stream for every size in turn, as _halton draws its permutations,
-    # so an odd count of 32-bit draws leaves a high half to the next shuffle;
-    # 2**160 + 9 has entropy words past the seed pool's four
-    rng, pcg = np.random.default_rng(seed), _PCG64(seed)
-    for size in range(2, 14):
-        expected, items = np.arange(size), list(range(size))
-        rng.shuffle(expected)
-        pcg.shuffle(items)
-        assert items == expected.tolist(), size
+def test_smaller_sets_are_prefixes():
+    # every n up to 200 puts the largest index on either side of a power of
+    # 2, 3 and 5, where it gains a digit
+    full = _halton(3, 200, 9)
+    for n in range(1, 200):
+        assert _halton(3, n, 9).tobytes() == full[:n].tobytes(), n
 
 
-def test_pcg_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="non-negative"):
-        _PCG64(-1)
+def test_base_two_is_the_van_der_corput_sequence():
+    shift = random.Random(5).random()
+    vdc = np.array([0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875])
+    assert _halton(1, 8, 5)[:, 0].tobytes() == ((vdc + shift) % 1.0).tobytes()
 
 
-def test_halton_sets_are_shared_read_only_and_bounded():
-    pts = _halton(2, 500, 11)
-    assert _halton(2, 500, 11) is pts
-    assert not pts.flags.writeable
-    with pytest.raises(ValueError):
-        pts[0, 0] = 0.5
-    for seed in range(HALTON_CACHE_SIZE + 3):
-        _halton(2, 50, seed)
-    assert _halton.cache_info().currsize == HALTON_CACHE_SIZE
-    # an evicted set is drawn again, with the same bits
-    again = _halton(2, 500, 11)
-    assert again is not pts and again.tobytes() == pts.tobytes()
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 10_000), (8, 300)])
+def test_halton_points_lie_in_the_unit_cube(d, n):
+    pts = _halton(d, n, 7)
+    assert pts.shape == (n, d)
+    assert ((pts >= 0.0) & (pts < 1.0)).all()
 
 
-def test_modes_of_one_system_draw_the_samples_once(system):
-    _halton.cache_clear()
-    for sub in system.subsystems:
-        check_certificate(sub, BOX2, 2000, seed=3)
-    info = _halton.cache_info()
-    assert (info.misses, info.hits) == (1, len(system.subsystems) - 1)
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 42, 2**32 + 5, 2**64 + 3, 2**127, 2**160 + 9],
+    ids=["0", "1", "42", "2**32+5", "2**64+3", "2**127", "2**160+9"],
+)
+def test_seeds_of_any_size_shift_the_points(seed):
+    pts = _halton(3, 50, seed)
+    # index 0 has radical inverse 0, so the first point is the shift itself
+    rng = random.Random(seed)
+    assert pts[0].tolist() == [rng.random() for _ in range(3)]
+    assert _halton(3, 50, seed).tobytes() == pts.tobytes()
+    assert _halton(3, 50, seed + 1).tobytes() != pts.tobytes()
+
+
+def test_other_seeds_draw_other_sets():
+    sets = {_halton(2, 500, seed).tobytes() for seed in (0, 1, 2**160 + 9)}
+    assert len(sets) == 3
+
+
+def test_pcg_rejects_a_negative_seed(system):
+    """A negative sample seed is refused before any point is drawn."""
+    for seed in (-1, np.int64(-5), -(2**70)):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_certificate(system[1], BOX2, 10, seed=seed)
+
+
+def test_certificate_seeds_take_numpy_integers(system):
+    overclaimed = dataclasses.replace(system[1], decay_rate=3.0)
+    reports = [check_certificate(overclaimed, BOX2, 200, seed=s).to_dict() for s in (5, np.int64(5))]
+    assert reports[0] == reports[1] and reports[0]["n_decay_violations"] > 0
 
 
 class TestEvaluation:
