@@ -150,15 +150,16 @@ def csv_blocks(header: str, *columns) -> Iterator[bytes]:
 
     Each column is a float array of N rows (or N rows of k floats, k cells)
     rendered as ``'%.17g'``, or N labels written as they are: an ``S``
-    (bytes) array, or ``Runs``.  The first column is an array.  The blocks
-    joined are the file: the header first, then one block per ``_BLOCK``
-    rows, rendered when it is asked for.
+    (bytes) array, or ``Runs``; a function ``col(lo, hi)`` gives a column's
+    rows ``lo ... hi - 1`` block by block, so the column is never whole.  The
+    first column is an array.  The blocks joined are the file: the header
+    first, then one block per ``_BLOCK`` rows, rendered when it is asked for.
     """
     yield header.encode()
     for lo in range(0, len(columns[0]), _BLOCK):
         cells = []
         for col in columns:
-            blk = col[lo : lo + _BLOCK]
+            blk = col(lo, lo + _BLOCK) if callable(col) else col[lo : lo + _BLOCK]
             if blk.dtype.kind == "S":
                 cells.append(blk.view(np.uint8).reshape(len(blk), -1))
             else:

@@ -19,6 +19,7 @@ Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_blo
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import shutil
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._csv import Runs, csv_blocks, labels
+from ._csv import _BLOCK, Runs, csv_blocks, labels
 from .core import SwitchedSystem
 from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
 from .errors import IoError, NonfiniteState, SwitchDwellError
@@ -55,13 +56,13 @@ def _json(name: str, obj) -> bytes:
 def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> Iterator[bytes]:
     """One row per sample, V_active and the mode column from the trajectory's plan, in blocks.
 
-    Nothing is computed until the first block is asked for, so ``analyse``
-    holds no V for the trajectories it has yet to emit.
+    V is computed for one block of rows at a time, as the block is rendered,
+    so neither ``analyse`` nor the CSV ever holds V for a whole trajectory.
     """
     n = system.dimension
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
     plan = traj._plan
-    v = _v_active(traj, system)
+    v = functools.partial(_v_active, traj, system)
     yield from csv_blocks(header, traj.times, traj.states, Runs(plan.modes, plan.lens), v)
 
 
@@ -118,10 +119,11 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
             for i, x0 in enumerate(spec.x0):
                 traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
                 trajs[(name, i)] = traj
-                # the states are checked by simulate_switched; V, dropped here
-                # to keep memory flat, is recomputed when the CSV is rendered
-                if not np.isfinite(_v_active(traj, system)).all():
-                    raise NonfiniteState(f"non-finite value in trajectory_{name}_{i}.csv")
+                # the states are checked by simulate_switched; V is checked a
+                # block at a time and dropped, and recomputed when the CSV is rendered
+                for lo in range(0, len(traj.times), _BLOCK):
+                    if not np.isfinite(_v_active(traj, system, lo, lo + _BLOCK)).all():
+                        raise NonfiniteState(f"non-finite value in trajectory_{name}_{i}.csv")
                 # one buffer: the same bytes are the plot directory's trajectory.csv
                 paths = (f"trajectory_{name}_{i}.csv",)
                 if flags.get("plot_data"):

@@ -6,32 +6,30 @@ One classical RK4 step of size h on ``x' = A x + b`` is exactly the affine map
 Hairer, Norsett & Wanner, *Solving ODEs I*).  ``_rk4_map`` builds it as one
 homogeneous ``(n+1) x (n+1)`` matrix G, so k steps are the matrix power G^k.
 
-``_fill(X, block, last)`` writes the rows of one interval's path into a
-caller's array in place, by chained one-row products: rows ``1 ... B`` from
-row 0, rows ``B+1 ... 2B`` from row B, and so on, then the partial step last,
-so an interval shorter than B steps costs one product plus the partial step.
-Its two operands are the seed block (``_seed_block``), only when there is a
-full step, and the top n rows of the map of the partial step
-(``_last_rows``), only when there is one.  The seed block is the top n rows
-of ``G^1 ... G^B``, transposed and laid side by side, an ``(n+1) x B n``
-matrix: the last row of every G^j is the constant ``(0 ... 0 1)``, so it is
-left out, and a product of ``[x_k, 1]`` with the block gives the states
-``x_(k+1) ... x_(k+B)``.  It is built by doubling over a stack of the G^j
-with the squarings ``G, G^2, ..., G^(B/2)``, about 0.1 ms at n = 2.  B is
-``SEED_BLOCK_STEPS``, halved for large n until one block fits in
-``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).  ``_fill`` has a scratch row of
-its own per call and never writes its operands, so threads may share them.
-``sim``'s plans build each interval's operands once and keep them: they are
-the only place where step maps are kept, and ``sim`` states that bound.
+The states of an affine interval come from chained one-row products with
+two read-only operands, which ``sim``'s plans build once and list in the
+order they run: rows ``1 ... B`` from row 0 by one product of ``[x_0, 1]``
+with the seed block (``_seed_block``), rows ``B+1 ... 2B`` from row B, and so
+on, then the partial step by the top n rows of its map (``_last_rows``), so
+an interval shorter than B steps costs one product plus the partial step.
+The seed block is the top n rows of ``G^1 ... G^B``, transposed and laid
+side by side, an ``(n+1) x B n`` matrix: the last row of every G^j is the
+constant ``(0 ... 0 1)``, so it is left out, and a product of ``[x_k, 1]``
+with the block gives the states ``x_(k+1) ... x_(k+B)``; a last chunk of
+m < B steps uses its first ``m n`` columns.  It is built by doubling over a
+stack of the G^j with the squarings ``G, G^2, ..., G^(B/2)``, about 0.1 ms
+at n = 2.  B is ``SEED_BLOCK_STEPS``, halved for large n until one block
+fits in ``SEED_BLOCK_BYTES`` (B = 256 up to n = 7).  Plans are the only
+place where step maps are kept, and ``sim`` states that bound.
 
 ``_final_map`` is the map of a whole interval, one power of the step map:
 ``np.linalg.matrix_power`` of G, times the partial step's map.
 ``_map_rows`` applies it to a batch of rows.  ``sim.tube_sample`` keeps
 these maps in its plans of tube grids.
 
-Rounding contract: row ``kB + j`` is ``G^j`` applied to row ``kB`` in one
-matrix-vector product, so its rounding differs from stepping one G at a time
-by about 1e-15 over a few thousand steps.  These products go through BLAS,
+Rounding contract: row ``kB + j`` of an interval is ``G^j`` applied to row
+``kB`` in one matrix-vector product, so its rounding differs from stepping
+one G at a time by about 1e-15 over a few thousand steps.  These products go through BLAS,
 whose kernel (``OPENBLAS_CORETYPE``) can change their last bits; V and W
 (``core._sq_dist``) do not.
 """
@@ -77,32 +75,10 @@ def _seed_block(A, b, h):
 
 
 def _last_rows(A, b, h):
-    """Top n rows of the map of one step of h, read-only: ``_fill``'s partial step."""
+    """Top n rows of the map of one step of h, read-only: the operand of a partial step."""
     last = _rk4_map(A, b, h)[: A.shape[0]]
     last.setflags(write=False)
     return last
-
-
-def _fill(X, block, last):
-    """Rows ``1 ...`` of X from ``X[0]``, in place: full steps by ``block``, then ``last`` if given.
-
-    X is C-contiguous (a row range of a C-contiguous array is) and has one
-    row per full step after row 0, and one more for the partial step.
-    """
-    n = X.shape[1]
-    n_full = len(X) - 1 - (last is not None)
-    z = np.empty(n + 1)  # [x_k, 1], the homogeneous row a product starts from
-    z[n] = 1.0
-    if n_full > 0:
-        steps = block.shape[1] // n
-        flat = X.reshape(-1)
-        for k in range(0, n_full, steps):
-            m = min(steps, n_full - k)
-            z[:n] = X[k]
-            np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
-    if last is not None:
-        z[:n] = X[n_full]
-        np.matmul(last, z, out=X[-1])
 
 
 def _final_map(A, b, h, n_full, h_last):

@@ -18,15 +18,17 @@ is planned once per ``(system, signal, horizon, step)``, in a plan kept in a
 least recently used cache of ``PLAN_CACHE_SIZE`` entries keyed by the
 identity of the system and signal objects: the unrolled switches, the
 interval grids and row offsets, one read-only ``times`` array shared by every
-trajectory built from the plan, the segments, each interval's kernel operands
-and the record columns.  Any other trajectory, one made by hand or with
-``dataclasses.replace``, builds a plan of its own once, from read-only copies
-of its times and states.  A plan holds only such derived data, never a state
-or a verdict: the ``times`` and the kernel operands it builds, one seed block
-per affine mode with a full step (each at most ``kernels.SEED_BLOCK_BYTES``,
-about 0.1 ms to build at n = 2) and one partial-step map of ``8 n (n+1)``
-bytes per distinct (mode, partial step).  Plans are the only place where
-step maps are kept: ``kernels`` keeps nothing between calls.
+trajectory built from the plan, the segments, the fill (every product of the
+affine intervals with its operand, and every callable interval, in the order
+they run) and the record columns.  Any other trajectory, one made by hand or
+with ``dataclasses.replace``, builds a plan of its own once, from read-only
+copies of its times and states.  A plan holds only such derived data, never
+a state or a verdict: the ``times``, the fill's entries (about 150 bytes per
+product) and the kernel operands it builds, one seed block per affine mode
+with a full step (each at most ``kernels.SEED_BLOCK_BYTES``, about 0.1 ms to
+build at n = 2) and one partial-step map of ``8 n (n+1)`` bytes per distinct
+(mode, partial step).  Plans are the only place where step maps are kept:
+``kernels`` keeps nothing between calls.
 ``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass over several systems, or a
 step and its half, plans each signal once and not once per visit; at most 8
 plans stay alive after their sweep.  What also depends on the system is a
@@ -37,9 +39,10 @@ samples) and, with ``eps`` and ``i_max``, the convergence terms
 way: one read-only map per time of its grid, in an ``lru_cache`` of as many
 ``(subsystem, step, grid)`` keys (``_tube_maps``).  Every cache is keyed by
 the identity of its system, signal or subsystem objects.  Threads share a
-cached plan, so nothing writes to its ``times`` or its operands
-(``kernels._fill`` reads them).  A check matches the plan's switches to its
-signal unless the plan was made from that very signal object (``_plan_of``).
+cached plan, so nothing writes to its ``times`` or its operands: the fill
+loop reads them and writes only a trajectory's own rows and scratch row.  A
+check matches the plan's switches to its signal unless the plan was made
+from that very signal object (``_plan_of``).
 
 V is read through one routine, ``_v_rows``: the active mode's V at every
 sample (``_v_active``) and the exited mode's V at each switch, the switch
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -259,20 +263,19 @@ def simulate_switched(
     its end sample, and is that one sample when the last switch lands on the
     horizon.  Periodic signals are unrolled to the horizon.
 
-    The switches, every interval's grid and kernel operands and the read-only
-    ``times`` come from the plan of ``(system, signal, horizon, step)``
-    (``_signal_plan``), so a sweep of starts through one signal plans once
-    and shares one ``times``; ``states`` is allocated once, each interval
-    fills its rows from the row the previous one ended on, and it is
-    read-only once filled.  Each run is
-    fixed-step RK4 (``integrate`` is this function on one interval): an
-    affine interval is written in place by ``kernels._fill`` from the plan's
-    operands, with no cache lookup, and a callable one is generic RK4 copied
-    in.  The whole buffer
-    is checked for finiteness once at the end, and each callable interval's
-    start row before it runs, so a callable is never given a non-finite
-    start; either check names the first interval that holds a non-finite
-    state.
+    The switches, the fill and the read-only ``times`` come from the plan of
+    ``(system, signal, horizon, step)`` (``_signal_plan``), so a sweep of
+    starts through one signal plans once and shares one ``times``; ``states``
+    is allocated once, filled by one loop over the plan's fill, and read-only
+    once filled.  Each run is fixed-step RK4 (``integrate`` is this function
+    on one interval).  An affine interval is a few entries of the fill, each
+    one product written in place from a source row already filled, through
+    one scratch row ``[x, 1]`` per trajectory: ``[x, 1]`` times a chunk of
+    the seed block, or the partial step's map times ``[x, 1]``.  A callable
+    interval is one entry, generic RK4 copied in.  The whole buffer is checked
+    for finiteness once at the end, and each callable interval's start row
+    before it runs, so a callable is never given a non-finite start; either
+    check names the first interval that holds a non-finite state.
     """
     return _simulate(_signal_plan, system, signal, x0, horizon, step)
 
@@ -284,18 +287,28 @@ def _simulate(planner, system, signal, x0, horizon, step) -> Trajectory:
     _check_step(step)
     x0 = _start_state(system[signal.initial_mode], x0)
     plan = planner(system, signal, float(horizon), float(step))
-    segments = plan.segments
-    states = np.empty((len(plan.times), x0.shape[0]))
+    n = x0.shape[0]
+    states = np.empty((len(plan.times), n))
     states[0] = x0
-    for i, ((lo, hi, mode), (n_full, rem, operands)) in enumerate(zip(segments, plan.intervals)):
-        run = states[lo : hi + 1]  # up to the next interval's first sample
-        if operands is not None:
-            kernels._fill(run, *operands)
+    flat = states.reshape(-1)
+    z = np.empty(n + 1)  # [x, 1], the homogeneous row each product starts from
+    z[n] = 1.0
+    x, matmul = z[:n], np.matmul
+    for entry in plan.fill:
+        if len(entry) == 4:  # one product: a chunk of full steps, or a partial step
+            src, op, stop, partial = entry
+            x[:] = flat[src : src + n]
+            if partial:
+                matmul(op, z, out=flat[src + n : stop])
+            else:
+                matmul(z, op, out=flat[src + n : stop])
             continue
+        lo, hi, mode, n_full, rem = entry  # a callable interval
+        run = states[lo : hi + 1]
         if not np.isfinite(run[0]).all():
-            _check_runs(states, segments[:i])
+            _check_runs(states, plan.segments[: plan.los.index(lo)])
         run[:] = _generic_rk4_path(system[mode].field, run[0], step, n_full, rem)
-    _check_runs(states, segments)
+    _check_runs(states, plan.segments)
     states.setflags(write=False)
     rows = plan.los[1:]
     switch_states = states[rows]
@@ -323,18 +336,21 @@ class _Plan:
     ``modes``, ``los`` and ``lens`` their columns; ``switch_t`` and
     ``exit_modes`` are the record columns of the switches.  ``signal`` is
     the one ``simulate_switched`` planned from, None for a trajectory built
-    any other way.  ``intervals``, for a plan that ``simulate_switched``
-    fills from, holds (full steps, partial step, operands) per interval: the
-    operands are ``kernels._fill``'s ``(block, last)`` for an affine mode,
-    its mode's seed block (None when no interval of the mode has a full
-    step) and the top rows of its partial step's map (None without one), and
-    None for a callable mode.  They are read-only arrays that the plan
-    built, shared by its intervals and, through the plan, by threads.
-    Nothing is written to a plan after it is built.
+    any other way.  ``fill``, for a plan that ``simulate_switched`` fills
+    from, is a tuple of entries in the order they run.  A product is
+    ``(src, op, stop, partial)``: the flat offset of its source row in
+    ``states``, its read-only operand, and the end of its output, which
+    starts at the next row.  A chunk of an affine interval's full steps
+    (``partial`` false) has its mode's seed block as operand, or the view of
+    its first ``m n`` columns for a last chunk of m < B steps; a partial step
+    has the top rows of its step's map (``kernels``).  A callable interval
+    is ``(lo, hi, mode, n_full, rem)``: its rows, mode and grid.  The
+    operands are shared by the plan's entries and, through the plan, by
+    threads.  Nothing is written to a plan after it is built.
     """
 
-    def __init__(self, signal, times, initial_mode, los, switches, intervals=None):
-        self.signal, self.times, self.los, self.intervals = signal, times, los, intervals
+    def __init__(self, signal, times, initial_mode, los, switches, fill=None):
+        self.signal, self.times, self.los, self.fill = signal, times, los, fill
         self.modes = [initial_mode] + [nxt for _, _, nxt in switches]
         self.segments = list(zip(los, los[1:] + [len(times)], self.modes))
         self.lens = [hi - lo for lo, hi, _ in self.segments]
@@ -399,9 +415,22 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     blocks = {m: kernels._seed_block(*ab, step) for m, ab in affine.items() if m in full}
     parts = dict.fromkeys((m, rem) for m, (_, rem) in zip(modes, grids) if rem > 0.0)
     lasts = {(m, rem): kernels._last_rows(*affine[m], rem) for m, rem in parts if m in affine}
-    intervals = [(n_full, rem, (blocks.get(m), lasts.get((m, rem))) if m in affine else None)
-                 for m, (n_full, rem) in zip(modes, grids)]
-    return _Plan(signal, times, signal.initial_mode, lo[:-1], switches, intervals)
+    # the fill: one entry per product, chunks of at most B full steps then the
+    # partial step, and one per callable interval, in the order they run
+    n, fill = system.dimension, []
+    steps = kernels._seed_steps(n)
+    for start, end, m, (n_full, rem) in zip(lo, lo[1:], modes, grids):
+        if m not in affine:
+            fill.append((start, end, m, n_full, rem))
+            continue
+        for k in range(start, start + n_full, steps):  # rows k+1 ... k+chunk from row k
+            chunk = min(steps, start + n_full - k)
+            op = blocks[m] if chunk == steps else blocks[m][:, : chunk * n]
+            fill.append((k * n, op, (k + 1 + chunk) * n, False))
+        if rem > 0.0:
+            k = start + n_full
+            fill.append((k * n, lasts[m, rem], (k + 2) * n, True))
+    return _Plan(signal, times, signal.initial_mode, lo[:-1], switches, tuple(fill))
 
 
 def _plan_of(traj: Trajectory, signal: SwitchingSignal) -> _Plan:
@@ -561,10 +590,21 @@ def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
     return v
 
 
-def _v_active(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
-    """The active mode's V at every sample: ``_v_rows`` over the segments."""
+def _v_active(traj: Trajectory, system: SwitchedSystem, lo: int = 0, hi=None) -> np.ndarray:
+    """The active mode's V at samples ``lo ... hi - 1``, every sample by default.
+
+    ``_v_rows`` over the segments, cut to the window's ends when one is
+    given; a row's V does not depend on the window, so V may be taken block
+    by block with the bits of one whole pass.
+    """
     plan = traj._plan
-    return _v_rows(system, traj.states, plan.modes, plan.lens)
+    modes, counts = plan.modes, plan.lens
+    if lo or hi is not None:
+        hi = len(plan.times) if hi is None else min(hi, len(plan.times))
+        segs = plan.segments[bisect_right(plan.los, lo) - 1 : bisect_left(plan.los, hi)]
+        modes = [mode for _, _, mode in segs]
+        counts = [min(end, hi) - max(start, lo) for start, end, _ in segs]
+    return _v_rows(system, traj.states[lo:hi], modes, counts)
 
 
 def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdict]:

@@ -13,10 +13,12 @@ import pytest
 
 from switchdwell import signal_from_dwell, simulate_switched
 from switchdwell import cli
+from switchdwell._csv import Runs, csv_blocks
 from switchdwell.cli import _SUBCOMMAND_FLAGS, _trajectory_csv, main, run_scenario
 from switchdwell.core import SwitchedSystem, make_affine_subsystem
 from switchdwell.errors import IoError, ValidationError
 from switchdwell.scenario import parse_scenario
+from switchdwell.sim import _v_active
 
 BAD_DWELL = """
 [system]
@@ -645,6 +647,26 @@ class TestPlotData:
         # 39 MB; streamed, it holds V at every row and one block of rows,
         # whatever the labels
         assert size > (15e6 if not prefix else 55e6) and peak < 8e6
+
+    def test_a_long_trajectory_csv_takes_v_one_block_at_a_time(self, system):
+        sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
+        traj = simulate_switched(system, sig, np.array([0.4, -0.3]), 200.0, 1e-3)
+        assert len(traj.times) == 200_001
+        streamed = hashlib.sha256()
+        tracemalloc.start()
+        try:
+            for block in _trajectory_csv(traj, system):
+                streamed.update(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # V for every row is 1.6 MB alone, and taking it whole before the
+        # first block peaked at 6.4 MB
+        assert peak < 2e6
+        plan = traj._plan
+        whole = csv_blocks("t,x1,x2,mode,V_active\n", traj.times, traj.states,
+                           Runs(plan.modes, plan.lens), _v_active(traj, system))
+        assert streamed.digest() == hashlib.sha256(b"".join(whole)).digest()
 
     def test_region_polyline_is_closed(self, example1_run):
         _, out = example1_run

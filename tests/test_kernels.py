@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from switchdwell import integrate, kernels, make_affine_subsystem
-from switchdwell.sim import _generic_rk4_path, _grid
+from switchdwell import integrate, kernels, make_affine_subsystem, simulate_switched
+from switchdwell.core import ClassKFn, Subsystem, SwitchedSystem, SwitchingSignal, signal_from_dwell
+from switchdwell.errors import NonfiniteState
+from switchdwell.prebuilt import demo_system
+from switchdwell.sim import _generic_rk4_path, _grid, _signal_plan
 
 A = np.array([[-1.0, -1.0], [1.0, -1.0]])
 B = np.array([1.0, 1.0])
@@ -22,24 +25,56 @@ def _contracting(n, seed):
     return A, rng.normal(size=n), rng.normal(size=n)
 
 
-def _fill_path(A, b, x0, h, n_full, h_last):
-    """``kernels._fill`` on fresh operands: the rows ``sim`` writes for one affine interval."""
+def _chained_fill(X, block, last):
+    """Rows ``1 ...`` of X from ``X[0]``, in place, one interval at a time: the reference fill.
+
+    This is the fill as one call per interval: full steps by ``block`` in
+    chunks of at most B, then ``last`` if given, through the same products
+    in the same order as the plan's list of them.  X has one row per full
+    step after row 0, and one more for the partial step.
+    """
+    n = X.shape[1]
+    n_full = len(X) - 1 - (last is not None)
+    z = np.empty(n + 1)  # [x_k, 1], the homogeneous row a product starts from
+    z[n] = 1.0
+    if n_full > 0:
+        steps = block.shape[1] // n
+        flat = X.reshape(-1)
+        for k in range(0, n_full, steps):
+            m = min(steps, n_full - k)
+            z[:n] = X[k]
+            np.matmul(z, block[:, : m * n], out=flat[(k + 1) * n : (k + 1 + m) * n])
+    if last is not None:
+        z[:n] = X[n_full]
+        np.matmul(last, z, out=X[-1])
+
+
+def _chained_path(A, b, x0, h, n_full, h_last):
+    """``_chained_fill`` on fresh operands: the rows of one affine interval."""
     X = np.empty((n_full + 1 + (h_last > 0.0), x0.shape[0]))
     X[0] = x0
     block = kernels._seed_block(A, b, h) if n_full > 0 else None
     last = kernels._last_rows(A, b, h_last) if h_last > 0.0 else None
-    kernels._fill(X, block, last)
+    _chained_fill(X, block, last)
     return X
+
+
+def _planned_path(A, b, x0, h, n_full, h_last):
+    """``integrate``'s states over n_full steps of h and then about h_last, and that grid."""
+    t1 = n_full * h + h_last
+    grid = _grid(0.0, t1, h)
+    assert grid[0] == n_full and (grid[1] > 0.0) == (h_last > 0.0)
+    return integrate(make_affine_subsystem(A, b, "a"), x0, 0.0, t1, h).states, grid
 
 
 def _integrated(A, b, x0, t1, h):
     """``integrate``'s states over [0, t1], its grid, and step-by-step RK4 over that grid.
 
-    The states are ``_fill``'s rows on that grid, bit for bit.
+    The states are ``_chained_fill``'s rows on that grid, bit for bit.
     """
     n_full, h_last = _grid(0.0, t1, h)
     path = integrate(make_affine_subsystem(A, b, "a"), x0, 0.0, t1, h).states
-    assert path.tobytes() == _fill_path(A, b, x0, h, n_full, h_last).tobytes()
+    assert path.tobytes() == _chained_path(A, b, x0, h, n_full, h_last).tobytes()
     return path, (n_full, h_last), _generic(A, b, x0, h, n_full, h_last)
 
 
@@ -103,7 +138,7 @@ def test_batch_final_matches_per_path_finals():
 
 
 def _uncached_path(A, b, x0, h, n_full, h_last):
-    """The chained seed-block path written out step by step: the reference for ``_fill``."""
+    """The chained seed-block path written out step by step: the reference for the fill."""
     n = x0.shape[0]
     n1 = n + 1
     steps = kernels.SEED_BLOCK_STEPS
@@ -131,20 +166,23 @@ def _uncached_path(A, b, x0, h, n_full, h_last):
 
 def test_cached_paths_are_bit_equal_to_fresh_ones():
     A_n, b, x0 = _contracting(4, seed=21)
-    # short, long, short again, interleaved with another mode, all on one set
-    # of operands per (mode, step): _fill writes only its rows, so no call
-    # sees what an earlier one left
+    # short, long, short again, interleaved with another mode, the second
+    # round on the plans of the first: a fill writes only its trajectory's
+    # rows and scratch row, so no start sees what an earlier one left
     cases = [(1e-3, 5, 3e-4), (1e-3, 1_000, 0.0), (1e-3, 70, 7e-4), (2e-3, 33, 1e-4)]
     modes = {"n": (A_n, b, x0), "2": (A, B, x0[:2])}
-    blocks = {(m, h): kernels._seed_block(*modes[m][:2], h) for m in modes for h, _, _ in cases}
-    lasts = {(m, hl): kernels._last_rows(*modes[m][:2], hl) for m in modes for _, _, hl in cases if hl}
+    systems = {m: SwitchedSystem((make_affine_subsystem(a, bb, m),)) for m, (a, bb, _) in modes.items()}
+    signals = {m: SwitchingSignal(0.0, m) for m in modes}
+    _signal_plan.cache_clear()
     for h, n_full, h_last in cases * 2:
         for m in ("2", "n"):
             a, bb, x = modes[m]
-            X = np.empty((n_full + 1 + (h_last > 0.0), x.shape[0]))
-            X[0] = x
-            kernels._fill(X, blocks[m, h], lasts.get((m, h_last)))
-            assert X.tobytes() == _uncached_path(a, bb, x, h, n_full, h_last).tobytes()
+            horizon = n_full * h + h_last
+            grid = _grid(0.0, horizon, h)
+            assert grid[0] == n_full and (grid[1] > 0.0) == (h_last > 0.0)
+            states = simulate_switched(systems[m], signals[m], x, horizon, h).states
+            assert states.tobytes() == _uncached_path(a, bb, x, h, *grid).tobytes()
+    assert _signal_plan.cache_info()[:2] == (len(cases) * 2, len(cases) * 2)  # (hits, misses)
 
 
 @pytest.mark.parametrize("h_last", [0.0, 2e-4])
@@ -190,14 +228,114 @@ def test_paths_around_the_seed_block(n, B, h_last):
     h = 2e-4
     xf = -np.linalg.solve(A_n, b)
     for n_full in (0, 1, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B, 3 * B + 1):
-        path = _fill_path(A_n, b, x0, h, n_full, h_last)
+        # through the plan's fill; its partial step is the grid's, about h_last
+        path, (_, rem) = _planned_path(A_n, b, x0, h, n_full, h_last)
         assert path.shape == (n_full + 1 + (h_last > 0.0), n)
-        assert path.tobytes() == _uncached_path(A_n, b, x0, h, n_full, h_last).tobytes()
-        ref = _generic(A_n, b, x0, h, n_full, h_last)
+        assert path.tobytes() == _uncached_path(A_n, b, x0, h, n_full, rem).tobytes()
+        assert path.tobytes() == _chained_path(A_n, b, x0, h, n_full, rem).tobytes()
+        ref = _generic(A_n, b, x0, h, n_full, rem)
         np.testing.assert_allclose(path, ref, rtol=0, atol=1e-12)
         ts = h * np.arange(n_full + 1)
         if h_last > 0.0:
-            ts = np.append(ts, n_full * h + h_last)
+            ts = np.append(ts, n_full * h + rem)
         for k in sorted({0, 1, n_full // 2, n_full, len(ts) - 1} & set(range(len(ts)))):
             exact = xf + expm(A_n * ts[k]) @ (x0 - xf)
             np.testing.assert_allclose(path[k], exact, rtol=0, atol=1e-12)
+
+
+def _callable_mode(label, field):
+    """A 2-D mode given only by its vector field."""
+    return Subsystem(
+        label=label, field=field, equilibrium=np.zeros(2), decay_rate=1.0,
+        alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+    )
+
+
+def _mixed():
+    """The demo system plus the callable mode 'c'."""
+    c = _callable_mode("c", lambda x: 0.1 * np.sin(x[::-1]) - x)
+    return SwitchedSystem(demo_system().subsystems + (c,))
+
+
+def _per_interval(system, traj, step):
+    """``traj``'s states filled again one interval at a time, each from the row the last ended on.
+
+    An affine interval is ``_chained_fill`` on operands built for it alone,
+    and a callable one is generic RK4 copied in.
+    """
+    X = np.empty_like(traj.states)
+    X[0] = traj.states[0]
+    for lo, hi, mode in traj.segments():
+        hi = min(hi, len(X) - 1)  # the tail keeps its end sample
+        n_full, rem = _grid(traj.times[lo], traj.times[hi], step)
+        run, sub = X[lo : hi + 1], system[mode]
+        if sub.affine is None:
+            run[:] = _generic_rk4_path(sub.field, run[0], step, n_full, rem)
+            continue
+        block = kernels._seed_block(*sub.affine, step) if n_full > 0 else None
+        last = kernels._last_rows(*sub.affine, rem) if rem > 0.0 else None
+        _chained_fill(run, block, last)
+    return X
+
+
+@pytest.mark.parametrize("signal, horizon", [
+    (signal_from_dwell(1, ["c", 0], [0.4013, 0.25]), 1.0),
+    (signal_from_dwell(1, ["c", 0, "c", -1], [0.4013, 0.25, 0.6, 0.12, 0.3], periodic=True), 4.0),
+], ids=["affine_callable_affine", "periodic"])
+def test_a_mixed_fill_is_bit_equal_to_one_interval_at_a_time(signal, horizon):
+    system = _mixed()
+    for x0 in (np.array([0.7, -0.4]), np.array([-3.0, 2.5])):
+        traj = simulate_switched(system, signal, x0, horizon, 1e-3)
+        modes = [mode for _, _, mode in traj.segments()]
+        assert modes[:3] == [1, "c", 0]
+        assert traj.states.tobytes() == _per_interval(system, traj, 1e-3).tobytes()
+
+
+def test_the_fill_is_a_tuple_of_tuples_with_read_only_operands():
+    system = _mixed()
+    sig = signal_from_dwell(1, ["c", 0, "c", -1], [0.4013, 0.25, 0.6, 0.12, 0.3], periodic=True)
+    traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 4.0, 1e-3)
+    fill, n, B = traj._plan.fill, 2, kernels._seed_steps(2)
+    assert type(fill) is tuple and all(type(entry) is tuple for entry in fill)
+    products = [entry for entry in fill if len(entry) == 4]
+    calls = [entry for entry in fill if len(entry) == 5]
+    assert len(products) + len(calls) == len(fill)
+    for src, op, stop, partial in products:
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 0.0
+        # the output starts at the row after the source
+        assert op.shape == ((n, n + 1) if partial else (n + 1, stop - src - n))
+    # per affine interval: one product per chunk of at most B full steps,
+    # then one for the partial step; one entry per callable interval
+    count = 0
+    for lo, hi, mode in traj.segments():
+        hi = min(hi, len(traj.times) - 1)
+        n_full, rem = _grid(traj.times[lo], traj.times[hi], 1e-3)
+        if mode == "c":
+            assert (lo, hi, mode, n_full, rem) in calls
+        else:
+            count += -(-n_full // B) + (rem > 0.0)
+    assert count == len(products) and len(calls) == sum(m == "c" for _, _, m in traj.segments())
+
+
+def test_a_non_finite_start_of_a_callable_interval_raises_before_its_field_is_called():
+    # x' = 1000 x overflows within the first second
+    up = Subsystem(
+        label="up", field=lambda x: 1000.0 * x, equilibrium=np.zeros(2), decay_rate=1.0,
+        alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+        affine=(1000.0 * np.eye(2), np.zeros(2)),
+    )
+    calls = []
+
+    def field(x):
+        calls.append(x.copy())
+        return -x
+
+    system = SwitchedSystem(demo_system().subsystems + (up, _callable_mode("c", field)))
+    sig = signal_from_dwell(0, ["up", "c"], [0.3, 1.0])
+    calls.clear()  # a Subsystem checks its field at its equilibrium
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonfiniteState, match="mode 'up'"):
+            simulate_switched(system, sig, np.array([0.5, 1.0]), 1.5, 1e-3)
+    assert calls == []

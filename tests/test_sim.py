@@ -350,6 +350,18 @@ class TestVPasses:
         per_switch = [v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events]
         assert _v_exit(traj, system).tobytes() == np.array(per_switch).tobytes()
 
+    @pytest.mark.parametrize("case", ["quadratic", "with_callable", "no_switch", "callable_tail"])
+    def test_v_active_in_windows_is_the_whole_pass(self, system, case):
+        system, sig, horizon, _ = _v_case(system, case)
+        traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
+        whole = _v_active(traj, system)
+        N = len(whole)
+        # windows that cut segments, hold several, end past the last sample or
+        # are one row wide
+        for width in (1, 7, 1430, 2048, N, N + 5):
+            parts = [_v_active(traj, system, lo, lo + width) for lo in range(0, N, width)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), width
+
 
 def _v_exit_reference(traj, system):
     return np.array([v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events])
@@ -1069,10 +1081,11 @@ class TestPlan:
         _signal_plan.cache_clear()
         plan, _ = start(np.array([0.7, -0.4]))
         # a seed block per affine mode with a full step: modes 1 and -1, not 0
-        operands = [ops for _, _, ops in plan.intervals if ops is not None]
-        blocks = {id(block) for block, _ in operands if block is not None}
+        # (a chunk's operand is its block or a view that starts where it does)
+        products = [entry for entry in plan.fill if len(entry) == 4]
+        blocks = {op.ctypes.data for _, op, _, partial in products if not partial}
         assert len(blocks) == (0 if kind == "callable" else 2)
-        assert all(not op.flags.writeable for ops in operands for op in ops if op is not None)
+        assert all(not op.flags.writeable for _, op, _, _ in products)
         cached, warm = start(np.array([-1.2, 0.3]))
         _signal_plan.cache_clear()
         replanned, cold = start(np.array([-1.2, 0.3]))
