@@ -1,6 +1,7 @@
 """Scenario files: a flat INI document describing system, signals and analyses.
 
-Schema (unknown sections and keys are rejected):
+Schema (``_KEYS`` declares each key once, with the parser of its value;
+unknown sections and keys are rejected):
 
     [system]            A (row-major), plus either per-mode [subsystem.<label>]
                         sections or a parameterized family: ``family`` gives the
@@ -32,27 +33,29 @@ is written; ``cli.analyse`` only executes what it returns.
 Every number must be finite, and out-of-range values (a nonpositive step or
 eps, a horizon not after t0, a negative seed, samples < 1, i_max < 1,
 boundary_points of 1 or 2, tube_boundary_count < 3, an empty box or one
-whose width hi - lo overflows, decreasing or negative tube_times, a step of
-at most 8 units in the last place of a simulated signal's t0 or horizon,
-whichever is larger in magnitude) are rejected.  Defaults are resolved per
-signal: its starts are its own ``x0``, else ``[analysis] x0``, followed for
-the primary ``[signal]`` by the ``boundary_points`` starts on the boundary
-of ``start_region``'s region; its horizon is its own, else ``[analysis]
-horizon``.  A periodic pattern must switch; it unrolls by the rule in
-``core.SwitchingSignal``.  Without ``transitions``, the dwell table takes
-the primary signal's switches over one period, the wrap included.
-Companion rules:
+whose width hi - lo overflows, decreasing or negative tube_times, a start
+whose dimension is not the system's, a step of at most 8 units in the last
+place of a simulated signal's t0 or horizon, whichever is larger in
+magnitude) are rejected.  Defaults are resolved per signal: its starts are
+its own ``x0``, else ``[analysis] x0``, followed for the primary ``[signal]``
+by the ``boundary_points`` starts on the boundary of ``start_region``'s
+region; its horizon is its own, else ``[analysis] horizon``.  A periodic
+pattern must switch; it unrolls by the rule in ``core.SwitchingSignal``.
+Without ``transitions``, the dwell table takes the primary signal's switches
+over one period, the wrap included.  Companion rules:
 
 * simulate, trapping, convergence and plot_data need a signal, and every
-  signal then needs starts of the system's dimension and a horizon;
+  signal then needs starts and a horizon;
 * convergence needs the primary [signal] with at least i_max switches
   before its horizon; dwell_table needs transitions;
 * triangle needs triangle_modes of one certificate (alpha, beta, decay
   rate); tube needs tube_from, tube_to and tube_times;
 * plot_data needs a 2-D system;
-* boundary_points and start_region come together; mode labels are unique
-  and hold no comma, double quote, slash, backslash, whitespace or control
-  character, so that each is one CSV cell and part of one file name.
+* boundary_points and start_region come together; mode labels are unique;
+  mode labels and signal names hold no comma, double quote, slash,
+  backslash, whitespace or control character and at most
+  ``MAX_NAME_BYTES`` UTF-8 bytes, so that each is one CSV cell and part of
+  one file name of at most 255 bytes.
 
 Work budget, by arithmetic before anything is allocated: at most
 ``MAX_SWITCHES`` switches per simulated signal up to its horizon (its
@@ -69,6 +72,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -98,6 +102,9 @@ from .sim import _time_resolution
 MAX_SWITCHES = 10**6
 MAX_SAMPLES = 10**7
 MAX_POINTS = 10**6
+# The longest file name a label or name makes, trajectory_<name>_<i>.csv
+# with i < 10**7 (the sample budget allows fewer starts), is then 223 bytes.
+MAX_NAME_BYTES = 200
 
 _ANALYSIS_FLAGS = (
     "certify",
@@ -110,39 +117,6 @@ _ANALYSIS_FLAGS = (
     "simulate",
 )
 _SIMULATING = ("simulate", "trapping", "convergence", "plot_data")
-_ALLOWED_KEYS = {
-    "system": {"A", "family", "u_values"},
-    "subsystem": {"A", "b"},
-    "signal": {
-        "kind",
-        "initial_mode",
-        "modes",
-        "times",
-        "T",
-        "dwell",
-        "t0",
-        "period",
-        "x0",
-        "horizon",
-    },
-    "analysis": set(_ANALYSIS_FLAGS)
-    | {
-        "eps",
-        "transitions",
-        "x0",
-        "boundary_points",
-        "start_region",
-        "horizon",
-        "i_max",
-        "triangle_modes",
-        "tube_from",
-        "tube_to",
-        "tube_times",
-        "tube_boundary_count",
-        "box",
-    },
-    "numeric": {"step", "seed", "samples"},
-}
 _KIND_KEYS = {  # the [signal] keys that only some kinds read
     "explicit": {"times", "period"},
     "from_dwell": {"T", "dwell"},
@@ -191,19 +165,33 @@ def _parse_label(token: str) -> Label:
     return token
 
 
-def _mode_label(token: str, where: str) -> Label:
-    """The label of a new mode, which must be safe as a CSV cell and in a file name."""
+def _name(token: str, where: str, what: str = "mode label") -> str:
+    """``token``, which must be safe as a CSV cell and as part of a file name."""
     if not token:
-        raise ValidationError(f"{where}: mode label is empty")
+        raise ValidationError(f"{where}: {what} is empty")
     if any(ch in ',"/\\' or ch.isspace() or unicodedata.category(ch) == "Cc" for ch in token):
         raise ValidationError(
-            f"{where}: mode label {token!r} holds a comma, double quote, slash, backslash, "
+            f"{where}: {what} {token!r} holds a comma, double quote, slash, backslash, "
             "whitespace or control character"
         )
-    return _parse_label(token)
+    if (size := len(token.encode("utf-8", "surrogatepass"))) > MAX_NAME_BYTES:
+        raise ValidationError(f"{where}: {what} of {size} UTF-8 bytes, over {MAX_NAME_BYTES}")
+    return token
 
 
-def _number(value, where: str, kind: type = float, above=None, at_least=None, at_most=None):
+def _mode_label(token: str, where: str) -> Label:
+    """The label of a new mode: an int if it reads as one, checked by ``_name``."""
+    return _parse_label(_name(token, where))
+
+
+# The parsers of ``_KEYS`` take (value, where, system): the text, the name
+# that an error gives it, and the system its labels and starts must fit
+# (None in [system] and [subsystem.<L>]).
+
+
+def _number(
+    value, where: str, system=None, kind: type = float, above=None, at_least=None, at_most=None
+):
     """``kind(value)``, with a ``ValidationError`` naming ``where`` on failure.
 
     Floats must be finite; ``above`` and ``at_least`` are optional strict and
@@ -224,29 +212,38 @@ def _number(value, where: str, kind: type = float, above=None, at_least=None, at
     return x
 
 
-def _pick(override, flag: str, sec, key: str, default=None):
-    """(value, where) for ``_number``: the CLI override ``flag`` wins over ``sec[key]``."""
-    if override is not None:
-        return override, flag
-    return sec.get(key, default), f"[{sec.name}] {key}"
+def _floats(value: str, where: str, system=None) -> list[float]:
+    return [_number(tok, where) for tok in value.split()]
 
 
-def _floats(value: str, where: str, at_least=None) -> list[float]:
-    return [_number(tok, where, at_least=at_least) for tok in value.split()]
-
-
-def _starts(value: str, where: str) -> list[np.ndarray]:
-    return [np.array(_floats(part, where)) for part in value.split(";")]
+def _starts(value: str, where: str, system: SwitchedSystem) -> list[np.ndarray]:
+    """The ``;``-separated start vectors of ``value``, each of the system's dimension."""
+    starts = [np.array(_floats(part, where)) for part in value.split(";")]
+    for x in starts:
+        if x.shape != (system.dimension,):
+            raise ValidationError(
+                f"{where}: a start of dimension {x.size} for a system of "
+                f"dimension {system.dimension}"
+            )
+    return starts
 
 
 def _label(value: str, where: str, system: SwitchedSystem) -> Label:
     label = _parse_label(value.strip())
     if label not in system:
-        raise ValidationError(f"{where}: unknown label {label!r}")
+        raise ValidationError(f"{where}: unknown mode label {label!r}")
     return label
 
 
-def _matrix(value: str, where: str) -> np.ndarray:
+def _labels(value: str, where: str, system: SwitchedSystem) -> list[Label]:
+    return [_label(tok, where, system) for tok in value.split()]
+
+
+def _mode_labels(value: str, where: str, system=None) -> list[Label]:
+    return [_mode_label(tok, where) for tok in value.split()]
+
+
+def _matrix(value: str, where: str, system=None) -> np.ndarray:
     """Square matrix from its row-major entries."""
     vals = _floats(value, where)
     n = int(round(len(vals) ** 0.5))
@@ -255,7 +252,7 @@ def _matrix(value: str, where: str) -> np.ndarray:
     return np.array(vals).reshape(n, n)
 
 
-def _bool(value: str, where: str) -> bool:
+def _bool(value: str, where: str, system=None) -> bool:
     v = value.strip().lower()
     if v in ("true", "yes", "1", "on"):
         return True
@@ -264,66 +261,146 @@ def _bool(value: str, where: str) -> bool:
     raise ValidationError(f"{where}: expected a boolean, got {value!r}")
 
 
-def _check_keys(sec, kind: str) -> None:
-    allowed = _ALLOWED_KEYS[kind]
-    for key in sec.keys():
-        if key not in allowed:
+def _kind(value: str, where: str, system=None) -> str:
+    kind = value.strip()
+    if kind not in _KIND_KEYS:
+        raise ValidationError(f"{where}: unknown signal kind {kind!r}")
+    return kind
+
+
+def _transitions(value: str, where: str, system: SwitchedSystem) -> list[tuple[Label, Label]]:
+    pairs = []
+    for tok in value.split():
+        if ":" not in tok:
+            raise ValidationError(f"{where}: expected from:to, got {tok!r}")
+        pairs.append(tuple(_label(p, where, system) for p in tok.split(":", 1)))
+    return pairs
+
+
+def _triangle_modes(value: str, where: str, system: SwitchedSystem) -> tuple[Label, ...]:
+    if len(value.split()) != 3:
+        raise ValidationError(f"{where} needs exactly three labels")
+    return tuple(_labels(value, where, system))
+
+
+def _tube_times(value: str, where: str, system=None) -> list[float]:
+    times = [_number(tok, where, at_least=0) for tok in value.split()]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValidationError(f"{where}: must be increasing")
+    return times
+
+
+def _box(value: str, where: str, system=None) -> tuple[float, float]:
+    box = _floats(value, where)
+    if len(box) != 2:
+        raise ValidationError(f"{where} needs exactly two numbers (lo hi)")
+    if not 0 < box[1] - box[0] < math.inf:
+        raise ValidationError(f"{where}: lo must be < hi with a finite hi - lo, got {value!r}")
+    return box[0], box[1]
+
+
+def _boundary_points(value: str, where: str, system=None) -> int:
+    count = _number(value, where, kind=int, at_least=0, at_most=MAX_POINTS)
+    if 0 < count < 3:
+        raise ValidationError(f"{where}: must be 0 or >= 3, got {count}")
+    return count
+
+
+# Every key of every section with its parser.  The [analysis] keys other
+# than the flags, x0, horizon, boundary_points and start_region, and the
+# [numeric] keys, are the Scenario fields of the same name.
+_KEYS = {
+    "system": {
+        "A": _matrix,
+        "family": lambda value, where, system: value.split(),
+        "u_values": _mode_labels,
+    },
+    "subsystem": {"A": _matrix, "b": _floats},
+    "signal": {
+        "kind": _kind,
+        "initial_mode": _label,
+        "modes": _labels,
+        "times": _floats,
+        "period": _number,
+        "T": _number,
+        "dwell": _floats,
+        "t0": _number,
+        "x0": _starts,
+        "horizon": _number,
+    },
+    "analysis": {
+        **dict.fromkeys(_ANALYSIS_FLAGS, _bool),
+        "eps": partial(_number, above=0),
+        "transitions": _transitions,
+        "x0": _starts,
+        "boundary_points": _boundary_points,
+        "start_region": _label,
+        "horizon": partial(_number, above=0),
+        "i_max": partial(_number, kind=int, at_least=1),
+        "triangle_modes": _triangle_modes,
+        "tube_from": _label,
+        "tube_to": _label,
+        "tube_times": _tube_times,
+        "tube_boundary_count": partial(_number, kind=int, at_least=3),
+        "box": _box,
+    },
+    "numeric": {
+        "step": partial(_number, above=0),
+        "seed": partial(_number, kind=int, at_least=0),
+        "samples": partial(_number, kind=int, at_least=1, at_most=MAX_POINTS),
+    },
+}
+
+
+def _read(sec, system: Optional[SwitchedSystem], **overrides) -> dict:
+    """The parsed value of each key that ``sec`` sets, by its section's ``_KEYS``.
+
+    An override ``key=(flag, value)`` whose value is not None is parsed
+    under ``flag`` in place of the document's value, which is not parsed.
+    """
+    parsers = _KEYS[sec.name.split(".")[0]]
+    texts = {}
+    for key, value in sec.items():
+        if key not in parsers:
             raise ValidationError(f"unknown key {key!r} in section [{sec.name}]")
+        texts[key] = value, f"[{sec.name}] {key}"
+    for key, (flag, value) in overrides.items():
+        if value is not None:
+            texts[key] = value, flag
+    return {key: parsers[key](value, where, system) for key, (value, where) in texts.items()}
 
 
-def _parse_signal_section(sec, system: SwitchedSystem, x0, horizon) -> SignalSpec:
+def _signal_spec(sec, system: SwitchedSystem, x0, horizon) -> SignalSpec:
     """The signal of ``sec``; ``x0`` and ``horizon`` apply when it sets none."""
     name = sec.name
-    _check_keys(sec, "signal")
-    kind = sec.get("kind", "explicit").strip()
-    if kind not in _KIND_KEYS:
-        raise ValidationError(f"[{name}]: unknown signal kind {kind!r}")
-    for key in ("times", "period", "T", "dwell"):
-        if key in sec and key not in _KIND_KEYS[kind]:
+    keys = _read(sec, system)
+    kind = keys.get("kind", "explicit")
+    for key in keys:
+        if key not in _KIND_KEYS[kind] and any(key in only for only in _KIND_KEYS.values()):
             raise ValidationError(f"[{name}]: {key} does not apply to kind = {kind}")
-    t0 = _number(sec.get("t0", "0"), f"[{name}] t0")
-    if "initial_mode" not in sec:
+    if "initial_mode" not in keys:
         raise ValidationError(f"[{name}]: initial_mode is required")
-    initial = _parse_label(sec["initial_mode"].strip())
-    modes = [_parse_label(tok) for tok in sec.get("modes", "").split()]
-    for m in [initial] + modes:
-        if m not in system:
-            raise ValidationError(f"[{name}]: unknown mode label {m!r}")
+    t0, initial, modes = keys.get("t0", 0.0), keys["initial_mode"], keys.get("modes", [])
     try:
         if kind == "explicit":
-            times = _floats(sec.get("times", ""), f"[{name}] times")
+            times = keys.get("times", [])
             if len(times) != len(modes):
                 raise ValidationError(f"[{name}]: times and modes must have equal length")
-            period = _number(sec["period"], f"[{name}] period") if "period" in sec else None
-            signal = SwitchingSignal(
-                t0=t0, initial_mode=initial, segments=tuple(zip(times, modes)), period=period
-            )
+            segments = tuple(zip(times, modes))
+            signal = SwitchingSignal(t0, initial, segments, keys.get("period"))
         else:
-            if "T" in sec and "dwell" in sec:
+            if "T" in keys and "dwell" in keys:
                 raise ValidationError(f"[{name}]: set T or dwell, not both")
-            if "T" in sec:
-                dwell = _number(sec["T"], f"[{name}] T")
-            elif "dwell" in sec:
-                dwell = _floats(sec["dwell"], f"[{name}] dwell")
-            elif modes:
+            dwell = keys.get("T", keys.get("dwell"))
+            if dwell is None and modes:
                 raise ValidationError(f"[{name}]: T or dwell is required")
-            else:
-                dwell = None
             signal = signal_from_dwell(initial, modes, dwell, t0=t0, periodic=kind == "periodic")
     except ValueError as exc:  # the signal constructors' domain checks
         raise ValidationError(f"[{name}]: {exc}") from None
-    x0 = _starts(sec["x0"], f"[{name}] x0") if "x0" in sec else list(x0)
-    for x in x0:
-        if x.shape != (system.dimension,):
-            raise ValidationError(
-                f"[{name}] x0: a start of dimension {x.size} for a system of "
-                f"dimension {system.dimension}"
-            )
-    if "horizon" in sec:
-        horizon = _number(sec["horizon"], f"[{name}] horizon")
+    horizon = keys.get("horizon", horizon)
     if horizon is not None and not horizon > t0:
         raise ValidationError(f"[{name}]: horizon {horizon!r} must exceed t0 = {t0!r}")
-    return SignalSpec(signal=signal, x0=x0, horizon=horizon)
+    return SignalSpec(signal=signal, x0=keys.get("x0", list(x0)), horizon=horizon)
 
 
 def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) -> Scenario:
@@ -347,36 +424,28 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
             raise ValidationError(f"missing [{name}] section")
     if "numeric" not in cp:
         cp.add_section("numeric")
-    sys_sec, an, num = cp["system"], cp["analysis"], cp["numeric"]
-    for sec in (sys_sec, an, num):
-        _check_keys(sec, sec.name)
 
     modes = []  # (A, b, label) per mode
-    shared_A = _matrix(sys_sec["A"], "[system] A") if "A" in sys_sec else None
-    if "family" in sys_sec or "u_values" in sys_sec:
-        if shared_A is None or "family" not in sys_sec or "u_values" not in sys_sec:
+    sys_keys = _read(cp["system"], None)
+    shared_A = sys_keys.get("A")
+    if "family" in sys_keys or "u_values" in sys_keys:
+        if shared_A is None or "family" not in sys_keys or "u_values" not in sys_keys:
             raise ValidationError("[system] family needs A, family and u_values together")
-        tokens = sys_sec["family"].split()
+        tokens = sys_keys["family"]
         if len(tokens) != shared_A.shape[0]:
             raise ValidationError("[system] family length must match the dimension of A")
-        for value in sys_sec["u_values"].split():
-            u = _mode_label(value, "[system] u_values")
-            b = np.array([_number(u if tok == "u" else tok, "[system] family") for tok in tokens])
+        for u in sys_keys["u_values"]:
+            b = [_number(u if tok == "u" else tok, "[system] family") for tok in tokens]
             modes.append((shared_A, b, u))
     for section in cp.sections():
         if section.startswith("subsystem."):
-            sec = cp[section]
-            _check_keys(sec, "subsystem")
-            if "A" in sec:
-                A = _matrix(sec["A"], f"[{section}] A")
-            elif shared_A is not None:
-                A = shared_A
-            else:
+            sub = _read(cp[section], None)
+            A = sub.get("A", shared_A)
+            if A is None:
                 raise ValidationError(f"[{section}]: A is required")
-            if "b" not in sec:
+            if "b" not in sub:
                 raise ValidationError(f"[{section}]: b is required")
-            b = np.array(_floats(sec["b"], f"[{section}] b"))
-            modes.append((A, b, _mode_label(section.split(".", 1)[1], f"[{section}]")))
+            modes.append((A, sub["b"], _mode_label(section.split(".", 1)[1], f"[{section}]")))
         elif not section.startswith("signal.") and section not in (
             "system",
             "signal",
@@ -389,95 +458,37 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
     except ValueError as exc:  # no modes, duplicate labels, an ill-posed mode
         raise ValidationError(f"[system]: {exc}") from None
 
-    flags = {flag: _bool(an[flag], f"[analysis] {flag}") for flag in _ANALYSIS_FLAGS if flag in an}
+    an = _read(cp["analysis"], system, eps=("--eps", eps))
+    num = _read(cp["numeric"], system, step=("--step", step), seed=("--seed", seed))
+    flags = {flag: an.pop(flag) for flag in _ANALYSIS_FLAGS if flag in an}
     if analyses is not None:
         flags = dict(analyses)
     if not any(flags.values()):
         raise ValidationError("[analysis]: at least one analysis must be requested")
-    if eps is None and "eps" not in an:
+    if "eps" not in an:
         raise ValidationError("[analysis]: eps is required")
-    scenario = Scenario(
-        system=system,
-        eps=_number(*_pick(eps, "--eps", an, "eps"), above=0),
-        signals={},
-        analyses=flags,
-    )
-    scenario.step = _number(*_pick(step, "--step", num, "step", scenario.step), above=0)
-    scenario.seed = _number(*_pick(seed, "--seed", num, "seed", scenario.seed), int, at_least=0)
-    scenario.samples = _number(
-        num.get("samples", scenario.samples),
-        "[numeric] samples",
-        int,
-        at_least=1,
-        at_most=MAX_POINTS,
-    )
-
-    boundary = []
-    if ("boundary_points" in an) != ("start_region" in an):
+    x0, horizon = an.pop("x0", []), an.pop("horizon", None)
+    region, count = an.pop("start_region", None), an.pop("boundary_points", None)
+    if (region is None) != (count is None):
         raise ValidationError("[analysis]: boundary_points and start_region go together")
-    if "start_region" in an:
-        region = _label(an["start_region"], "[analysis] start_region", system)
-        count = _number(
-            an["boundary_points"], "[analysis] boundary_points", int, at_least=0, at_most=MAX_POINTS
-        )
-        if 0 < count < 3:
-            raise ValidationError(f"[analysis] boundary_points: must be 0 or >= 3, got {count}")
-        if count:
-            boundary = list(region_boundary_points(system[region], scenario.eps, count))
-    x0 = _starts(an["x0"], "[analysis] x0") if "x0" in an else []
-    horizon = _number(an["horizon"], "[analysis] horizon", above=0) if "horizon" in an else None
+    scenario = Scenario(system=system, signals={}, analyses=flags, **an, **num)
+
     if "signal.signal" in cp:
         raise ValidationError("[signal.signal]: the name 'signal' belongs to the primary [signal]")
     names = (["signal"] if "signal" in cp else []) + [
         s for s in cp.sections() if s.startswith("signal.")
     ]
     for section in names:
-        spec = _parse_signal_section(cp[section], system, x0, horizon)
-        scenario.signals[section.removeprefix("signal.")] = spec
+        name = _name(section.removeprefix("signal."), f"[{section}]", "signal name")
+        scenario.signals[name] = _signal_spec(cp[section], system, x0, horizon)
     primary = scenario.signals.get("signal")
     if primary is not None:
-        primary.x0 += boundary
-
-    if "transitions" in an:
-        pairs = []
-        for tok in an["transitions"].split():
-            if ":" not in tok:
-                raise ValidationError(f"[analysis] transitions: expected from:to, got {tok!r}")
-            pairs.append(tuple(_label(p, "[analysis] transitions", system) for p in tok.split(":", 1)))
-        scenario.transitions = pairs
-    elif primary is not None:
-        sig = primary.signal
-        scenario.transitions = [(a, b) for _, a, b in sig.first_switches(sig.switches_per_period)]
-    if "i_max" in an:
-        scenario.i_max = _number(an["i_max"], "[analysis] i_max", int, at_least=1)
-    if "triangle_modes" in an:
-        trio = an["triangle_modes"].split()
-        if len(trio) != 3:
-            raise ValidationError("[analysis] triangle_modes needs exactly three labels")
-        scenario.triangle_modes = tuple(
-            _label(m, "[analysis] triangle_modes", system) for m in trio
-        )
-    for key in ("tube_from", "tube_to"):
-        if key in an:
-            setattr(scenario, key, _label(an[key], f"[analysis] {key}", system))
-    if "tube_times" in an:
-        times = _floats(an["tube_times"], "[analysis] tube_times", at_least=0)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("[analysis] tube_times: must be increasing")
-        scenario.tube_times = times
-    if "tube_boundary_count" in an:
-        scenario.tube_boundary_count = _number(
-            an["tube_boundary_count"], "[analysis] tube_boundary_count", int, at_least=3
-        )
-    if "box" in an:
-        box = _floats(an["box"], "[analysis] box")
-        if len(box) != 2:
-            raise ValidationError("[analysis] box needs exactly two numbers (lo hi)")
-        if not 0 < box[1] - box[0] < math.inf:
-            raise ValidationError(
-                f"[analysis] box: lo must be < hi with a finite hi - lo, got {an['box']!r}"
-            )
-        scenario.box = (box[0], box[1])
+        if count:
+            primary.x0 += list(region_boundary_points(system[region], scenario.eps, count))
+        if scenario.transitions is None:
+            sig = primary.signal
+            switches = sig.first_switches(sig.switches_per_period)
+            scenario.transitions = [(a, b) for _, a, b in switches]
 
     if scenario.simulates:
         if not scenario.signals:

@@ -446,8 +446,12 @@ def _match_signal(plan: _Plan, signal: SwitchingSignal) -> None:
 
     A switch is (t, exited mode, entered mode), and the start counts as one
     with no exited mode, at ``t0`` into ``initial_mode``; times agree to
-    1e-9 and modes by ``!=``.
+    1e-9 and modes by ``!=``.  Each switch's index must be a sample after
+    the previous switch's (the start's is 0) whose time is the switch's.
     """
+    for prev, index, t in zip(plan.los, plan.los[1:], plan.switch_t):
+        if not (prev < index < len(plan.times) and abs(plan.times[index] - t) <= 1e-9):
+            raise SignalMismatch(f"switch event at t = {t!r} has index {index}, not its sample")
     starts = [float(plan.times[0])] + plan.switch_t
     got = list(zip(starts, [None] + plan.exit_modes, plan.modes))
     expected = [(signal.t0, None, signal.initial_mode)]

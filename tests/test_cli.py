@@ -169,6 +169,8 @@ EXAMPLE1 = (resources.files("switchdwell") / "scenarios" / "example1.scenario").
         ("horizon = 2.86", "horizon = inf"),
         ("plot_data = true", "tube = true\ntube_from = 7\ntube_to = 0\ntube_times = 0 1"),
         ("plot_data = true", "plot_data = true\nbox = -1e308 1e308"),
+        ("plot_data = true", "tube = true\ntube_from = 1\ntube_to = 0\ntube_times = 2 1"),
+        ("plot_data = true", "plot_data = true\nbox = -3 0 3"),
     ],
     ids=[
         "samples",
@@ -181,6 +183,8 @@ EXAMPLE1 = (resources.files("switchdwell") / "scenarios" / "example1.scenario").
         "infinite_horizon",
         "tube_label",
         "box_width_overflows",
+        "decreasing_tube_times",
+        "box_of_three",
     ],
 )
 def test_out_of_range_values_are_input_errors(tmp_path, capsys, old, new):
@@ -256,6 +260,33 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
             "T = 20\nt0 = 1e13\nx0 = 0 1\nhorizon = 10000000000040",
             "signal 'signal': times this large need step > 0.0156",
         ),
+        (EXAMPLE1, "T = 1.43\nx0 = 0 1", "x0 = 0 1", "[signal]: T or dwell is required"),
+        (
+            EXAMPLE1,
+            "A = -1 -1 1 -1\nfamily = u 1\nu_values = 1 0 -1",
+            "[subsystem.s]\nb = 1 1",
+            "[subsystem.s]: A is required",
+        ),
+        (
+            EXAMPLE1,
+            "u_values = 1 0 -1",
+            "u_values = 1 0 -1\n[subsystem.s]\nA = -1 0 0 -1",
+            "[subsystem.s]: b is required",
+        ),
+        (EXAMPLE2, "triangle_modes = 1 0 -1", "triangle_modes = 1 0", "exactly three labels"),
+        (
+            EXAMPLE1,
+            "[signal.cycle]",
+            "[signal.x/../../../escaped]",
+            "signal name 'x/../../../escaped' holds a comma",
+        ),
+        (EXAMPLE1, "[signal.cycle]", "[signal.a/b]", "signal name 'a/b' holds a comma"),
+        (
+            EXAMPLE1,
+            "[signal.cycle]",
+            f"[signal.{'s' * 300}]",
+            "signal name of 300 UTF-8 bytes, over 200",
+        ),
     ],
     ids=[
         "tube_without_times",
@@ -286,6 +317,13 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "dwell_of_explicit_signal",
         "T_and_dwell",
         "step_below_the_time_resolution",
+        "no_T_or_dwell",
+        "subsystem_without_A",
+        "subsystem_without_b",
+        "two_triangle_modes",
+        "signal_name_escaping_the_output",
+        "signal_name_with_a_slash",
+        "300_byte_signal_name",
     ],
 )
 def test_incomplete_scenarios_are_input_errors(tmp_path, capsys, base, old, new, message):
@@ -502,8 +540,8 @@ plot_data = true
 
 
 @pytest.mark.parametrize(
-    "label", ["a,b", 'a"b', "a b", "a\x00b", "a\x1bb", "../b", "a\\b", ""],
-    ids=["comma", "quote", "space", "nul", "escape", "slash", "backslash", "empty"],
+    "label", ["a,b", 'a"b', "a b", "a\x00b", "a\x1bb", "../b", "a\\b", "", "m" * 300],
+    ids=["comma", "quote", "space", "nul", "escape", "slash", "backslash", "empty", "300_bytes"],
 )
 def test_csv_unsafe_labels_are_input_errors(tmp_path, capsys, label):
     p = tmp_path / "bad.scenario"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from switchdwell import (
     signal_from_dwell,
     validate_dwell,
 )
+from switchdwell.core import SwitchedSystem
 from switchdwell.errors import (
     DimensionMismatch,
     EmptyTransitions,
@@ -18,6 +21,7 @@ from switchdwell.errors import (
     SingularMatrix,
     UnknownLabel,
 )
+from switchdwell.prebuilt import demo_subsystem
 
 
 class TestClassKFn:
@@ -91,6 +95,36 @@ class TestAffineSubsystem:
     def test_check_dimension(self, system):
         with pytest.raises(DimensionMismatch):
             system[0].check_dimension(np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda m: dataclasses.replace(m, equilibrium=np.zeros((2, 1))), ValueError, "1-D vector"),
+        (lambda m: dataclasses.replace(m, decay_rate=0.0), ValueError, "decay_rate must be"),
+        (lambda m: dataclasses.replace(m, lyapunov=lambda x: 1.0), ValueError, "must vanish"),
+        (lambda m: dataclasses.replace(m, alpha=ClassKFn(2.0, 2.0)), ValueError, "alpha > beta"),
+        (lambda m: SwitchedSystem(()), ValueError, "at least one subsystem"),
+        (
+            lambda m: SwitchedSystem((m, make_affine_subsystem(-np.eye(3), np.zeros(3), "z"))),
+            DimensionMismatch,
+            "share the state dimension",
+        ),
+        (lambda m: make_affine_subsystem(-np.eye(2, 3), np.zeros(2), "m"), ValueError, "square"),
+    ],
+    ids=[
+        "2d_equilibrium",
+        "nonpositive_decay_rate",
+        "v_nonzero_at_equilibrium",
+        "alpha_above_beta",
+        "empty_system",
+        "mixed_dimensions",
+        "non_square_A",
+    ],
+)
+def test_ill_posed_modes_and_systems_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build(demo_subsystem(0))
 
 
 class TestSwitchedSystem:

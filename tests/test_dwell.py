@@ -194,6 +194,9 @@ class TestEpsilon0Search:
         assert eps < EPS0
         assert triangle_gap(eps, system[1], system[0], system[-1]).gap < 0
 
+    def test_no_crossing_returns_the_grid_end(self):
+        assert epsilon0_search(1.0, 1.5, _K, _K, 2.0) == 1e6
+
     def test_impossible_geometry(self):
         alpha = beta = ClassKFn(1.0, 2.0)
         with pytest.raises(EmptyConfiguration):
@@ -208,6 +211,7 @@ class TestEpsilon0Search:
 
 
 _K = ClassKFn(1.0, 2.0)
+_K4 = ClassKFn(1.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -221,6 +225,11 @@ _K = ClassKFn(1.0, 2.0)
         (lambda s: mu_bound(0.05, s, mode="sampled", n_samples=0), ValueError),
         (lambda s: pairwise_dwell(math.inf, s[1], s[0]), InvalidEpsilon),
         (lambda s: local_dwell(math.inf, s, [(1, 0)]), InvalidEpsilon),
+        # beta(0 + alpha^-1(eps)) = (1e-150)^4 underflows to 0
+        (
+            lambda s: pairwise_dwell(1e-300, s[0], dataclasses.replace(s[0], alpha=_K4, beta=_K4)),
+            InvalidEpsilon,
+        ),
     ],
     ids=[
         "global_nan_mu",
@@ -231,6 +240,7 @@ _K = ClassKFn(1.0, 2.0)
         "mu_no_samples",
         "pairwise_inf_eps",
         "local_inf_eps",
+        "pairwise_beta_underflows",
     ],
 )
 def test_out_of_domain_numbers_are_rejected(system, call, error):

@@ -107,6 +107,13 @@ certify = true
         np.testing.assert_array_equal(spec.x0, [[1.0, 0.0], [0.0, 0.0]])
         assert spec.horizon == 3.0
 
+    def test_dwell_lists(self):
+        listed = MINIMAL.replace("T = 1.43", "dwell = 1.43")
+        assert parse_scenario(listed).signals["signal"].signal.switch_times == (1.43,)
+        periodic = listed.replace("from_dwell", "periodic").replace("dwell = 1.43", "dwell = 1 0.5")
+        signal = parse_scenario(periodic).signals["signal"].signal
+        assert (signal.segments, signal.period) == (((1.0, -1),), 1.5)
+
     def test_default_transitions_follow_the_primary_signal(self):
         s = parse_scenario(MINIMAL.replace("trapping", "dwell_table"))
         assert s.transitions == [(0, -1)]

@@ -26,6 +26,7 @@ from switchdwell.errors import (
     InvalidEpsilon,
     NonfiniteState,
     SignalMismatch,
+    UnsupportedCertificate,
 )
 from switchdwell.cli import _trajectory_csv
 from switchdwell.core import SwitchedSystem, make_affine_subsystem
@@ -552,6 +553,10 @@ class TestWMonitor:
         (verdict,) = w_monitor(traj, fast, sig)
         assert not verdict.nonincreasing
 
+    def test_a_one_sample_trajectory_has_no_interval(self, system):
+        traj = Trajectory(np.zeros(1), np.array([[0.0, 1.0]]), 1, [], STEP)
+        assert w_monitor(traj, system, SwitchingSignal(0.0, 1)) == []
+
 
 def _w_monitor_per_segment(traj, system):
     """One W evaluation per segment, the reference for the batched monitor."""
@@ -643,6 +648,14 @@ def test_edited_trajectory_is_matched_again(system, check):
     late = dataclasses.replace(ev, t=ev.t + 0.01)
     with pytest.raises(SignalMismatch):
         check(dataclasses.replace(traj, switch_events=[late] + traj.switch_events[1:]), system, sig)
+    # one event's index off its sample: past the end, negative, the start, another sample,
+    # and the second event's index at the first's
+    first, second = traj.switch_events
+    for events in [[dataclasses.replace(first, index=i), second] for i in (10**6, -5, 0, 5)] + [
+        [first, dataclasses.replace(second, index=first.index)]
+    ]:
+        with pytest.raises(SignalMismatch, match=r"has index -?\d+, not its sample"):
+            check(dataclasses.replace(traj, switch_events=events), system, sig)
     # the same switches, but the signal starts at another time
     switches = ((1.43, 0), (2.86, -1))
     traj = simulate_switched(system, SwitchingSignal(0.0, 1, switches), x0, 4.0, STEP)
@@ -682,6 +695,12 @@ class TestConvergenceProduct:
         assert convergence_product(system, sig, traj, eps, i_max=np.int64(1)).mu_values
         empty = convergence_product(system, sig, traj, eps, i_max=0)
         assert (empty.mu_values, empty.log_products, empty.certified) == ((), (), False)
+
+    def test_needs_quadratic_certificates(self, system, eps):
+        mixed, sig = _mixed_system(system)
+        traj = simulate_switched(mixed, sig, np.array([0.0, 1.0]), 1.0, STEP)
+        with pytest.raises(UnsupportedCertificate):
+            convergence_product(mixed, sig, traj, eps, i_max=1)
 
     @pytest.mark.parametrize("i_max", [0, 1, 5, 14])
     def test_terms_equal_a_per_switch_reference(self, eps, i_max):

@@ -123,7 +123,12 @@ def test_clidiff_default_scenarios_write_every_report(tmp_path, capsys):
 
     clidiff = _load_tool("clidiff")
     names = [p.name for p in clidiff.DEFAULT_SCENARIOS]
-    assert names == ["example1.scenario", "example2.scenario", "tube_convergence.scenario"]
+    assert names == [
+        "example1.scenario",
+        "example2.scenario",
+        "parser_paths.scenario",
+        "tube_convergence.scenario",
+    ]
     written = set()
     for i, scenario in enumerate(clidiff.DEFAULT_SCENARIOS):
         out = tmp_path / str(i)
