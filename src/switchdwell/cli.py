@@ -1,14 +1,17 @@
 """Command-line entry point: scenario execution and bit-stable CSV/JSON outputs.
 
 A run is ``analyse`` then ``emit``.  ``analyse`` runs every requested stage
-and writes nothing: it returns each output file as its relative paths and
-its content, an iterable of encoded blocks, with every JSON document
-already encoded and every trajectory checked for finite V.  ``emit``
-creates ``--out`` and streams each content once: every block goes to one
-sha256 and to the file's first path, which is then copied to its other
-paths; the manifest is written last.  So emission holds one block at a
-time, an input error or a numeric failure leaves no file behind, and an
-existing ``--out`` stays untouched.
+and writes nothing: it returns each output file as its relative paths, its
+content (an iterable of encoded blocks) and its row count, with every JSON
+document already encoded and every trajectory checked for finite V.
+``emit`` creates ``--out`` and streams each content once: every block goes
+to one sha256 and to the file's first path, which is then copied to its
+other paths; the manifest is written last.  A large output is split between
+this process and one forked child (``FORK_ROWS``), so emission holds one
+block and two open files in each of at most two processes.  An input error
+or a numeric failure leaves no file behind, and an existing ``--out`` stays
+untouched.  ``entry``, which the ``switchdwell`` script and ``python -m
+switchdwell.cli`` run, is ``main`` followed by ``gc.freeze()``.
 
 Exit codes: 0 success / all verifications passed, 2 verification failure,
 3 input error, 4 numeric failure (non-finite state, V or JSON value).
@@ -20,12 +23,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
+import os
 import shutil
 import sys
+import warnings
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -73,8 +79,9 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
     plot data.  ``s`` comes from ``parse_scenario``, which has resolved and
     checked every input, so what can still fail here is numeric
     (``NonfiniteState``).  Returns (exit_status, warnings, files): each file
-    is its relative paths and its content, an iterable of encoded blocks
-    (a CSV is rendered block by block as it is written).
+    is its relative paths, its content, an iterable of encoded blocks (a CSV
+    is rendered block by block as it is written), and its row count, 1 for
+    a JSON document.
     """
     files: list[tuple] = []
     warnings: list[str] = []
@@ -83,7 +90,7 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
     system, eps = s.system, s.eps
 
     def report(name: str, obj) -> None:
-        files.append(((name,), (_json(name, obj),)))
+        files.append(((name,), (_json(name, obj),), 1))
 
     if flags.get("certify"):
         lower = np.full(system.dimension, s.box[0])
@@ -128,7 +135,7 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
                 paths = (f"trajectory_{name}_{i}.csv",)
                 if flags.get("plot_data"):
                     paths += (f"plot_{name}_{i}/trajectory.csv",)
-                files.append((paths, _trajectory_csv(traj, system)))
+                files.append((paths, _trajectory_csv(traj, system), len(traj.times)))
 
     if flags.get("trapping"):
         reports = {}
@@ -185,7 +192,8 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
         for sub in system.subsystems:
             pts = region_boundary_points(sub, eps, 256)
             body = csv_blocks("x1,x2\n", np.vstack([pts, pts[:1]]))
-            files.append((tuple(f"{plot}/region_{sub.label}.csv" for plot in plots), body))
+            paths = tuple(f"{plot}/region_{sub.label}.csv" for plot in plots)
+            files.append((paths, body, len(pts) + 1))
         for plot, traj in zip(plots, trajs.values()):
             events = traj.switch_events
             body = csv_blocks(
@@ -194,49 +202,142 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
                 labels(ev.prev_mode for ev in events),
                 labels(ev.next_mode for ev in events),
             )
-            files.append(((f"{plot}/switch_points.csv",), body))
+            files.append(((f"{plot}/switch_points.csv",), body, len(events)))
         print("plot-data: written")
 
     return (EXIT_VERIFICATION if failed else EXIT_OK), warnings, files
 
 
-def emit(status: int, warnings: list[str], files: list[tuple], out_dir) -> dict:
-    """Create ``out_dir`` and stream each file's content, hashed once, to its paths.
+# a file's emission time in rows: a row takes about 0.53 us to render, hash
+# and write, and each path about 80 us more to open, write and close, or to
+# copy the content to
+PATH_ROWS = 150
+# emit splits the files between two processes above this many rows' worth:
+# example2's 6 900 take about 4 ms in one process and in two alike, so the
+# fork, the reply and the reaping cost about what the split saves there
+FORK_ROWS = 12_000
 
-    Each block of a content is hashed and written to the first path as it
-    is rendered, and the finished file is copied to the other paths, so
-    emission holds one block, and two open files, at a time: a region CSV
-    has a path in every plot directory, and a scenario may have thousands
-    of those, more than a process may hold open.  The
-    manifest, written last and by the same path, lists every file with its
-    sha256.  Returns the manifest.
+
+def _rows(file: tuple) -> int:
+    """Emission time of ``analyse``'s (paths, blocks, rows), in rows: ``PATH_ROWS`` a path."""
+    return file[2] + PATH_ROWS * len(file[0])
+
+
+def _write(out: Path, files: list[tuple]) -> dict[str, str]:
+    """Stream each content to its first path, hashing it once, and copy it to the others.
+
+    Returns {relative path: sha256}.  Every directory must exist.
+    """
+    sha256 = {}
+    for paths, blocks, _ in files:
+        digest = hashlib.sha256()
+        first, *others = (out / rel for rel in paths)
+        with open(first, "wb") as f:
+            for block in blocks:
+                digest.update(block)
+                f.write(block)
+        for path in others:
+            shutil.copyfile(first, path)
+        sha256.update(dict.fromkeys(paths, digest.hexdigest()))
+    return sha256
+
+
+def _shares(files: list[tuple]) -> tuple[list, list]:
+    """Two shares of ``files``: the largest first, each to the share with fewer rows (``_rows``)."""
+    shares, rows = ([], []), [0, 0]
+    for file in sorted(files, key=_rows, reverse=True):
+        i = rows[1] < rows[0]
+        shares[i].append(file)
+        rows[i] += _rows(file)
+    return shares
+
+
+def _write_in_two(out: Path, files: list[tuple]) -> dict[str, str]:
+    """``_write`` with one share of ``files`` in a forked child and the other in this process.
+
+    The child writes the second share (``_shares``), sends ``{path: sha256}``
+    or its error message through a pipe as JSON and leaves by ``os._exit``,
+    so it flushes no inherited stdio and runs no exit handler.  It renders
+    with numpy ufuncs only, so it calls no BLAS and starts no thread, and
+    forking is safe even when BLAS has started threads in this process.
+    The child is reaped before this returns, on errors too; its error, or
+    its exit without a reply, is raised as ``IoError``.
+    """
+    mine, theirs = _shares(files)
+    if not theirs:  # one file
+        return _write(out, mine)
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when a process with threads forks: BLAS may
+            # have started some, and the child calls no BLAS
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: this one writes every file
+        os.close(r)
+        os.close(w)
+        return _write(out, files)
+    if pid == 0:
+        code = 1  # no reply: interrupted
+        try:
+            os.close(r)
+            try:
+                reply = {"sha256": _write(out, theirs)}
+            except Exception as exc:  # raised by the parent
+                reply = {"error": str(exc) or repr(exc)}
+            with open(w, "w", encoding="utf-8") as pipe:
+                json.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        sha256 = _write(out, mine)
+    finally:
+        with open(r, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise IoError(f"the output writer process ended with status {status}")
+    reply = json.loads(data)
+    if "error" in reply:
+        raise IoError(reply["error"])
+    return sha256 | reply["sha256"]
+
+
+def emit(status: int, warnings: list[str], files: list[tuple], out_dir) -> dict:
+    """Create ``out_dir`` and its directories, and stream each content, hashed once, to its paths.
+
+    ``files`` are ``analyse``'s (paths, blocks, rows).  Each block of a
+    content is hashed and written to the first path as it is rendered, and
+    the finished file is copied to the other paths, so a process holds one
+    block, and two open files, at a time: a region CSV has a path in every
+    plot directory, and a scenario may have thousands of those, more than a
+    process may hold open.  Above ``FORK_ROWS`` rows' worth (``_rows``), on
+    Linux with two CPUs or more, the files are split between this process
+    and a forked child (``_write_in_two``), so two processes each hold one
+    block and two open files.  The manifest, written last by this process,
+    lists every file with its sha256.  Returns the manifest.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
-    sha256: dict[Path, str] = {}
-
-    def write(paths: tuple[str, ...], blocks: Iterable[bytes]) -> None:
-        digest = hashlib.sha256()
-        first, *others = (out / rel for rel in paths)
-        first.parent.mkdir(parents=True, exist_ok=True)
-        with open(first, "wb") as f:
-            for block in blocks:
-                digest.update(block)
-                f.write(block)
-        for path in others:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(first, path)
-        # Path keys: the manifest sorts by path components
-        sha256.update(dict.fromkeys(map(Path, paths), digest.hexdigest()))
-
-    for paths, blocks in files:
-        write(paths, blocks)
-    listed = [{"path": str(p), "sha256": h} for p, h in sorted(sha256.items())]
+    for folder in dict.fromkeys((out / rel).parent for paths, *_ in files for rel in paths):
+        folder.mkdir(parents=True, exist_ok=True)
+    two = (
+        sys.platform == "linux"
+        and len(os.sched_getaffinity(0)) >= 2
+        and sum(map(_rows, files)) > FORK_ROWS
+    )
+    sha256 = (_write_in_two if two else _write)(out, files)
+    # the manifest sorts by path components
+    listed = [
+        {"path": p, "sha256": h} for p, h in sorted(sha256.items(), key=lambda kv: Path(kv[0]))
+    ]
     manifest = {"exit_status": status, "warnings": warnings, "files": listed}
-    write(("manifest.json",), (_json("manifest.json", manifest),))
+    _write(out, [(("manifest.json",), (_json("manifest.json", manifest),), 1)])
     return manifest
 
 
@@ -300,5 +401,18 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry() -> int:
+    """``main()`` for a process that ends when it returns: the ``switchdwell`` script's entry.
+
+    ``gc.freeze()`` moves every live object to the permanent generation, so
+    the collections at interpreter shutdown skip what dies with the process
+    (about 11 ms of example1's 16 ms exit).  ``main()`` itself leaves the
+    collector as it found it, for callers that go on running.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

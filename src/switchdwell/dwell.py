@@ -258,6 +258,8 @@ def epsilon0_search(
     ||x_{u0}-x_v||, ||x_v-x_{u1}|| >= r uses
     K0 = beta(r + alpha^{-1}(eps))^{2/k} / beta(2d + alpha^{-1}(eps))^{1/k};
     the gap is negative iff K0/eps^{1/k} > 1.  Bisection to relative width 1e-6.
+    ``NoThreshold`` when the condition fails at the grid's first point, 1e-12,
+    or holds at every point up to its last, 1e6.
     """
     if not (d > 0 and r > 0):  # NaN too
         raise ValueError("d and r must be positive")
@@ -282,7 +284,7 @@ def epsilon0_search(
             break
         lo = g
     if hi is None:
-        return float(grid[-1])
+        raise NoThreshold("condition holds on the whole grid, up to eps = 1e6")
     while (hi - lo) / lo > 1e-6:
         mid = math.sqrt(lo * hi)
         if margin(mid) > 0:

@@ -1,7 +1,7 @@
 """Scenario files: a flat INI document describing system, signals and analyses.
 
 Schema (``_KEYS`` declares each key once, with the parser of its value;
-unknown sections and keys are rejected):
+unknown sections, ``[DEFAULT]`` among them, and unknown keys are rejected):
 
     [system]            A (row-major), plus either per-mode [subsystem.<label>]
                         sections or a parameterized family: ``family`` gives the
@@ -412,7 +412,9 @@ def parse_scenario(text: str, *, step=None, eps=None, seed=None, analyses=None) 
     complete: every default is resolved and every companion rule and the
     work budget hold.
     """
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    # no header names the section "\n", so [DEFAULT] is a section of its own,
+    # rejected as unknown, rather than keys copied into every other section
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="\n")
     cp.optionxform = str
     try:
         cp.read_string(text)

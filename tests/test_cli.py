@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -42,6 +43,14 @@ trapping = true
 
 def scenario_path(name: str) -> str:
     return str(resources.files("switchdwell") / "scenarios" / name)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    # a forked writer is reaped before emit returns, on errors too
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +290,8 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
             "signal name 'x/../../../escaped' holds a comma",
         ),
         (EXAMPLE1, "[signal.cycle]", "[signal.a/b]", "signal name 'a/b' holds a comma"),
+        (EXAMPLE2, "[system]", "[DEFAULT]\nstep = 0.01\n\n[system]", "unknown section [DEFAULT]"),
+        (EXAMPLE2, "[system]", "[DEFAULT]\n\n[system]", "unknown section [DEFAULT]"),
         (
             EXAMPLE1,
             "[signal.cycle]",
@@ -323,6 +334,8 @@ NO_PRIMARY = EXAMPLE1.replace("[signal]\n", "[signal.first]\n")
         "two_triangle_modes",
         "signal_name_escaping_the_output",
         "signal_name_with_a_slash",
+        "default_section_with_a_key",
+        "empty_default_section",
         "300_byte_signal_name",
     ],
 )
@@ -472,6 +485,16 @@ def test_eps0_without_threshold_is_a_warning(tmp_path):
     assert json.loads((out / "triangle_report.json").read_text())["eps0"] is None
 
 
+def test_eps0_without_a_crossing_is_a_warning(tmp_path):
+    # triangle_modes = a b a: the gap stays negative up to the search grid's end
+    scenario = Path(__file__).resolve().parents[1] / "tools" / "parser_paths.scenario"
+    out = tmp_path / "o"
+    assert main(["triangle", "--scenario", str(scenario), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == ["triangle: geometry outside the eps0 search domain"]
+    assert json.loads((out / "triangle_report.json").read_text())["eps0"] is None
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--seed", "-5"), ("--eps", "0"), ("--step", "-1e-3")]
 )
@@ -482,6 +505,12 @@ def test_out_of_range_overrides_are_input_errors(tmp_path, capsys, flag, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def cold_env() -> dict:
+    """This environment, with the package's source directory first on PYTHONPATH."""
+    src = str(resources.files("switchdwell").parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def cold_run(args: list[str], modules: list[str]) -> str:
     """``main(args)`` in a fresh interpreter: its status and whether each module got loaded."""
     code = (
@@ -490,10 +519,8 @@ def cold_run(args: list[str], modules: list[str]) -> str:
         f"status = main({args!r})\n"
         f"print(status, *(m in sys.modules for m in {modules!r}))\n"
     )
-    src = str(resources.files("switchdwell").parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cold_env(), check=True
     )
     return proc.stdout.splitlines()[-1]
 
@@ -590,7 +617,7 @@ class TestManifest:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
     def test_each_buffer_hashed_once_and_every_directory_made(self, tmp_path, monkeypatch):
-        made, hashed = [], []
+        made, log = [], tmp_path / "hashed"
         mkdir, sha256 = Path.mkdir, hashlib.sha256
 
         def counted_mkdir(self, *args, **kwargs):
@@ -598,7 +625,9 @@ class TestManifest:
             return mkdir(self, *args, **kwargs)
 
         def counted_sha256(*data):
-            hashed.append(data)
+            # one line appended per call, so a forked writer's calls count too
+            with open(log, "a") as f:
+                f.write(f"{len(data)}\n")
             return sha256(*data)
 
         monkeypatch.setattr(Path, "mkdir", counted_mkdir)
@@ -612,8 +641,9 @@ class TestManifest:
         # the trajectory CSVs and the region CSVs are each one content at many
         # paths, streamed into one hash object; every other content has its
         # own, and the manifest is one more
+        hashed = log.read_text().split()
         assert len(hashed) == len({e["sha256"] for e in files}) + 1 < len(files)
-        assert set(hashed) == {()}  # each is fed block by block
+        assert set(hashed) == {"0"}  # each is fed block by block
 
     def test_trapping_report_passes(self, example1_run):
         _, out = example1_run
@@ -737,3 +767,102 @@ class TestRunScenario:
         status, manifest = run_scenario(parse_scenario(text), tmp_path / "o")
         assert status == 0
         assert manifest["exit_status"] == 0
+
+
+def tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="emit forks only on Linux with two CPUs or more",
+)
+class TestTwoProcesses:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids ``os.fork`` returned in this process: one per two-process emission."""
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
+        return pids
+
+    @pytest.mark.parametrize("name, n", [("example1.scenario", 1), ("example2.scenario", 0)])
+    def test_only_a_large_output_is_split(self, tmp_path, forks, name, n):
+        assert main(["run", "--scenario", scenario_path(name), "--out", str(tmp_path)]) == 0
+        assert len(forks) == n
+
+    def test_two_process_and_one_process_trees_are_the_same_bytes(
+        self, tmp_path, monkeypatch, forks
+    ):
+        trees = []
+        for fork_rows in (0, 10**12):
+            monkeypatch.setattr(cli, "FORK_ROWS", fork_rows)
+            out = tmp_path / str(fork_rows)
+            args = ["run", "--scenario", scenario_path("example1.scenario"), "--out", str(out)]
+            assert main(args) == 0
+            trees.append(tree(out))
+        assert len(forks) == 1
+        assert trees[0] == trees[1] and len(trees[0]) == 112
+
+    @pytest.mark.parametrize("share", [0, 1], ids=["this_process", "child"])
+    def test_a_write_failure_in_either_share_is_one_input_error(
+        self, tmp_path, capsys, monkeypatch, forks, share
+    ):
+        monkeypatch.setattr(cli, "FORK_ROWS", 0)
+        scenario = scenario_path("example1.scenario")
+        _, _, files = cli.analyse(parse_scenario(Path(scenario).read_text()))
+        # _shares' second share is the child's; a directory where its file goes
+        path = cli._shares(files)[share][0][0][0]
+        out = tmp_path / "o"
+        (out / path).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["run", "--scenario", scenario, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+        assert path in err and len(forks) == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_a_child_ending_without_a_reply_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, forks
+    ):
+        parent, write = os.getpid(), cli._write
+
+        def interrupted_in_the_child(out, files):
+            if os.getpid() != parent:
+                raise KeyboardInterrupt
+            return write(out, files)
+
+        monkeypatch.setattr(cli, "_write", interrupted_in_the_child)
+        args = ["run", "--scenario", scenario_path("example1.scenario"), "--out", str(tmp_path)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "error: the output writer process ended with status 1\n"
+        assert len(forks) == 1
+
+
+def test_main_leaves_the_collector_unfrozen(example1_run):
+    # gc.freeze() is the entry's, for a process that ends when main returns
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_cold_run_exits_with_the_status_of_main(tmp_path):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(BAD_DWELL)
+    for scenario, status in ((scenario_path("example1.scenario"), 0), (str(bad), 2)):
+        args = ["run", "--scenario", scenario, "--out", str(tmp_path / str(status))]
+        proc = subprocess.run(
+            [sys.executable, "-m", "switchdwell.cli", *args],
+            capture_output=True, text=True, env=cold_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (status, "")
+
+
+def test_the_console_script_is_the_freezing_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"switchdwell": "switchdwell.cli:entry"}

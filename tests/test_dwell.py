@@ -24,6 +24,7 @@ from switchdwell.errors import (
     InvalidEpsilon,
     InvalidMu,
     NonfiniteState,
+    NoThreshold,
     UnsupportedCertificate,
 )
 from switchdwell.prebuilt import demo_subsystem
@@ -194,8 +195,10 @@ class TestEpsilon0Search:
         assert eps < EPS0
         assert triangle_gap(eps, system[1], system[0], system[-1]).gap < 0
 
-    def test_no_crossing_returns_the_grid_end(self):
-        assert epsilon0_search(1.0, 1.5, _K, _K, 2.0) == 1e6
+    def test_no_crossing_raises_no_threshold(self):
+        # the gap stays negative up to the grid's end, 1e6: that end is no threshold
+        with pytest.raises(NoThreshold, match="whole grid"):
+            epsilon0_search(1.0, 1.5, _K, _K, 2.0)
 
     def test_impossible_geometry(self):
         alpha = beta = ClassKFn(1.0, 2.0)

@@ -77,10 +77,11 @@ def test_clidiff_against_head_reads_identical(tmp_path):
     clidiff = _load_tool("clidiff")
     base_src = clidiff.extract("HEAD", tmp_path / "base").parent
     scenario = ROOT / "src" / "switchdwell" / "scenarios" / "example2.scenario"
-    code, diffs, peak_mb = clidiff.compare(base_src, scenario, "dwell", tmp_path / "runs")
+    code, diffs, peak_mb, wall_s = clidiff.compare(base_src, scenario, "dwell", tmp_path / "runs")
     assert (code, diffs) == (0, [])
     # a cold run imports numpy: tens of MB, read from each child's own rusage
     assert all(10 < mb < 1000 for mb in peak_mb)
+    assert all(0 < s < 60 for s in wall_s)
 
 
 def test_clidiff_prints_peak_rss_and_exits_on_bytes_only(tmp_path, monkeypatch, capsys):
@@ -88,12 +89,13 @@ def test_clidiff_prints_peak_rss_and_exits_on_bytes_only(tmp_path, monkeypatch, 
     monkeypatch.setattr(clidiff, "extract", lambda rev, dest: dest / "src" / "switchdwell")
     scenario = tmp_path / "s.scenario"
     for diffs, status in (([], 0), (["stdout"], 1)):
-        result = (0, diffs, (45.94, 40.0))
+        result = (0, diffs, (45.94, 40.0), (0.1304, 0.11))
         monkeypatch.setattr(clidiff, "compare", lambda *args, result=result: result)
         assert clidiff.main(["--base", "HEAD", "--scenario", str(scenario)]) == status
         lines = capsys.readouterr().out.splitlines()
         verdict = "differs: stdout" if diffs else "identical (exit 0)"
-        assert lines[0] == f"s.scenario run: {verdict}; peak RSS 45.9 -> 40.0 MB"
+        usage = "peak RSS 45.9 -> 40.0 MB; wall 0.130 -> 0.110 s"
+        assert lines[0] == f"s.scenario run: {verdict}; {usage}"
         assert len(lines) == 8 and lines[-1] == f"{7 * status} of 7 runs differ"
 
 
