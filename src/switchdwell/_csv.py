@@ -28,9 +28,11 @@ and newline columns.  Dropping every NUL leaves the text, so no label may
 contain NUL, which ``scenario`` guarantees.
 
 Streaming.  ``csv_blocks`` yields a file as its encoded header and then one
-encoded block per ``_BLOCK`` rows, so rendering holds one block at a time
-whatever the file's length; a small file is just a few blocks.  A label
-column given as ``Runs`` is gathered block by block too.
+encoded block (``csv_block``) per ``_BLOCK`` rows, so rendering holds one
+block at a time whatever the file's length; a small file is just a few
+blocks.  A label column given as ``Runs`` is gathered block by block too.
+A caller that makes its rows block by block, as ``cli`` does a trajectory's,
+renders each with ``csv_block``.
 """
 
 from __future__ import annotations
@@ -148,27 +150,33 @@ def _cells(v: np.ndarray) -> np.ndarray:
 def csv_blocks(header: str, *columns) -> Iterator[bytes]:
     """``header`` then one CSV row per row of ``columns``, as encoded blocks of ``_BLOCK`` rows.
 
-    Each column is a float array of N rows (or N rows of k floats, k cells)
-    rendered as ``'%.17g'``, or N labels written as they are: an ``S``
-    (bytes) array, or ``Runs``; a function ``col(lo, hi)`` gives a column's
-    rows ``lo ... hi - 1`` block by block, so the column is never whole.  The
-    first column is an array.  The blocks joined are the file: the header
-    first, then one block per ``_BLOCK`` rows, rendered when it is asked for.
+    The columns are as ``csv_block`` takes them, the first an array.  The
+    blocks joined are the file: the header first, then one block per
+    ``_BLOCK`` rows, rendered when it is asked for.
     """
     yield header.encode()
     for lo in range(0, len(columns[0]), _BLOCK):
-        cells = []
-        for col in columns:
-            blk = col(lo, lo + _BLOCK) if callable(col) else col[lo : lo + _BLOCK]
-            if blk.dtype.kind == "S":
-                cells.append(blk.view(np.uint8).reshape(len(blk), -1))
-            else:
-                F = _cells(blk.ravel()).reshape(len(blk), -1, _WIDTH)
-                cells.extend(F[:, j] for j in range(F.shape[1]))
-        comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
-        newline = np.full_like(comma, ord("\n"))
-        B = np.hstack([x for cell in cells for x in (cell, comma)][:-1] + [newline])
-        yield B[B != 0].tobytes()
+        yield csv_block(*(col[lo : lo + _BLOCK] for col in columns))
+
+
+def csv_block(*columns) -> bytes:
+    """One encoded CSV row per row of ``columns``.
+
+    Each column is a float array of N rows (or N rows of k floats, k cells)
+    rendered as ``'%.17g'``, or N labels written as they are, an ``S``
+    (bytes) array.
+    """
+    cells = []
+    for col in columns:
+        if col.dtype.kind == "S":
+            cells.append(col.view(np.uint8).reshape(len(col), -1))
+        else:
+            F = _cells(col.ravel()).reshape(len(col), -1, _WIDTH)
+            cells.extend(F[:, j] for j in range(F.shape[1]))
+    comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
+    newline = np.full_like(comma, ord("\n"))
+    B = np.hstack([x for cell in cells for x in (cell, comma)][:-1] + [newline])
+    return B[B != 0].tobytes()
 
 
 def labels(values) -> np.ndarray:
@@ -179,8 +187,8 @@ def labels(values) -> np.ndarray:
 class Runs:
     """A label column given by runs: label ``values[j]`` on the next ``lens[j]`` rows.
 
-    A slice of rows gathers its labels' bytes when ``csv_blocks`` renders
-    that block, so a column of long labels is never held for every row.
+    A slice of rows gathers its labels' bytes when its block is rendered,
+    so a column of long labels is never held for every row.
     """
 
     def __init__(self, values, lens):

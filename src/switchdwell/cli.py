@@ -3,26 +3,29 @@
 A run is ``analyse`` then ``emit``.  ``analyse`` runs every requested stage
 and writes nothing: it returns each output file as its relative paths, its
 content (an iterable of encoded blocks) and its row count, with every JSON
-document already encoded and every trajectory checked for finite V.
-``emit`` creates ``--out`` and streams each content once: every block goes
-to one sha256 and to the file's first path, which is then copied to its
-other paths; the manifest is written last.  A large output is split between
-this process and one forked child (``FORK_ROWS``), so emission holds one
-block and two open files in each of at most two processes.  An input error
-or a numeric failure leaves no file behind, and an existing ``--out`` stays
-untouched.  ``entry``, which the ``switchdwell`` script and ``python -m
+document already encoded.  Each trajectory is one windowed pass
+(``_stream.scan``) that checks every state and V for finiteness and keeps
+only its plan, its start and a few numbers per switch, so a run's memory
+grows with its switches, not its samples.  ``emit`` creates ``--out`` and
+streams each content once: every block goes to one sha256 and to the file's
+first path, which is then copied to its other paths; the manifest is
+written last.  A trajectory CSV is refilled from its plan block by block in
+the process that writes it (``_trajectory_csv``).  A large output is split
+between this process and one forked child (``FORK_ROWS``), so emission
+holds one block and two open files in each of at most two processes.  An
+input error or a numeric failure leaves no file behind, and an existing
+``--out`` stays untouched.  ``entry``, which the ``switchdwell`` script and ``python -m
 switchdwell.cli`` run, is ``main`` followed by ``gc.freeze()``.
 
 Exit codes: 0 success / all verifications passed, 2 verification failure,
 3 input error, 4 numeric failure (non-finite state, V or JSON value).
 
-Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_blocks``.
+Every float cell of the CSV outputs is rendered as ``'%.17g'`` by ``_csv.csv_block``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import hashlib
 import json
@@ -35,14 +38,14 @@ from typing import Iterator
 
 import numpy as np
 
-from ._csv import _BLOCK, Runs, csv_blocks, labels
+from . import _csv, _stream, sim
+from ._csv import Runs, csv_block, csv_blocks, labels
 from .core import SwitchedSystem
 from .dwell import global_dwell, local_dwell, mu_bound, triangle_gap
 from .errors import IoError, NonfiniteState, SwitchDwellError
 from .lyapunov import check_certificate, region_boundary_points
 from .scenario import Scenario, parse_scenario
-from .sim import Trajectory, convergence_product, simulate_switched, tube_sample, verify_trapping
-from .sim import _v_active
+from .sim import tube_sample
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -59,29 +62,35 @@ def _json(name: str, obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _trajectory_csv(traj: Trajectory, system: SwitchedSystem) -> Iterator[bytes]:
-    """One row per sample, V_active and the mode column from the trajectory's plan, in blocks.
+def _trajectory_csv(plan: sim._Plan, system: SwitchedSystem, x0: np.ndarray) -> Iterator[bytes]:
+    """One row per sample of the trajectory from ``x0`` on ``plan``, refilled one block at a time.
 
-    V is computed for one block of rows at a time, as the block is rendered,
-    so neither ``analyse`` nor the CSV ever holds V for a whole trajectory.
+    Each block of ``_csv._BLOCK`` rows is a window of ``_stream.windows``, with
+    its times (``times_of``), modes (``Runs``) and active V, rendered as it
+    is asked for: whichever process writes the file holds one block.
     """
     n = system.dimension
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n"
-    plan = traj._plan
-    v = functools.partial(_v_active, traj, system)
-    yield from csv_blocks(header, traj.times, traj.states, Runs(plan.modes, plan.lens), v)
+    yield ("t," + ",".join(f"x{i + 1}" for i in range(n)) + ",mode,V_active\n").encode()
+    modes = Runs(plan.modes, plan.lens)
+    for lo, X in _stream.windows(plan, system, x0, _csv._BLOCK):
+        hi = lo + len(X)
+        yield csv_block(plan.times_of(lo, hi), X, modes[lo:hi], sim._v_active(plan, system, X, lo))
 
 
 def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
-    """Run the requested analyses in order, print a line per stage, and write nothing.
+    """Run the requested analyses in order, print a line per checked stage, and write nothing.
 
     Order: certify, dwell, simulate, trapping, convergence, triangle, tube,
-    plot data.  ``s`` comes from ``parse_scenario``, which has resolved and
-    checked every input, so what can still fail here is numeric
-    (``NonfiniteState``).  Returns (exit_status, warnings, files): each file
-    is its relative paths, its content, an iterable of encoded blocks (a CSV
-    is rendered block by block as it is written), and its row count, 1 for
-    a JSON document.
+    plot data; the tube and plot data lines say ``written``, so
+    ``run_scenario`` prints them once ``emit`` has written.  ``s`` comes
+    from ``parse_scenario``, which has resolved and checked every input, so
+    what can still fail here is numeric (``NonfiniteState``).  Each
+    trajectory is one pass of ``_stream.scan``, which keeps its plan, start
+    and switch states, and its verdict columns, not its samples.  Returns
+    (exit_status, warnings, files): each file is its relative paths, its
+    content, an iterable of encoded blocks (a CSV is rendered block by block
+    as it is written, a trajectory CSV refilled from its plan), and its row
+    count, 1 for a JSON document.
     """
     files: list[tuple] = []
     warnings: list[str] = []
@@ -120,27 +129,26 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
         report("dwell_table.json", doc)
         print(f"dwell: t_loc={table.t_loc:.6g} t_glob={doc['t_glob']:.6g}")
 
-    trajs: dict[tuple[str, int], Trajectory] = {}
+    scans: dict[tuple[str, int], _stream.Scan] = {}
     if s.simulates:
         for name, spec in s.signals.items():
             for i, x0 in enumerate(spec.x0):
-                traj = simulate_switched(system, spec.signal, x0, spec.horizon, s.step)
-                trajs[(name, i)] = traj
-                # the states are checked by simulate_switched; V is checked a
-                # block at a time and dropped, and recomputed when the CSV is rendered
-                for lo in range(0, len(traj.times), _BLOCK):
-                    if not np.isfinite(_v_active(traj, system, lo, lo + _BLOCK)).all():
-                        raise NonfiniteState(f"non-finite value in trajectory_{name}_{i}.csv")
-                # one buffer: the same bytes are the plot directory's trajectory.csv
-                paths = (f"trajectory_{name}_{i}.csv",)
+                csv = f"trajectory_{name}_{i}.csv"
+                # only the primary trajectory's W reaches a report
+                w = flags.get("convergence") and (name, i) == ("signal", 0)
+                scan = _stream.scan(system, spec.signal, x0, spec.horizon, s.step, _csv._BLOCK,
+                                    csv, w)
+                scans[(name, i)] = scan
+                # one content: the same bytes are the plot directory's trajectory.csv
+                paths = (csv,)
                 if flags.get("plot_data"):
                     paths += (f"plot_{name}_{i}/trajectory.csv",)
-                files.append((paths, _trajectory_csv(traj, system), len(traj.times)))
+                files.append((paths, _trajectory_csv(scan.plan, system, scan.x0), scan.plan.size))
 
     if flags.get("trapping"):
         reports = {}
-        for (name, i), traj in trajs.items():
-            rep = verify_trapping(traj, system, s.signals[name].signal, eps)
+        for (name, i), scan in scans.items():
+            rep = sim._trapping(scan.plan, scan.v_exit, eps)
             reports[f"{name}_{i}"] = rep.to_dict()
             failed |= not rep.overall_pass
         ok = all(r["overall_pass"] for r in reports.values())
@@ -148,9 +156,8 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
         print(f"trapping: {'pass' if ok else 'FAIL'}")
 
     if flags.get("convergence"):
-        rep = convergence_product(
-            system, s.signals["signal"].signal, trajs[("signal", 0)], eps, s.i_max
-        )
+        scan = scans[("signal", 0)]
+        rep = sim._convergence(scan.plan, system, eps, s.i_max, scan.v_exit, scan.w_verdicts)
         report("convergence_report.json", rep.to_dict())
         print(
             "convergence: "
@@ -184,26 +191,24 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
             ],
         }
         report("tube_report.json", doc)
-        print("tube: written")
 
     if flags.get("plot_data"):
-        plots = [f"plot_{name}_{i}" for name, i in trajs]
+        plots = [f"plot_{name}_{i}" for name, i in scans]
         # closed 256-point boundary polylines, the same in every plot directory
         for sub in system.subsystems:
             pts = region_boundary_points(sub, eps, 256)
             body = csv_blocks("x1,x2\n", np.vstack([pts, pts[:1]]))
             paths = tuple(f"{plot}/region_{sub.label}.csv" for plot in plots)
             files.append((paths, body, len(pts) + 1))
-        for plot, traj in zip(plots, trajs.values()):
-            events = traj.switch_events
+        for plot, scan in zip(plots, scans.values()):
+            plan = scan.plan
             body = csv_blocks(
                 "t,x1,x2,prev_mode,next_mode\n",
-                np.array([(ev.t, *ev.state) for ev in events]).reshape(len(events), 3),
-                labels(ev.prev_mode for ev in events),
-                labels(ev.next_mode for ev in events),
+                np.column_stack((plan.switch_t, scan.switch_states)),
+                labels(plan.exit_modes),
+                labels(plan.modes[1:]),
             )
-            files.append(((f"{plot}/switch_points.csv",), body, len(events)))
-        print("plot-data: written")
+            files.append(((f"{plot}/switch_points.csv",), body, len(plan.switch_t)))
 
     return (EXIT_VERIFICATION if failed else EXIT_OK), warnings, files
 
@@ -346,9 +351,14 @@ def run_scenario(s: Scenario, out_dir) -> tuple[int, dict]:
 
     A ``NonfiniteState`` from ``analyse`` propagates before ``out_dir`` is
     created or touched; what ``emit`` can raise is ``IoError`` or ``OSError``.
+    The tube and plot data lines are printed once ``emit`` has returned.
     """
     status, warnings, files = analyse(s)
-    return status, emit(status, warnings, files, out_dir)
+    manifest = emit(status, warnings, files, out_dir)
+    for stage, line in (("tube", "tube: written"), ("plot_data", "plot-data: written")):
+        if s.analyses.get(stage):
+            print(line)
+    return status, manifest
 
 
 _SUBCOMMAND_FLAGS = {

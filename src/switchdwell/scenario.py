@@ -89,14 +89,14 @@ from .errors import ParseError, ValidationError
 from .lyapunov import region_boundary_points
 from .sim import _time_resolution
 
-# The work budget.  A simulated 2-D trajectory holds about 24 bytes per RK4
-# sample (time and state; modes live in its switch events), so MAX_SAMPLES
-# caps the held trajectories near 0.24 GB.  Its CSV, about 80 bytes per
-# sample, is streamed in blocks of 2048 rows: rendering holds V (8 bytes
-# per sample) and the block, and the V pass peaks near 32 bytes per sample
-# (6.4 MB for 200 001 demo-system samples, tracemalloc, numpy 2), near
-# 0.32 GB at MAX_SAMPLES.  A switch costs a few hundred bytes
-# per trajectory (its tuple, event and state copy).  A certificate check
+# The work budget.  The CLI holds no sample: each trajectory is checked in
+# one windowed pass and its CSV, about 80 bytes per sample, is refilled and
+# rendered in blocks of 2048 rows, so a run holds a few blocks whatever
+# MAX_SAMPLES allows (a 200 001-sample demo CSV peaks at 0.9 MB,
+# tracemalloc, numpy 2).  MAX_SAMPLES bounds the time and the bytes written,
+# about 1.4 GB near it.  A switch costs a few kilobytes per trajectory: its
+# plan's fill entries, state, V and report record (example1's cycle near
+# MAX_SAMPLES peaks at 54 MB of resident memory).  A certificate check
 # holds about 160 bytes per 2-D sample, and a tube point about 150 bytes as
 # JSON, so MAX_POINTS caps either near 0.2 GB.
 MAX_SWITCHES = 10**6

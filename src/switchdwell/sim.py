@@ -17,41 +17,54 @@ fixed when it is built.  Everything that does not depend on the start state
 is planned once per ``(system, signal, horizon, step)``, in a plan kept in a
 least recently used cache of ``PLAN_CACHE_SIZE`` entries keyed by the
 identity of the system and signal objects: the unrolled switches, the
-interval grids and row offsets, one read-only ``times`` array shared by every
-trajectory built from the plan, the segments, the fill (every product of the
+interval grids and row offsets, the segments, the fill (every product of the
 affine intervals with its operand, and every callable interval, in the order
-they run) and the record columns.  Any other trajectory, one made by hand or
-with ``dataclasses.replace``, builds a plan of its own once, from read-only
-copies of its times and states.  A plan holds only such derived data, never
-a state or a verdict: the ``times``, the fill's entries (about 150 bytes per
-product) and the kernel operands it builds, one seed block per affine mode
-with a full step (each at most ``kernels.SEED_BLOCK_BYTES``, about 0.1 ms to
-build at n = 2) and one partial-step map of ``8 n (n+1)`` bytes per distinct
-(mode, partial step).  Plans are the only place where step maps are kept:
-``kernels`` keeps nothing between calls.
-``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass over several systems, or a
-step and its half, plans each signal once and not once per visit; at most 8
-plans stay alive after their sweep.  What also depends on the system is a
-pure function of ``(plan, system)`` in an ``lru_cache`` of as many entries:
-W's factors ``exp(k (t - t_lo))`` (``_w_terms``, about ``8 N`` bytes for N
-samples) and, with ``eps`` and ``i_max``, the convergence terms
-(``_convergence_terms``).  ``tube_sample`` plans its affine maps the same
-way: one read-only map per time of its grid, in an ``lru_cache`` of as many
-``(subsystem, step, grid)`` keys (``_tube_maps``).  Every cache is keyed by
-the identity of its system, signal or subsystem objects.  Threads share a
-cached plan, so nothing writes to its ``times`` or its operands: the fill
-loop reads them and writes only a trajectory's own rows and scratch row.  A
-check matches the plan's switches to its signal unless the plan was made
-from that very signal object (``_plan_of``).
+they run) and the record columns.  Its times are an affine function of the
+row within each interval, made for any rows on demand (``times_of``); the
+one read-only ``times`` array that every trajectory built from the plan
+shares is made on first use.  Any other trajectory, one made by hand or with
+``dataclasses.replace``, builds a plan of its own once, from read-only copies
+of its times and states.  A plan holds only such derived data, never a state
+or a verdict: the fill's entries (about 150 bytes per product, one product
+per ``B`` steps), ``times`` once used, and the kernel operands it builds, one
+seed block per affine mode with a full step (each at most
+``kernels.SEED_BLOCK_BYTES``, about 0.1 ms to build at n = 2) and one
+partial-step map of ``8 n (n+1)`` bytes per distinct (mode, partial step).
+Plans are the only place where step maps are kept: ``kernels`` keeps nothing
+between calls.  ``PLAN_CACHE_SIZE`` (8) plans are kept, so a pass over
+several systems, or a step and its half, plans each signal once and not once
+per visit; at most 8 plans stay alive after their sweep.  What also depends
+on the system is a pure function of ``(plan, system)`` in an ``lru_cache`` of
+as many entries: W's factors ``exp(k (t - t_lo))`` (``_w_terms``, about
+``8 N`` bytes for N samples) and, with ``eps`` and ``i_max``, the
+convergence terms (``_convergence_terms``).  ``tube_sample`` plans its affine
+maps the same way: one read-only map per time of its grid, in an
+``lru_cache`` of as many ``(subsystem, step, grid)`` keys (``_tube_maps``).
+Every cache is keyed by the identity of its system, signal or subsystem
+objects.  Threads share a cached plan, so nothing writes to its operands,
+and its ``times`` is set once: the fill loop reads them and writes only a
+trajectory's own rows and scratch row.  A check matches the plan's switches
+to its signal unless the plan was made from that very signal object
+(``_plan_of``).
 
-V is read through one routine, ``_v_rows``: the active mode's V at every
-sample (``_v_active``) and the exited mode's V at each switch, the switch
-rows of ``states`` (``_v_exit``), are each one ``_sq_dist`` pass with every
-row's own equilibrium when all the modes involved are quadratic, and one
-``v_batch`` call per run otherwise.  V at the switches depends on the states,
-so it is kept on the trajectory for the last system object it was read
-under.  The records are named tuples built from ``tolist()`` columns, and
-the convergence terms are computed once per distinct mode pair.
+There is one fill routine, ``_fill``: it yields a trajectory's states in
+windows of any number of rows, each product written whole, so the rows have
+the same bits whatever the window.  ``simulate_switched`` runs it as one
+window over the whole trajectory; the CLI runs it in windows
+(``_stream``), keeping a few numbers per switch and none per sample, and
+refills each trajectory as it writes it.  The checks on a whole trajectory
+and the windowed pass share each formula: W's factor (``_w_factor``), its
+relative increases (``_w_increases``), the verdicts (``_w_records``) and
+the reports (``_trapping``, ``_convergence``).
+
+V is read through one routine, ``_v_rows``: the active mode's V at any rows
+(``_v_active``) and the exited mode's V at each switch, the switch rows of
+``states`` (``_v_exit``), are each one ``_sq_dist`` pass with every row's own
+equilibrium when all the modes involved are quadratic, and one ``v_batch``
+call per run otherwise.  V at the switches depends on the states, so it is
+kept on the trajectory for the last system object it was read under.  The
+records are named tuples built from ``tolist()`` columns, and the
+convergence terms are computed once per distinct mode pair.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -151,7 +164,7 @@ class Trajectory:
             object.__setattr__(self, "states", states)
             los = [0] + [ev.index for ev in self.switch_events]
             switches = [(ev.t, ev.prev_mode, ev.next_mode) for ev in self.switch_events]
-            plan = _Plan(None, times, self.initial_mode, los, switches)
+            plan = _Plan(None, self.initial_mode, los, switches, len(times), times=times)
         object.__setattr__(self, "_plan", plan)
 
     def segments(self) -> list[tuple[int, int, Label]]:
@@ -231,21 +244,6 @@ def _start_state(sub: Subsystem, x0) -> np.ndarray:
     return x0
 
 
-def _generic_rk4_path(f, x0, h, n_full, h_last):
-    steps = [h] * n_full + ([h_last] if h_last > 0.0 else [])
-    out = np.empty((len(steps) + 1, x0.shape[0]))
-    out[0] = x0
-    x = x0
-    for i, hi in enumerate(steps):
-        k1 = np.asarray(f(x), dtype=float)
-        k2 = np.asarray(f(x + 0.5 * hi * k1), dtype=float)
-        k3 = np.asarray(f(x + 0.5 * hi * k2), dtype=float)
-        k4 = np.asarray(f(x + hi * k3), dtype=float)
-        x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
-    return out
-
-
 def simulate_switched(
     system: SwitchedSystem,
     signal: SwitchingSignal,
@@ -266,49 +264,27 @@ def simulate_switched(
     The switches, the fill and the read-only ``times`` come from the plan of
     ``(system, signal, horizon, step)`` (``_signal_plan``), so a sweep of
     starts through one signal plans once and shares one ``times``; ``states``
-    is allocated once, filled by one loop over the plan's fill, and read-only
-    once filled.  Each run is fixed-step RK4 (``integrate`` is this function
-    on one interval).  An affine interval is a few entries of the fill, each
-    one product written in place from a source row already filled, through
-    one scratch row ``[x, 1]`` per trajectory: ``[x, 1]`` times a chunk of
-    the seed block, or the partial step's map times ``[x, 1]``.  A callable
-    interval is one entry, generic RK4 copied in.  The whole buffer is checked
-    for finiteness once at the end, and each callable interval's start row
-    before it runs, so a callable is never given a non-finite start; either
-    check names the first interval that holds a non-finite state.
+    is allocated once, filled by ``_fill`` as one window, and read-only once
+    filled.  Each run is fixed-step RK4 (``integrate`` is this function on
+    one interval).  An affine interval is a few entries of the fill, each
+    one product written in place from the last row filled, through one
+    scratch row ``[x, 1]`` per trajectory: ``[x, 1]`` times a chunk of the
+    seed block, or the partial step's map times ``[x, 1]``.  A callable
+    interval is one entry, generic RK4 written row by row.  The whole buffer
+    is checked for finiteness once at the end, and each callable interval's
+    start row before it runs, so a callable is never given a non-finite
+    start; either check names the first interval that holds a non-finite
+    state.
     """
     return _simulate(_signal_plan, system, signal, x0, horizon, step)
 
 
 def _simulate(planner, system, signal, x0, horizon, step) -> Trajectory:
     """``simulate_switched`` on the plan from ``planner``, ``_signal_plan`` or its uncached form."""
-    if not signal.t0 < horizon < math.inf:  # NaN too
-        raise ValueError(f"horizon must be finite and > t0 = {signal.t0!r}, got {horizon!r}")
-    _check_step(step)
-    x0 = _start_state(system[signal.initial_mode], x0)
-    plan = planner(system, signal, float(horizon), float(step))
-    n = x0.shape[0]
-    states = np.empty((len(plan.times), n))
-    states[0] = x0
-    flat = states.reshape(-1)
-    z = np.empty(n + 1)  # [x, 1], the homogeneous row each product starts from
-    z[n] = 1.0
-    x, matmul = z[:n], np.matmul
-    for entry in plan.fill:
-        if len(entry) == 4:  # one product: a chunk of full steps, or a partial step
-            src, op, stop, partial = entry
-            x[:] = flat[src : src + n]
-            if partial:
-                matmul(op, z, out=flat[src + n : stop])
-            else:
-                matmul(z, op, out=flat[src + n : stop])
-            continue
-        lo, hi, mode, n_full, rem = entry  # a callable interval
-        run = states[lo : hi + 1]
-        if not np.isfinite(run[0]).all():
-            _check_runs(states, plan.segments[: plan.los.index(lo)])
-        run[:] = _generic_rk4_path(system[mode].field, run[0], step, n_full, rem)
-    _check_runs(states, plan.segments)
+    plan, x0 = _start(system, signal, x0, horizon, step, planner)
+    states = np.empty((plan.size, x0.shape[0]))
+    for _ in _fill(plan, system, x0, states, plan.size):
+        pass
     states.setflags(write=False)
     rows = plan.los[1:]
     switch_states = states[rows]
@@ -319,43 +295,184 @@ def _simulate(planner, system, signal, x0, horizon, step) -> Trajectory:
     return Trajectory(plan.times, states, signal.initial_mode, events, step, plan)
 
 
-def _check_runs(states: np.ndarray, segments: list) -> None:
-    """``_check_finite`` on each segment and its closing sample, in one pass when all are finite.
+def _start(system, signal, x0, horizon, step, planner=None) -> tuple[_Plan, np.ndarray]:
+    """(plan, start state) of a simulation, its arguments checked; ``planner`` is ``_signal_plan``
+    by default."""
+    if not signal.t0 < horizon < math.inf:  # NaN too
+        raise ValueError(f"horizon must be finite and > t0 = {signal.t0!r}, got {horizon!r}")
+    _check_step(step)
+    x0 = _start_state(system[signal.initial_mode], x0)
+    return (planner or _signal_plan)(system, signal, float(horizon), float(step)), x0
 
-    A non-finite state raises naming the first segment that holds one.
+
+def _fill(plan, system, x0, buf, width):
+    """Yield ``(lo, X)``: the trajectory from ``x0`` on ``plan`` in windows, X its rows from lo.
+
+    The one fill loop.  It runs ``plan.fill`` in order, each entry from the
+    carried last row ``x`` of a scratch row ``[x, 1]``: a product writes its
+    rows in place, and a callable interval writes its RK4 steps one row at a
+    time.  ``X`` is a view of ``buf``, checked for finiteness
+    (``_check_rows``) and overwritten after the next ``yield``; every window
+    but the last has ``width`` rows, and ``buf`` holds ``width`` rows plus
+    one seed block's steps, or the whole trajectory.  A product that runs
+    past its window is written whole, and its rows past the window move to
+    the top of ``buf`` for the next one, so every product is the product of
+    one whole fill and the bits do not depend on ``width``.
     """
-    if segments and not np.isfinite(states[segments[0][0] : segments[-1][1] + 1]).all():
-        for lo, hi, mode in segments:
-            _check_finite(states[lo : hi + 1], mode)
+    n = x0.shape[0]
+    flat = buf.reshape(-1)
+    z = np.empty(n + 1)  # [x, 1], x the last row filled
+    z[n] = 1.0
+    x, matmul, full, step = z[:n], np.matmul, width * n, plan.grid[1]
+    x[:] = x0
+    buf[0] = x0
+    at, base = n, 0  # the flat offset in buf of the next row, and buf[0]'s row
+    for op, size, partial in plan.fill:
+        if partial is not None:  # one product: a chunk of full steps, or a partial step
+            if at >= full:
+                at, base = yield from _full_windows(plan, buf, flat, width, at, base)
+            out = flat[at : at + size]
+            if partial:
+                matmul(op, z, out=out)
+            else:
+                matmul(z, op, out=out)
+            at += size
+            x[:] = flat[at - n : at]
+            continue
+        mode, (n_full, rem) = op, size  # a callable interval
+        if not np.isfinite(x).all():
+            _check_rows(plan, buf[: at // n], base)
+        f, y = system[mode].field, x
+        for h in chain(repeat(step, n_full), [rem] * (rem > 0.0)):
+            k1 = np.asarray(f(y), dtype=float)
+            k2 = np.asarray(f(y + 0.5 * h * k1), dtype=float)
+            k3 = np.asarray(f(y + 0.5 * h * k2), dtype=float)
+            k4 = np.asarray(f(y + h * k3), dtype=float)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if at >= full:
+                at, base = yield from _full_windows(plan, buf, flat, width, at, base)
+            flat[at : at + n] = y
+            at += n
+        x[:] = y
+    if at > full:
+        at, base = yield from _full_windows(plan, buf, flat, width, at, base)
+    if at:
+        _check_rows(plan, buf[: at // n], base)
+        yield base, buf[: at // n]
+
+
+def _full_windows(plan, buf, flat, width, at, base):
+    """Check and yield each full window of ``width`` rows at the top of ``buf``; return (at, base).
+
+    ``flat`` is ``buf`` flat, filled up to offset ``at``, and ``base`` the
+    row at ``buf[0]``; after each window the rows past it move to the top.
+    """
+    full = width * buf.shape[1]
+    while at >= full:
+        _check_rows(plan, buf[:width], base)
+        yield base, buf[:width]
+        if at > full:
+            flat[: at - full] = flat[full:at]
+        at, base = at - full, base + width
+    return at, base
+
+
+def _check_rows(plan, X: np.ndarray, lo: int) -> None:
+    """``_check_finite`` on the rows ``X`` of samples ``lo ...`` per segment, with closing samples.
+
+    One pass when all are finite; a non-finite state raises naming the
+    first segment that holds one among these rows.
+    """
+    if not np.isfinite(X).all():
+        first = max(bisect_left(plan.los, lo) - 1, 0)
+        for start, end, mode in plan.segments[first : bisect_left(plan.los, lo + len(X))]:
+            _check_finite(X[max(start, lo) - lo : end + 1 - lo], mode)
 
 
 class _Plan:
     """A trajectory's time structure: what its checks need that no state and no system changes.
 
-    ``times`` is read-only; ``segments`` are ``Trajectory.segments``, and
-    ``modes``, ``los`` and ``lens`` their columns; ``switch_t`` and
-    ``exit_modes`` are the record columns of the switches.  ``signal`` is
-    the one ``simulate_switched`` planned from, None for a trajectory built
-    any other way.  ``fill``, for a plan that ``simulate_switched`` fills
-    from, is a tuple of entries in the order they run.  A product is
-    ``(src, op, stop, partial)``: the flat offset of its source row in
-    ``states``, its read-only operand, and the end of its output, which
-    starts at the next row.  A chunk of an affine interval's full steps
-    (``partial`` false) has its mode's seed block as operand, or the view of
-    its first ``m n`` columns for a last chunk of m < B steps; a partial step
-    has the top rows of its step's map (``kernels``).  A callable interval
-    is ``(lo, hi, mode, n_full, rem)``: its rows, mode and grid.  The
-    operands are shared by the plan's entries and, through the plan, by
-    threads.  Nothing is written to a plan after it is built.
+    ``size`` is the number of samples; ``segments`` are
+    ``Trajectory.segments``, and ``modes``, ``los`` and ``lens`` their
+    columns; ``switch_t`` and ``exit_modes`` are the record columns of the
+    switches.  ``signal`` is the one ``simulate_switched`` planned from,
+    None for a trajectory built any other way, whose ``times`` are given.
+    A plan of a signal has instead its ``grid``, (interval start times,
+    step, horizon), from which ``times_of`` makes the times of any rows and
+    ``times`` all of them, once, on first use.  ``fill``, for a plan that
+    ``simulate_switched`` fills from, is a tuple of entries in the order
+    they run, each starting from the row the one before ended on.  A product
+    is ``(op, size, partial)``: its read-only operand and the size of its
+    output, ``size`` doubles from the row after its source row.  A chunk of
+    an affine interval's full steps (``partial`` false) has its mode's seed
+    block as operand, or the view of its first ``m n`` columns for a last
+    chunk of m < B steps; a partial step has the top rows of its step's map
+    (``kernels``).  A callable interval is ``(mode, (n_full, rem), None)``:
+    its mode and grid.  The operands are shared by the plan's entries and,
+    through the plan, by threads.  Nothing but ``times`` is written to a
+    plan after it is built.
     """
 
-    def __init__(self, signal, times, initial_mode, los, switches, fill=None):
-        self.signal, self.times, self.los, self.fill = signal, times, los, fill
+    def __init__(self, signal, initial_mode, los, switches, size,
+                 times=None, grid=None, fill=None):
+        self.signal, self.los, self.size, self.fill = signal, los, size, fill
+        self._times, self.grid = times, grid
         self.modes = [initial_mode] + [nxt for _, _, nxt in switches]
-        self.segments = list(zip(los, los[1:] + [len(times)], self.modes))
+        self.segments = list(zip(los, los[1:] + [size], self.modes))
         self.lens = [hi - lo for lo, hi, _ in self.segments]
         self.switch_t = [t for t, _, _ in switches]
         self.exit_modes = [prev for _, prev, _ in switches]
+
+    @property
+    def times(self) -> np.ndarray:
+        """Every sample's time, read-only: for a plan of a signal, ``times_of`` every row, kept."""
+        if self._times is None:
+            times = self.times_of(0, self.size)
+            times.setflags(write=False)
+            self._times = times
+        return self._times
+
+    def times_of(self, lo: int, hi: int) -> np.ndarray:
+        """The times of samples ``lo ... hi - 1``, with the bits of ``times`` whatever the window.
+
+        Row r of interval i is at ``t_i + step * (r - lo_i)`` and the last
+        row at the horizon; given times are sliced.
+        """
+        if self.grid is None:
+            return self._times[lo:hi]
+        starts, step, horizon = self.grid
+        hi = min(hi, self.size)
+        j0, j1, counts = self.cut(lo, hi)
+        offsets = np.arange(lo, hi) - np.array(self.los[j0:j1]).repeat(counts)
+        times = np.array(starts[j0:j1]).repeat(counts) + step * offsets
+        if hi == self.size:
+            times[-1] = horizon
+        return times
+
+    def cut(self, lo: int, hi: int) -> tuple[int, int, list]:
+        """(j0, j1, counts): segments j0 ... j1 - 1 hold samples lo ... hi - 1, so many each."""
+        j0, j1 = bisect_right(self.los, lo) - 1, bisect_left(self.los, hi)
+        return j0, j1, [min(end, hi) - max(start, lo) for start, end, _ in self.segments[j0:j1]]
+
+
+def _w_runs(plan: _Plan) -> Optional[tuple]:
+    """The runs with at least one step, None without one: (js, firsts, lasts, modes, closed).
+
+    Run j is segment j, from its first sample to its last, the next switch's
+    or the trajectory's last; the first ``closed`` runs end at a switch.
+    """
+    last = plan.size - 1
+    runs = [(j, lo, min(hi, last), m) for j, (lo, hi, m) in enumerate(plan.segments)
+            if min(hi, last) > lo]
+    if not runs:
+        return None
+    js, firsts, lasts, modes = (list(c) for c in zip(*runs))
+    return js, firsts, lasts, modes, len(js) - (js[-1] == len(plan.segments) - 1)
+
+
+def _w_factor(k, t, t_lo):
+    """``exp(k (t - t_lo))``: W over ``exp(k t_lo)`` per unit V, at time t of a run from t_lo."""
+    return np.exp(k * (t - t_lo))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -363,30 +480,27 @@ def _w_terms(plan: _Plan, system: SwitchedSystem) -> Optional[tuple]:
     """``_w_verdicts``' inputs that do not depend on the states; None without a run of one step.
 
     (factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes):
-    ``exp(k (t - t_lo))`` at every sample, the difference rows that close
-    at a switch with their factors and segments, and the columns of the
-    runs with at least one step (segment j, its first sample, times and
-    mode).  As many ``(plan, system)`` are kept as plans.
+    ``_w_factor`` at every sample, the difference rows that close at a
+    switch with their factors and segments, and the columns of the runs
+    (``_w_runs``: segment j, its first sample, times and mode).  As many
+    ``(plan, system)`` are kept as plans.
     """
-    t, segs = plan.times, plan.segments
-    last = len(t) - 1
-    ends = [min(hi, last) for _, hi, _ in segs]
-    runs = [(j, lo, end, m) for j, ((lo, _, m), end) in enumerate(zip(segs, ends)) if end > lo]
-    if not runs:
+    runs = _w_runs(plan)
+    if runs is None:
         return None
-    js, firsts, lasts, modes = (list(c) for c in zip(*runs))
+    js, firsts, lasts, modes, closed = runs
+    t = plan.times
     k = np.array([system[mode].decay_rate for mode in plan.modes]).repeat(plan.lens)
-    factor = np.exp(k * (t - t[plan.los].repeat(plan.lens)))
-    closed = len(js) - (js[-1] == len(segs) - 1)  # all but a last run that ends the trajectory
+    factor = _w_factor(k, t, t[plan.los].repeat(plan.lens))
     j_end, lo_end, hi_end = (np.array(c[:closed], dtype=int) for c in (js, firsts, lasts))
-    closing = np.exp(k[lo_end] * (t[hi_end] - t[lo_end]))
+    closing = _w_factor(k[lo_end], t[hi_end], t[lo_end])
     t_start, t_end = t[firsts].tolist(), t[lasts].tolist()
     return factor, hi_end - 1, closing, j_end, firsts, js, t_start, t_end, modes
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float, step: float):
-    """The plan of every trajectory of ``signal`` to ``horizon`` at ``step``, with read-only times.
+    """The plan of every trajectory of ``signal`` to ``horizon`` at ``step``.
 
     Keyed by the identity of ``system`` and ``signal`` (neither compares by
     value), so value-equal signals such as ones labelled ``1`` and ``1.0``
@@ -403,11 +517,6 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     rows = [n_full + (rem > 0.0) for n_full, rem in grids]
     # interval i fills samples lo[i]..lo[i + 1]; lo[-1] is the last sample
     lo = list(accumulate(rows, initial=0))
-    rows[-1] += 1  # the tail keeps its end sample
-    offsets = np.arange(lo[-1] + 1) - np.array(lo[:-1]).repeat(rows)
-    times = np.array(t_lo).repeat(rows) + step * offsets
-    times[-1] = horizon
-    times.setflags(write=False)
     modes = [signal.initial_mode] + [nxt for _, _, nxt in switches]
     affine = {m: ab for m in dict.fromkeys(modes) if (ab := system[m].affine) is not None}
     # one seed block per affine mode with a full step, one map per (mode, partial step)
@@ -419,18 +528,18 @@ def _signal_plan(system: SwitchedSystem, signal: SwitchingSignal, horizon: float
     # partial step, and one per callable interval, in the order they run
     n, fill = system.dimension, []
     steps = kernels._seed_steps(n)
-    for start, end, m, (n_full, rem) in zip(lo, lo[1:], modes, grids):
+    for m, (n_full, rem) in zip(modes, grids):
         if m not in affine:
-            fill.append((start, end, m, n_full, rem))
+            fill.append((m, (n_full, rem), None))
             continue
-        for k in range(start, start + n_full, steps):  # rows k+1 ... k+chunk from row k
-            chunk = min(steps, start + n_full - k)
+        for k in range(0, n_full, steps):
+            chunk = min(steps, n_full - k)
             op = blocks[m] if chunk == steps else blocks[m][:, : chunk * n]
-            fill.append((k * n, op, (k + 1 + chunk) * n, False))
+            fill.append((op, chunk * n, False))
         if rem > 0.0:
-            k = start + n_full
-            fill.append((k * n, lasts[m, rem], (k + 2) * n, True))
-    return _Plan(signal, times, signal.initial_mode, lo[:-1], switches, tuple(fill))
+            fill.append((lasts[m, rem], n, True))
+    return _Plan(signal, signal.initial_mode, lo[:-1], switches, lo[-1] + 1,
+                 grid=(t_lo, step, horizon), fill=tuple(fill))
 
 
 def _plan_of(traj: Trajectory, signal: SwitchingSignal) -> _Plan:
@@ -450,7 +559,7 @@ def _match_signal(plan: _Plan, signal: SwitchingSignal) -> None:
     the previous switch's (the start's is 0) whose time is the switch's.
     """
     for prev, index, t in zip(plan.los, plan.los[1:], plan.switch_t):
-        if not (prev < index < len(plan.times) and abs(plan.times[index] - t) <= 1e-9):
+        if not (prev < index < plan.size and abs(plan.times[index] - t) <= 1e-9):
             raise SignalMismatch(f"switch event at t = {t!r} has index {index}, not its sample")
     starts = [float(plan.times[0])] + plan.switch_t
     got = list(zip(starts, [None] + plan.exit_modes, plan.modes))
@@ -516,8 +625,11 @@ def verify_trapping(
     the records are built from its columns and the plan's.
     """
     _check_eps(eps)
-    plan = _plan_of(traj, signal)
-    vs = _v_exit(traj, system)
+    return _trapping(_plan_of(traj, signal), _v_exit(traj, system), eps)
+
+
+def _trapping(plan: _Plan, vs: np.ndarray, eps: float) -> TrappingReport:
+    """``verify_trapping``'s report from the exited modes' V at the switches, ``vs``."""
     member = vs <= eps + MEMBERSHIP_TOL
     columns = vs.tolist(), member.tolist(), (vs <= eps).tolist()
     records = tuple(map(TrappingRecord, range(len(vs)), plan.switch_t, plan.exit_modes, *columns))
@@ -594,21 +706,15 @@ def _v_exit(traj: Trajectory, system: SwitchedSystem) -> np.ndarray:
     return v
 
 
-def _v_active(traj: Trajectory, system: SwitchedSystem, lo: int = 0, hi=None) -> np.ndarray:
-    """The active mode's V at samples ``lo ... hi - 1``, every sample by default.
+def _v_active(plan: _Plan, system: SwitchedSystem, X: np.ndarray, lo: int = 0) -> np.ndarray:
+    """The active mode's V at the rows ``X`` of samples ``lo ... lo + len(X) - 1``.
 
-    ``_v_rows`` over the segments, cut to the window's ends when one is
-    given; a row's V does not depend on the window, so V may be taken block
-    by block with the bits of one whole pass.
+    ``_v_rows`` over the segments cut to those rows (``_Plan.cut``); a row's
+    V does not depend on the window, so V may be taken block by block with
+    the bits of one whole pass.
     """
-    plan = traj._plan
-    modes, counts = plan.modes, plan.lens
-    if lo or hi is not None:
-        hi = len(plan.times) if hi is None else min(hi, len(plan.times))
-        segs = plan.segments[bisect_right(plan.los, lo) - 1 : bisect_left(plan.los, hi)]
-        modes = [mode for _, _, mode in segs]
-        counts = [min(end, hi) - max(start, lo) for start, end, _ in segs]
-    return _v_rows(system, traj.states[lo:hi], modes, counts)
+    j0, j1, counts = plan.cut(lo, lo + len(X))
+    return _v_rows(system, X, plan.modes[j0:j1], counts)
 
 
 def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdict]:
@@ -616,18 +722,28 @@ def _w_verdicts(traj: Trajectory, system: SwitchedSystem) -> list[WIntervalVerdi
 
     Entry j of ``_v_exit`` is segment j's V at its closing switch sample.
     """
-    terms = _w_terms(traj._plan, system)
+    plan = traj._plan
+    terms = _w_terms(plan, system)
     if terms is None:
         return []
     factor, close_rows, closing, close_runs, firsts, js, t_start, t_end, modes = terms
-    w = factor * _v_active(traj, system)
+    w = factor * _v_rows(system, traj.states, plan.modes, plan.lens)  # _v_active, every row
     # w at each difference's later sample; an interval closing at a switch
     # takes the exited mode's W there, its left limit
     later = w[1:].copy()
     later[close_rows] = closing * _v_exit(traj, system)[close_runs]
-    scale = np.maximum(np.abs(w[:-1]), np.abs(later))
+    worst = np.maximum.reduceat(_w_increases(w[:-1], later), firsts)
+    return _w_records(worst, js, t_start, t_end, modes)
+
+
+def _w_increases(w: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """The relative increase from each W to its later one, over the larger magnitude (1 if 0)."""
+    scale = np.maximum(np.abs(w), np.abs(later))
     scale[scale == 0.0] = 1.0
-    worst = np.maximum.reduceat((later - w[:-1]) / scale, firsts)
+    return (later - w) / scale
+
+
+def _w_records(worst: np.ndarray, js, t_start, t_end, modes) -> list[WIntervalVerdict]:
     columns = (worst <= W_MONOTONE_TOL).tolist(), worst.tolist()
     return list(map(WIntervalVerdict, js, t_start, t_end, modes, *columns))
 
@@ -690,15 +806,17 @@ def convergence_product(
         )
     if not all(s.quadratic for s in system.subsystems):
         raise UnsupportedCertificate("convergence products need quadratic certificates")
+    return _convergence(plan, system, eps, i_max, _v_exit(traj, system), _w_verdicts(traj, system))
 
+
+def _convergence(plan, system, eps, i_max, v_exit, w_verdicts) -> ConvergenceReport:
+    """``convergence_product``'s report, its arguments checked, from V at the switches and W."""
     mu_values, mu_tilde_values, log_products = _convergence_terms(plan, system, eps, i_max)
     certified = any(lp <= log_products[0] + math.log(1e-6) for lp in log_products)
-    v_exit = _v_exit(traj, system)
     inside = np.flatnonzero(v_exit <= eps + MEMBERSHIP_TOL)
     entry_index = int(inside[0]) if inside.size else None
-    w_verdicts = tuple(_w_verdicts(traj, system))
     return ConvergenceReport(
-        eps, mu_values, mu_tilde_values, log_products, certified, entry_index, w_verdicts
+        eps, mu_values, mu_tilde_values, log_products, certified, entry_index, tuple(w_verdicts)
     )
 
 
@@ -720,7 +838,7 @@ def _convergence_terms(plan: _Plan, system: SwitchedSystem, eps: float, i_max: i
     signal back to back, and a pass visits a few signals in turn.
     """
     modes = plan.modes[: i_max + 1]
-    times = [float(plan.times[0])] + plan.switch_t[:i_max]
+    times = [float(plan.times_of(0, 1)[0])] + plan.switch_t[:i_max]
     pairs = list(zip(modes, modes[1:]))
     pair_terms = {pair: _pair_terms(system, eps, *pair) for pair in dict.fromkeys(pairs)}
     terms = [pair_terms[pair] for pair in pairs]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -12,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchdwell import signal_from_dwell, simulate_switched
-from switchdwell import cli
+from switchdwell import signal_from_dwell, simulate_switched, verify_trapping, w_monitor
+from switchdwell import _csv, _stream, cli, sim
 from switchdwell._csv import Runs, csv_blocks
 from switchdwell.cli import _SUBCOMMAND_FLAGS, _trajectory_csv, main, run_scenario
-from switchdwell.core import SwitchedSystem, make_affine_subsystem
-from switchdwell.errors import IoError, ValidationError
+from switchdwell.core import ClassKFn, Subsystem, SwitchedSystem, make_affine_subsystem
+from switchdwell.errors import IoError, NonfiniteState, ValidationError
 from switchdwell.scenario import parse_scenario
-from switchdwell.sim import _v_active
+from switchdwell.sim import _v_active, _v_exit
 
 BAD_DWELL = """
 [system]
@@ -692,7 +693,8 @@ class TestPlotData:
             v = d[0] * d[0] + d[1] * d[1]  # V's fixed order: column 1, then column 2
             cells = [t, *x]
             lines.append(",".join(f"{c:.17g}" for c in cells) + f",{m},{float(v):.17g}")
-        assert b"".join(_trajectory_csv(traj, system)) == ("\n".join(lines) + "\n").encode()
+        csv = _trajectory_csv(traj._plan, system, traj.states[0])
+        assert b"".join(csv) == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("prefix", ["", "m" * 200], ids=["demo_labels", "201_byte_labels"])
     def test_a_long_trajectory_csv_streams_in_blocks(self, system, prefix):
@@ -707,14 +709,14 @@ class TestPlotData:
         assert len(traj.times) == 200_001
         tracemalloc.start()
         try:
-            size = sum(map(len, _trajectory_csv(traj, system)))
+            size = sum(map(len, _trajectory_csv(traj._plan, system, traj.states[0])))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # joined whole, rendering the 16 MB file of demo labels peaked near
-        # 39 MB; streamed, it holds V at every row and one block of rows,
-        # whatever the labels
-        assert size > (15e6 if not prefix else 55e6) and peak < 8e6
+        # 39 MB; refilled and rendered a block at a time, it peaks at 0.9 MB,
+        # and at 2.5 MB with 201-byte labels
+        assert size > (15e6 if not prefix else 55e6) and peak < 3e6
 
     def test_a_long_trajectory_csv_takes_v_one_block_at_a_time(self, system):
         sig = signal_from_dwell(1, [0, -1, 0], 1.43, periodic=True)
@@ -723,17 +725,17 @@ class TestPlotData:
         streamed = hashlib.sha256()
         tracemalloc.start()
         try:
-            for block in _trajectory_csv(traj, system):
+            for block in _trajectory_csv(traj._plan, system, traj.states[0]):
                 streamed.update(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # V for every row is 1.6 MB alone, and taking it whole before the
-        # first block peaked at 6.4 MB
+        # first block peaked at 6.4 MB; a block at a time, 0.9 MB
         assert peak < 2e6
         plan = traj._plan
         whole = csv_blocks("t,x1,x2,mode,V_active\n", traj.times, traj.states,
-                           Runs(plan.modes, plan.lens), _v_active(traj, system))
+                           Runs(plan.modes, plan.lens), _v_active(plan, system, traj.states))
         assert streamed.digest() == hashlib.sha256(b"".join(whole)).digest()
 
     def test_region_polyline_is_closed(self, example1_run):
@@ -755,6 +757,127 @@ class TestPlotData:
         assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == "error: plot data emission needs a 2-D system\n"
         assert not (tmp_path / "o").exists()
+
+
+def _callable_mode(label, field):
+    """A 2-D mode given by its field alone, with V = |x|^2."""
+    return Subsystem(
+        label=label, field=field, equilibrium=np.zeros(2), decay_rate=1.0,
+        alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lambda x: float(x @ x),
+    )
+
+
+def _window_case(system, kind):
+    """(system, signal) of affine, callable or mixed modes whose intervals end in partial steps."""
+    if kind == "mixed":
+        c = _callable_mode("c", lambda x: 0.1 * np.sin(x[::-1]) - x)
+        system = SwitchedSystem(system.subsystems + (c,))
+        return system, signal_from_dwell(1, ["c", 0, "c", -1], [0.4013, 0.25, 0.3337, 0.12, 0.3],
+                                         periodic=True)
+    if kind == "callable":
+        system = SwitchedSystem(tuple(dataclasses.replace(sub, affine=None)
+                                      for sub in system.subsystems))
+    return system, signal_from_dwell(1, [0, -1, 0], [0.4013, 0.25, 0.3337, 0.12], periodic=True)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("block", [7, 255, 257])
+    @pytest.mark.parametrize("kind", ["affine", "callable", "mixed"])
+    def test_a_windowed_pass_equals_the_whole_trajectory(self, system, eps, monkeypatch,
+                                                         kind, block):
+        system, sig = _window_case(system, kind)
+        x0 = np.array([0.7, -0.4])
+        traj = simulate_switched(system, sig, x0, 3.0, 1e-3)
+        plan = traj._plan
+        header = "t,x1,x2,mode,V_active\n"
+        whole = csv_blocks(header, traj.times, traj.states, Runs(plan.modes, plan.lens),
+                           _v_active(plan, system, traj.states))
+        expected = b"".join(whole)
+        # windows of 7 rows split every seed-block chunk, 255 and 257 straddle
+        # chunks of 256 steps, partial steps and interval ends
+        monkeypatch.setattr(_csv, "_BLOCK", block)
+        assert b"".join(_trajectory_csv(plan, system, x0)) == expected
+        scan = _stream.scan(system, sig, x0, 3.0, 1e-3, _csv._BLOCK, "t.csv", w=True)
+        assert scan.plan is plan and scan.x0.tobytes() == x0.tobytes()
+        assert scan.switch_states.tobytes() == traj.states[plan.los[1:]].tobytes()
+        assert scan.v_exit.tobytes() == _v_exit(traj, system).tobytes()
+        assert repr(scan.w_verdicts) == repr(w_monitor(traj, system, sig))
+        trapping = sim._trapping(plan, scan.v_exit, eps)
+        assert repr(trapping) == repr(verify_trapping(traj, system, sig, eps))
+
+    @pytest.mark.parametrize("block", [257, 2048])
+    def test_a_state_non_finite_in_a_late_window_exits_4_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, block
+    ):
+        # x' = 1000 x from t = 3 overflows near t = 3.71, row 3710 of 4001
+        up = dataclasses.replace(_callable_mode("up", lambda x: 1000.0 * x),
+                                 affine=(1000.0 * np.eye(2), np.zeros(2)))
+        parse = cli.parse_scenario
+
+        def with_up(text, **kwargs):
+            s = parse(text, **kwargs)
+            return dataclasses.replace(s, system=SwitchedSystem((s.system["a"], up)))
+
+        p = tmp_path / "up.scenario"
+        p.write_text(
+            "[system]\nA = -1 -1 1 -1\n[subsystem.a]\nb = 0 1\n[subsystem.up]\nb = 0 0\n"
+            "[signal]\nkind = from_dwell\ninitial_mode = a\nmodes = up\nT = 3\nx0 = 0 1\n"
+            "horizon = 4\n"
+            "[analysis]\neps = 0.05\ntrapping = true\nplot_data = true\n"
+        )
+        monkeypatch.setattr(cli, "parse_scenario", with_up)
+        monkeypatch.setattr(_csv, "_BLOCK", block)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(p), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "numeric failure: non-finite state while integrating mode 'up'\n"
+        assert captured.out == "" and not out.exists()
+        scenario = with_up(p.read_text())
+        with np.errstate(all="ignore"), pytest.raises(NonfiniteState, match="mode 'up'"):
+            _stream.scan(scenario.system, scenario.signals["signal"].signal,
+                         np.array([0.0, 1.0]), 4.0, 1e-3, block, "t.csv")
+
+
+def _periodic_demo(horizon):
+    """Example1's system on its cycle signal alone, to ``horizon``, checked and convergent."""
+    return parse_scenario(
+        "[system]\nA = -1 -1 1 -1\nfamily = u 1\nu_values = 1 0 -1\n"
+        "[signal]\nkind = periodic\ninitial_mode = 1\nmodes = 0 -1 0\nT = 1.43\n"
+        f"x0 = -0.5 0.5\nhorizon = {horizon}\n"
+        "[analysis]\neps = 0.05\ntrapping = true\nconvergence = true\ni_max = 3\n"
+    )
+
+
+def test_memory_does_not_grow_with_the_horizon(capsys):
+    peaks = []
+    for horizon, samples in ((25, 25_001), (200, 200_001)):
+        scenario = _periodic_demo(horizon)
+        tracemalloc.start()
+        try:
+            _, _, files = cli.analyse(scenario)
+            for _, blocks, _ in files:
+                for _ in blocks:
+                    pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert files[0][0] == ("trajectory_signal_0.csv",) and files[0][2] == samples
+    # 175 000 more samples: states, times and W's factors would be 12.7 MB
+    assert peaks[1] - peaks[0] < 0.5e6
+
+
+def test_the_written_lines_follow_the_emission(tmp_path, capsys):
+    scenario = Path(__file__).parents[1] / "tools" / "tube_convergence.scenario"
+    args = ["run", "--scenario", str(scenario)]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["tube: written", "plot-data: written"]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(args + ["--out", str(blocker)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create output directory")
+    assert captured.out.splitlines() == lines[:-2] and "written" not in captured.out
 
 
 class TestRunScenario:

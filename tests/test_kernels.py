@@ -6,10 +6,25 @@ from switchdwell import integrate, kernels, make_affine_subsystem, simulate_swit
 from switchdwell.core import ClassKFn, Subsystem, SwitchedSystem, SwitchingSignal, signal_from_dwell
 from switchdwell.errors import NonfiniteState
 from switchdwell.prebuilt import demo_system
-from switchdwell.sim import _generic_rk4_path, _grid, _signal_plan
+from switchdwell.sim import _grid, _signal_plan
 
 A = np.array([[-1.0, -1.0], [1.0, -1.0]])
 B = np.array([1.0, 1.0])
+
+
+def _generic_rk4_path(f, x0, h, n_full, h_last):
+    """Classical RK4 of ``x' = f(x)`` written out step by step: n_full steps of h, then h_last."""
+    steps = [h] * n_full + ([h_last] if h_last > 0.0 else [])
+    out = np.empty((len(steps) + 1, x0.shape[0]))
+    out[0] = x = x0
+    for i, hi in enumerate(steps):
+        k1 = np.asarray(f(x), dtype=float)
+        k2 = np.asarray(f(x + 0.5 * hi * k1), dtype=float)
+        k3 = np.asarray(f(x + 0.5 * hi * k2), dtype=float)
+        k4 = np.asarray(f(x + hi * k3), dtype=float)
+        x = x + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = x
+    return out
 
 
 def _generic(A, b, x0, h, n_full, h_last):
@@ -297,15 +312,19 @@ def test_the_fill_is_a_tuple_of_tuples_with_read_only_operands():
     traj = simulate_switched(system, sig, np.array([0.7, -0.4]), 4.0, 1e-3)
     fill, n, B = traj._plan.fill, 2, kernels._seed_steps(2)
     assert type(fill) is tuple and all(type(entry) is tuple for entry in fill)
-    products = [entry for entry in fill if len(entry) == 4]
-    calls = [entry for entry in fill if len(entry) == 5]
-    assert len(products) + len(calls) == len(fill)
-    for src, op, stop, partial in products:
+    products = [entry for entry in fill if entry[2] is not None]
+    calls = [entry for entry in fill if entry[2] is None]
+    assert all(len(entry) == 3 for entry in fill)
+    for op, size, partial in products:
         assert not op.flags.writeable
         with pytest.raises(ValueError):
             op[0, 0] = 0.0
-        # the output starts at the row after the source
-        assert op.shape == ((n, n + 1) if partial else (n + 1, stop - src - n))
+        # the output starts at the row after the source, which is the last row filled
+        assert op.shape == ((n, n + 1) if partial else (n + 1, size)) and size % n == 0
+    # the products and callable intervals write every row after the first, in order
+    rows = [size // n for _, size, _ in products]
+    rows += [n_full + (rem > 0.0) for _, (n_full, rem), _ in calls]
+    assert sum(rows) == len(traj.times) - 1
     # per affine interval: one product per chunk of at most B full steps,
     # then one for the partial step; one entry per callable interval
     count = 0
@@ -313,7 +332,7 @@ def test_the_fill_is_a_tuple_of_tuples_with_read_only_operands():
         hi = min(hi, len(traj.times) - 1)
         n_full, rem = _grid(traj.times[lo], traj.times[hi], 1e-3)
         if mode == "c":
-            assert (lo, hi, mode, n_full, rem) in calls
+            assert (mode, (n_full, rem), None) in calls
         else:
             count += -(-n_full // B) + (rem > 0.0)
     assert count == len(products) and len(calls) == sum(m == "c" for _, _, m in traj.segments())

@@ -35,7 +35,7 @@ traj = Trajectory(times=times, states=X, initial_mode=0, switch_events=events, s
 v_exit = _v_exit(traj, system)
 w = [v.max_relative_increase for v in _w_verdicts(traj, system)]
 h = hashlib.sha256()
-for part in (system[0].v_batch(X), _v_active(traj, system), v_exit, np.array(w)):
+for part in (system[0].v_batch(X), _v_active(traj._plan, system, X), v_exit, np.array(w)):
     h.update(part.tobytes())
 print(h.hexdigest())
 """

@@ -28,6 +28,7 @@ from switchdwell.errors import (
     SignalMismatch,
     UnsupportedCertificate,
 )
+from switchdwell._csv import Runs, csv_blocks
 from switchdwell.cli import _trajectory_csv
 from switchdwell.core import SwitchedSystem, make_affine_subsystem
 from switchdwell.dwell import pair_mu
@@ -340,6 +341,20 @@ def _v_case(system, case):
     return mixed, signal_from_dwell(1, [0, "c"], [0.4013, 0.25]), 2.0, 2
 
 
+def _v_all(traj, system):
+    """The active mode's V at every sample of ``traj``."""
+    return _v_active(traj._plan, system, traj.states)
+
+
+def _csv(traj, system):
+    """``traj``'s trajectory CSV: refilled from its plan when it has a fill, else from its arrays."""
+    plan = traj._plan
+    if plan.fill is not None:
+        return b"".join(_trajectory_csv(plan, system, traj.states[0]))
+    columns = traj.times, traj.states, Runs(plan.modes, plan.lens), _v_all(traj, system)
+    return b"".join(csv_blocks("t,x1,x2,mode,V_active\n", *columns))
+
+
 class TestVPasses:
     @pytest.mark.parametrize("case", ["quadratic", "with_callable", "no_switch", "callable_tail"])
     def test_v_passes_equal_per_segment_and_per_switch_references(self, system, case):
@@ -347,7 +362,7 @@ class TestVPasses:
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
         assert len(traj.switch_events) >= switches
         per_segment = [system[m].v_batch(traj.states[lo:hi]) for lo, hi, m in traj.segments()]
-        assert _v_active(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
+        assert _v_all(traj, system).tobytes() == np.concatenate(per_segment).tobytes()
         per_switch = [v_eval(system[ev.prev_mode], ev.state) for ev in traj.switch_events]
         assert _v_exit(traj, system).tobytes() == np.array(per_switch).tobytes()
 
@@ -355,12 +370,12 @@ class TestVPasses:
     def test_v_active_in_windows_is_the_whole_pass(self, system, case):
         system, sig, horizon, _ = _v_case(system, case)
         traj = simulate_switched(system, sig, np.array([0.7, -0.4]), horizon, STEP)
-        whole = _v_active(traj, system)
+        whole, X, plan = _v_all(traj, system), traj.states, traj._plan
         N = len(whole)
         # windows that cut segments, hold several, end past the last sample or
         # are one row wide
         for width in (1, 7, 1430, 2048, N, N + 5):
-            parts = [_v_active(traj, system, lo, lo + width) for lo in range(0, N, width)]
+            parts = [_v_active(plan, system, X[lo : lo + width], lo) for lo in range(0, N, width)]
             assert np.concatenate(parts).tobytes() == whole.tobytes(), width
 
 
@@ -925,9 +940,9 @@ def _checks(traj, system, sig, i_max=None, eps=0.05):
     out = [
         verify_trapping(traj, system, sig, eps),
         w_monitor(traj, system, sig),
-        _v_active(traj, system).tobytes(),
+        _v_all(traj, system).tobytes(),
         _v_exit(traj, system).tobytes(),
-        b"".join(_trajectory_csv(traj, system)),
+        _csv(traj, system),
     ]
     if all(sub.quadratic for sub in system.subsystems):
         n = len(traj.switch_events) if i_max is None else i_max
@@ -994,7 +1009,7 @@ class TestPlan:
         moved = dataclasses.replace(traj, states=traj.states + 1e-3)
         assert _checks(moved, system, sig) != expected
         per_segment = [system[m].v_batch(moved.states[lo:hi]) for lo, hi, m in moved.segments()]
-        assert _v_active(moved, system).tobytes() == np.concatenate(per_segment).tobytes()
+        assert _v_all(moved, system).tobytes() == np.concatenate(per_segment).tobytes()
         rows = [(e.prev_mode, e.index) for e in moved.switch_events]
         per_switch = [v_eval(system[mode], moved.states[i]) for mode, i in rows]
         assert _v_exit(moved, system).tobytes() == np.array(per_switch).tobytes()
@@ -1048,7 +1063,7 @@ class TestPlan:
             verify_trapping(traj, system, sig, eps)
             convergence_product(system, sig, traj, eps, i_max=3)
             w_monitor(traj, system, sig)
-            b"".join(_trajectory_csv(traj, system))
+            _csv(traj, system)
         assert calls == [6.0]
         # a pass over 3 signals, 3 times: each signal is planned once
         signals = [signal_from_dwell(1, [0, -1, 0], 1.5 + 0.1 * j, periodic=True) for j in range(3)]
@@ -1101,10 +1116,10 @@ class TestPlan:
         plan, _ = start(np.array([0.7, -0.4]))
         # a seed block per affine mode with a full step: modes 1 and -1, not 0
         # (a chunk's operand is its block or a view that starts where it does)
-        products = [entry for entry in plan.fill if len(entry) == 4]
-        blocks = {op.ctypes.data for _, op, _, partial in products if not partial}
+        products = [entry for entry in plan.fill if entry[2] is not None]
+        blocks = {op.ctypes.data for op, _, partial in products if not partial}
         assert len(blocks) == (0 if kind == "callable" else 2)
-        assert all(not op.flags.writeable for _, op, _, _ in products)
+        assert all(not op.flags.writeable for op, _, _ in products)
         cached, warm = start(np.array([-1.2, 0.3]))
         _signal_plan.cache_clear()
         replanned, cold = start(np.array([-1.2, 0.3]))

@@ -139,3 +139,17 @@ def test_clidiff_default_scenarios_write_every_report(tmp_path, capsys):
     capsys.readouterr()
     reports = ("certificate", "trapping", "convergence", "triangle", "tube")
     assert written == {f"{r}_report.json" for r in reports} | {"dwell_table.json", "manifest.json"}
+
+
+def test_memory_prints_samples_peak_rss_and_wall_of_cold_runs(capsys):
+    memory = _load_tool("memory")
+    assert memory.main(["--samples", "12000", "15000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" samples: ")[0] for line in lines] == ["12000", "15000"]
+    for line in lines:
+        peak, wall = line.split(": peak RSS ")[1].split(" MB; wall ")
+        # a cold run imports numpy: tens of MB, read from each child's own rusage
+        assert 10 < float(peak) < 1000 and 0 < float(wall.removesuffix(" s")) < 60
+    code = "import sys; sys.path.insert(0, 'tools'); import memory; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
+    assert done.stdout == "False\n", done.stderr
