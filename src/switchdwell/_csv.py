@@ -23,16 +23,17 @@ within 1e-6 of the 0.5 tie, where ``'%.17g'`` rounds half to even.
 
 Layout.  Each cell is a NUL-padded row of ``_WIDTH`` bytes.  Cells are laid
 out per exponent group by slice assignment, the groups come from a stable
-sort on ``X``, and a CSV block is the ``hstack`` of its cells with the comma
-and newline columns.  Dropping every NUL leaves the text, so no label may
-contain NUL, which ``scenario`` guarantees.
+sort on ``X``.  A CSV block is one byte row per CSV row: each cell, label
+or run of labels is written into its columns, followed by a comma, and the
+last comma is a newline.  Dropping every NUL leaves the text, so no label
+may contain NUL, which ``scenario`` guarantees.
 
 Streaming.  ``csv_blocks`` yields a file as its encoded header and then one
 encoded block (``csv_block``) per ``_BLOCK`` rows, so rendering holds one
 block at a time whatever the file's length; a small file is just a few
-blocks.  A label column given as ``Runs`` is gathered block by block too.
-A caller that makes its rows block by block, as ``cli`` does a trajectory's,
-renders each with ``csv_block``.
+blocks.  A label column given as ``Runs`` is written run by run into each
+block.  A caller that makes its rows block by block, as ``cli`` does a
+trajectory's, renders each with ``csv_block``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ from typing import Iterator
 import numpy as np
 
 _WIDTH = 24  # the longest cell: -1.2345678901234567e-100
-_BLOCK = 2048  # rows rendered at once: 8192 raised a cold example1 run's peak RSS by 2.6 MB
+# rows rendered at once, the float cells by one _cells call: 2048 rows with a
+# call per column peaked 0.55 MB higher on a cold example1 run (38.65 MB,
+# against 38.09) and rendered its files 9% slower; 8192 peaked 2.6 MB higher
+_BLOCK = 1024
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
 _E16, _E17 = 10**16, 10**17
 
@@ -163,19 +167,34 @@ def csv_block(*columns) -> bytes:
     """One encoded CSV row per row of ``columns``.
 
     Each column is a float array of N rows (or N rows of k floats, k cells)
-    rendered as ``'%.17g'``, or N labels written as they are, an ``S``
-    (bytes) array.
+    rendered as ``'%.17g'``, N labels written as they are, an ``S`` (bytes)
+    array, or a ``Runs`` of N rows; at least one is a float array.  The
+    float cells of all columns are rendered by one ``_cells`` call, and each
+    cell is then laid into the rows beside its comma.
     """
-    cells = []
+    n = len(columns[0])
+    floats = [col.reshape(n, -1) for col in columns if isinstance(col, np.ndarray)
+              and col.dtype.kind != "S"]
+    F = iter(_cells(np.hstack(floats).ravel()).reshape(n, -1, _WIDTH).swapaxes(0, 1))
+    cells = []  # (width, what fills it): a cell array, or a Runs that writes its rows
     for col in columns:
-        if col.dtype.kind == "S":
-            cells.append(col.view(np.uint8).reshape(len(col), -1))
+        if isinstance(col, Runs):
+            cells.append((col.table.itemsize, col))
+        elif col.dtype.kind == "S":
+            cells.append((col.itemsize, col.view(np.uint8).reshape(n, -1)))
         else:
-            F = _cells(col.ravel()).reshape(len(col), -1, _WIDTH)
-            cells.extend(F[:, j] for j in range(F.shape[1]))
-    comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
-    newline = np.full_like(comma, ord("\n"))
-    B = np.hstack([x for cell in cells for x in (cell, comma)][:-1] + [newline])
+            cells.extend((_WIDTH, next(F)) for _ in range(col.size // n))
+    B = np.empty((n, sum(width + 1 for width, _ in cells)), np.uint8)
+    end = 0
+    for width, cell in cells:
+        body = B[:, end : end + width]
+        if isinstance(cell, Runs):
+            cell.write(body)
+        else:
+            body[...] = cell
+        B[:, end + width] = ord(",")
+        end += width + 1
+    B[:, -1] = ord("\n")
     return B[B != 0].tobytes()
 
 
@@ -187,13 +206,29 @@ def labels(values) -> np.ndarray:
 class Runs:
     """A label column given by runs: label ``values[j]`` on the next ``lens[j]`` rows.
 
-    A slice of rows gathers its labels' bytes when its block is rendered,
-    so a column of long labels is never held for every row.
+    A slice of rows is the ``Runs`` of its own rows, and ``csv_block``
+    writes each run's label bytes into the block's rows, so a column of
+    long labels is never gathered row by row.
     """
 
     def __init__(self, values, lens):
         self.table, self.ends = labels(values), np.cumsum(lens)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        i = np.arange(rows.start, min(rows.stop, self.ends[-1]))
-        return self.table[np.searchsorted(self.ends, i, side="right")]
+    def __len__(self) -> int:
+        return int(self.ends[-1])
+
+    def __getitem__(self, rows: slice) -> Runs:
+        start, stop = rows.start, min(rows.stop, len(self))
+        j0 = np.searchsorted(self.ends, start, side="right")  # the run of row start
+        j1 = np.searchsorted(self.ends, stop) + 1  # past the run of row stop - 1
+        block = Runs.__new__(Runs)
+        block.table, block.ends = self.table[j0:j1], np.minimum(self.ends[j0:j1], stop) - start
+        return block
+
+    def write(self, out: np.ndarray) -> None:
+        """Each run's label bytes into its rows of ``out``, (len(self), table.itemsize) uint8."""
+        start = 0
+        for label, end in zip(self.table.view(np.uint8).reshape(len(self.table), -1),
+                              self.ends.tolist()):
+            out[start:end] = label
+            start = end

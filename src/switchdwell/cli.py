@@ -51,6 +51,10 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+# rows of a trajectory that analyse's pass (_stream.scan) takes at once:
+# windows of the CSV's 1024-row blocks (_csv._BLOCK) made example1's analyse
+# 4% slower, in 53 of 60 alternating in-process rounds
+SCAN_ROWS = 2048
 
 
 def _json(name: str, obj) -> bytes:
@@ -136,7 +140,7 @@ def analyse(s: Scenario) -> tuple[int, list[str], list[tuple]]:
                 csv = f"trajectory_{name}_{i}.csv"
                 # only the primary trajectory's W reaches a report
                 w = flags.get("convergence") and (name, i) == ("signal", 0)
-                scan = _stream.scan(system, spec.signal, x0, spec.horizon, s.step, _csv._BLOCK,
+                scan = _stream.scan(system, spec.signal, x0, spec.horizon, s.step, SCAN_ROWS,
                                     csv, w)
                 scans[(name, i)] = scan
                 # one content: the same bytes are the plot directory's trajectory.csv

@@ -27,6 +27,9 @@ from .errors import NonfiniteState, UnsupportedDimension
 
 MEMBERSHIP_TOL = 1e-9
 DECAY_TOL = 1e-9
+# certificate samples checked at once: 130 (affine) to 190 (callable) bytes
+# each in 2-D, so a check of any size holds under 0.4 MB and its violations
+_SAMPLE_BLOCK = 2048
 
 
 def v_eval(sub: Subsystem, x) -> float:
@@ -88,27 +91,42 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+def _shift(d: int, seed: int) -> list[float]:
+    """The Cranley-Patterson shift of ``seed``: the first ``d`` draws of ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(d)]
+
+
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
     """First ``n`` points of the Halton sequence in [0, 1)^d, shifted by ``seed``, shape (n, d).
 
     Dimension j holds the radical inverses of ``0 ... n-1`` in base p_j, the
     j-th prime, shifted modulo 1 by the j-th draw of ``random.Random(seed)``
-    (a Cranley-Patterson rotation).  Only integer divmod and correctly
-    rounded IEEE products, quotients, sums and ``% 1.0`` are used, so the
-    points have the same bits on every platform.  ``seed`` is a
+    (a Cranley-Patterson rotation, ``_shift``).  Only integer divmod and
+    correctly rounded IEEE products, quotients, sums and ``% 1.0`` are used,
+    so the points have the same bits on every platform.  ``seed`` is a
     non-negative int.
     """
-    rng = random.Random(seed)
-    pts = np.empty((n, d))
-    for j, base in enumerate(_primes(d)):
-        q, seq, f = np.arange(n), np.zeros(n), 1.0 / base
-        top = n - 1  # the largest index: one pass per digit of it
+    return _halton_rows(_shift(d, seed), 0, n)
+
+
+def _halton_rows(shift: list[float], lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo ... hi-1`` of the Halton set shifted by ``shift``, shape (hi - lo, len(shift)).
+
+    They have the bits of the same rows of the whole set: a digit past the
+    largest index's is 0 for every row, and adding ``0 * f`` to a
+    non-negative sum leaves it as it was.
+    """
+    pts = np.empty((hi - lo, len(shift)))
+    for j, (base, s) in enumerate(zip(_primes(len(shift)), shift)):
+        q, seq, f = np.arange(lo, hi), np.zeros(hi - lo), 1.0 / base
+        top = hi - 1  # the largest index: one pass per digit of it
         while top:
             q, digit = np.divmod(q, base)
             seq += digit * f
             f /= base
             top //= base
-        pts[:, j] = (seq + rng.random()) % 1.0
+        pts[:, j] = (seq + s) % 1.0
     return pts
 
 
@@ -123,11 +141,15 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
     At each point: alpha(||x-x_u||) <= V(x) <= beta(||x-x_u||) and
     grad V(x) . f(x) <= -k V(x) + 1e-9, with V from ``Subsystem.v_batch``
     and grad V . f from ``Subsystem.lie_batch``: for a callable V, one
-    field call and three V calls per point in any dimension.  Violation
-    lists are ordered by sample index.  A non-finite V, field, bound or
-    derivative at any point raises ``NonfiniteState``: no comparison with it
-    could find a violation.  A non-finite field raises before V is
-    evaluated off the sample points.
+    field call and three V calls per point in any dimension.  The points
+    are checked in blocks of ``_SAMPLE_BLOCK``, in sample order, each made
+    by ``_halton_rows`` with the check's one shift, so the check holds one
+    block and the violations found whatever ``n_samples`` is, and its
+    report has the bits of one check of all the points at once.  Violation
+    lists are ordered by sample index.  A non-finite V, field, bound or derivative at any point raises
+    ``NonfiniteState``: no comparison with it could find a violation.  A
+    non-finite field raises before V is evaluated off the sample points of
+    its block; earlier blocks are checked in full.
     """
     lower, upper = (np.asarray(s, dtype=float) for s in box)
     if n_samples < 1:
@@ -136,8 +158,16 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not np.all(upper > lower):
         raise ValueError("box must have positive volume")
-    pts = _halton(sub.dimension, n_samples, seed) * (upper - lower) + lower
+    shift = _shift(sub.dimension, seed)
+    report = CertificateReport(label=sub.label, samples_tested=n_samples)
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        pts = _halton_rows(shift, start, min(start + _SAMPLE_BLOCK, n_samples))
+        _check_block(sub, pts * (upper - lower) + lower, report)
+    return report
 
+
+def _check_block(sub: Subsystem, pts: np.ndarray, report: CertificateReport) -> None:
+    """``check_certificate`` on the points ``pts``: the slack's maximum and violations go to ``report``."""
     diff = pts - sub.equilibrium
     r = np.sqrt(np.vecdot(diff, diff))
     v = sub.v_batch(pts)
@@ -146,22 +176,20 @@ def check_certificate(sub: Subsystem, box, n_samples: int, seed: int) -> Certifi
         A, b = sub.affine
         f = pts @ A.T + b
     else:
-        f = np.fromiter(map(sub.field, pts), dtype=(float, sub.dimension), count=n_samples)
+        f = np.fromiter(map(sub.field, pts), dtype=(float, sub.dimension), count=len(pts))
     # a non-finite field makes every derivative NaN, and V is not evaluated off the samples
-    deriv = sub.lie_batch(pts, f) if np.isfinite(f).all() else np.full(n_samples, np.nan)
+    deriv = sub.lie_batch(pts, f) if np.isfinite(f).all() else np.full(len(pts), np.nan)
     slack = deriv + sub.decay_rate * v
     if not all(np.isfinite(a).all() for a in (v, lo, hi, slack)):
         raise NonfiniteState(f"non-finite V, bound or derivative sampled for mode {sub.label!r}")
     # a finite difference carries a relative error, so off the closed form
     # the tolerance scales with the derivative magnitude
     tol = DECAY_TOL if sub.quadratic else DECAY_TOL * (1.0 + np.abs(deriv))
-    report = CertificateReport(label=sub.label, samples_tested=n_samples)
-    report.max_decay_slack = float(slack.max())
+    report.max_decay_slack = max(report.max_decay_slack, float(slack.max()))
     for i in np.nonzero((v < lo - MEMBERSHIP_TOL) | (v > hi + MEMBERSHIP_TOL))[0]:
         report.sandwich_violations.append((pts[i].copy(), float(v[i]), float(lo[i]), float(hi[i])))
     for i in np.nonzero(slack > tol)[0]:
         report.decay_violations.append((pts[i].copy(), float(deriv[i]), -sub.decay_rate * float(v[i])))
-    return report
 
 
 def region_boundary_points(sub: Subsystem, eps: float, count: int) -> np.ndarray:

@@ -91,14 +91,15 @@ from .sim import _time_resolution
 
 # The work budget.  The CLI holds no sample: each trajectory is checked in
 # one windowed pass and its CSV, about 80 bytes per sample, is refilled and
-# rendered in blocks of 2048 rows, so a run holds a few blocks whatever
-# MAX_SAMPLES allows (a 200 001-sample demo CSV peaks at 0.9 MB,
+# rendered in blocks of 1024 rows, so a run holds a few blocks whatever
+# MAX_SAMPLES allows (a 200 001-sample demo CSV peaks at 0.8 MB,
 # tracemalloc, numpy 2).  MAX_SAMPLES bounds the time and the bytes written,
 # about 1.4 GB near it.  A switch costs a few kilobytes per trajectory: its
 # plan's fill entries, state, V and report record (example1's cycle near
 # MAX_SAMPLES peaks at 54 MB of resident memory).  A certificate check
-# holds about 160 bytes per 2-D sample, and a tube point about 150 bytes as
-# JSON, so MAX_POINTS caps either near 0.2 GB.
+# holds one block of 2048 samples and the violations it finds, whatever its
+# size (example1 at MAX_POINTS samples peaks at 38 MB).  A tube point is
+# about 150 bytes as JSON, so MAX_POINTS caps tube points near 0.2 GB.
 MAX_SWITCHES = 10**6
 MAX_SAMPLES = 10**7
 MAX_POINTS = 10**6

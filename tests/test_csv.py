@@ -44,7 +44,9 @@ def test_blocks_are_the_header_then_one_per_block_of_rows():
 
 
 def test_label_runs_equal_the_repeated_labels():
-    values, lens = ["α", -1, "long" * 20], [_BLOCK - 1, 2, _BLOCK + 3]
-    times = np.arange(sum(lens), dtype=float)
-    repeated = labels(values).repeat(lens)
-    assert csv_bytes("t,m\n", times, Runs(values, lens)) == csv_bytes("t,m\n", times, repeated)
+    values = ["α", -1, "long" * 20]
+    # runs across a block boundary, ending on one, and two short runs in one block
+    for lens in [_BLOCK - 1, 2, _BLOCK + 3], [_BLOCK, 1, 2 * _BLOCK - 1], [1, 1, 2 * _BLOCK]:
+        times = np.arange(sum(lens), dtype=float)
+        repeated = labels(values).repeat(lens)
+        assert csv_bytes("t,m\n", times, Runs(values, lens)) == csv_bytes("t,m\n", times, repeated)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from switchdwell import (
     Subsystem,
     check_certificate,
     in_region,
+    lyapunov,
     make_affine_subsystem,
     region_boundary_points,
     v_eval,
 )
 from switchdwell.errors import InvalidEpsilon, NonfiniteState, UnsupportedDimension
-from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL, _halton
+from switchdwell.lyapunov import DECAY_TOL, MEMBERSHIP_TOL, _halton, _halton_rows, _shift
 
 BOX2 = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
 
@@ -185,6 +187,32 @@ class TestBatchEvaluation:
             check_certificate(sub, box, 100, seed=6)
         assert len(seen) == 100 and all(seen)  # V ran on the samples only
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_nonfinite_field_in_a_later_block_raises_before_v_leaves_its_samples(
+        self, n, monkeypatch
+    ):
+        monkeypatch.setattr(lyapunov, "_SAMPLE_BLOCK", 16)
+        box = (np.full(n, -2.0), np.full(n, 2.0))
+        bad = _halton(n, 100, 6)[37] * 4.0 - 2.0  # in the third block, rows 32 to 47
+        seen = []
+
+        def lyapunov_fn(x):
+            seen.append(np.isfinite(x).all())
+            return float(x @ x)
+
+        def field(x):
+            return np.full(n, np.nan) if np.array_equal(x, bad) else -x
+
+        sub = Subsystem(
+            label="leaky", field=field, equilibrium=np.zeros(n), decay_rate=2.0,
+            alpha=ClassKFn(1.0, 2.0), beta=ClassKFn(1.0, 2.0), lyapunov=lyapunov_fn,
+        )
+        seen.clear()
+        with pytest.raises(NonfiniteState, match="non-finite V, bound or derivative sampled for mode 'leaky'"):
+            check_certificate(sub, box, 100, seed=6)
+        # two blocks checked in full, three V calls a sample; then V on the third's samples only
+        assert len(seen) == 2 * 16 * 3 + 16 and all(seen)
+
     def test_huge_samples_raise_before_v_sees_a_nonfinite_argument(self):
         # past |x| ~ 1e154 the difference step 1e-6 (1 + |x|) overflows; 100 of
         # V's 150 calls got an inf or NaN argument before
@@ -287,6 +315,13 @@ def test_smaller_sets_are_prefixes():
     full = _halton(3, 200, 9)
     for n in range(1, 200):
         assert _halton(3, n, 9).tobytes() == full[:n].tobytes(), n
+
+
+def test_row_ranges_are_the_rows_of_the_whole_set():
+    # ranges that start and end on either side of a power of 2, 3 and 5
+    full = _halton(3, 200, 9)
+    for lo, hi in [(0, 1), (0, 200), (1, 2), (7, 9), (8, 27), (26, 126), (125, 200), (199, 200)]:
+        assert _halton_rows(_shift(3, 9), lo, hi).tobytes() == full[lo:hi].tobytes(), (lo, hi)
 
 
 def test_base_two_is_the_van_der_corput_sequence():
@@ -405,6 +440,42 @@ class TestCheckCertificate:
                 with pytest.raises(NonfiniteState, match="mode 1"):
                     box = (np.full(2, -half), np.full(2, half))
                     check_certificate(system[1], box, 50, seed=0)
+
+
+def _report_bits(report):
+    return report.passed, report.max_decay_slack.hex(), report.samples_tested
+
+
+class TestCertificateBlocks:
+    @pytest.mark.parametrize("block", [7, 300, 10**6], ids=["7", "300", "one_block"])
+    @pytest.mark.parametrize("kind", ["affine", "callable", "violating"])
+    def test_any_block_size_gives_the_report_of_one_block(self, system, monkeypatch, kind, block):
+        sub, samples = {
+            "affine": (system[0], 2000),
+            "callable": (dataclasses.replace(system[-1], affine=None, quadratic=False), 700),
+            # the k = 3 injection of the acceptance test: every sample violates the decay
+            "violating": (dataclasses.replace(system[1], decay_rate=3.0), 3000),
+        }[kind]
+        whole = check_certificate(sub, BOX2, samples, seed=42)
+        monkeypatch.setattr(lyapunov, "_SAMPLE_BLOCK", block)
+        blocked = check_certificate(sub, BOX2, samples, seed=42)
+        assert _report_bits(blocked) == _report_bits(whole)
+        assert_same_violations(blocked.sandwich_violations, whole.sandwich_violations)
+        assert_same_violations(blocked.decay_violations, whole.decay_violations)
+        assert whole.passed == (kind != "violating")
+        assert len(whole.decay_violations) == (samples if kind == "violating" else 0)
+
+    def test_a_check_holds_one_block_whatever_its_samples(self, system):
+        peaks = []
+        for samples in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert check_certificate(system[1], BOX2, samples, seed=3).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # holding every sample at once, the peak grew by about 19 MB; a block at a time, by nothing
+        assert peaks[1] - peaks[0] < 0.3e6, peaks
 
 
 class TestBoundaryPoints:

@@ -153,3 +153,13 @@ def test_memory_prints_samples_peak_rss_and_wall_of_cold_runs(capsys):
     code = "import sys; sys.path.insert(0, 'tools'); import memory; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
     assert done.stdout == "False\n", done.stderr
+
+
+def test_memory_prints_certificate_samples_peak_rss_and_wall_of_cold_runs(capsys):
+    memory = _load_tool("memory")
+    assert memory.main(["--cert-samples", "500"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    # the samples each mode's check tested, read from certificate_report.json
+    assert line.startswith("500 certificate samples: peak RSS ")
+    peak, wall = line.split(": peak RSS ")[1].split(" MB; wall ")
+    assert 10 < float(peak) < 1000 and 0 < float(wall.removesuffix(" s")) < 60
